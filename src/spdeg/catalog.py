@@ -20,7 +20,7 @@ F = Fraction
 
 
 class DomainError(ValueError):
-    """A class parameter outside its printed domain."""
+    """A class or curve parameter outside its printed domain."""
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,18 @@ CLASSES = {spec.key: spec for spec in CLASS_DEFS}
 MU_INDEX = {spec.mu: spec.key for spec in CLASS_DEFS}
 
 
-def class_keys():
-    return [spec.key for spec in CLASS_DEFS]
+def _resolve_key(key: str) -> str:
+    """A registry key, with 'mu0' .. 'mu24' accepted as aliases."""
+    if key.startswith("mu") and key[2:].isdigit():
+        key = MU_INDEX.get(int(key[2:]), key)
+    if key not in CLASSES:
+        raise KeyError(f"unknown class key: {key!r}")
+    return key
 
 
 def class_id(key: str, param=None) -> ClassId:
     """Validate (key, param) against the registry and its printed domain."""
-    if key.startswith("mu") and key[2:].isdigit():
-        key = MU_INDEX[int(key[2:])]
-    if key not in CLASSES:
-        raise KeyError(f"unknown class key: {key!r}")
+    key = _resolve_key(key)
     spec = CLASSES[key]
     if spec.param_name is None:
         if param is not None:
@@ -188,24 +190,27 @@ def class_id(key: str, param=None) -> ClassId:
     return ClassId(key, param)
 
 
+def _split_id(text: str):
+    """Split the id grammar 'name[:p=v][:tag]' into ('name[:tag]', (p, v) or None).
+
+    Shared by class and curve ids; a second 'p=v' segment is refused.
+    """
+    rest, param = [], None
+    for seg in text.strip().split(":"):
+        if "=" not in seg:
+            rest.append(seg)
+            continue
+        if param is not None:
+            raise ValueError(f"multiple parameter segments in {text!r}")
+        name, val = seg.split("=", 1)
+        param = (name, parse_rational(val))
+    return ":".join(rest), param
+
+
 def parse_class(text: str) -> ClassId:
     """Parse the CLI grammar, e.g. 'd4_2:w2', 'r2r2:lambda=7/3', 'd4p:delta=2:plus'."""
-    segs = text.strip().split(":")
-    param = None
-    rest = []
-    for seg in segs:
-        if "=" in seg:
-            if param is not None:
-                raise ValueError(f"multiple parameter segments in {text!r}")
-            name, val = seg.split("=", 1)
-            param = (name, parse_rational(val))
-        else:
-            rest.append(seg)
-    key = ":".join(rest)
-    if key.startswith("mu") and key[2:].isdigit():
-        key = MU_INDEX.get(int(key[2:]), key)
-    if key not in CLASSES:
-        raise KeyError(f"unknown class key: {key!r}")
+    key, param = _split_id(text)
+    key = _resolve_key(key)
     spec = CLASSES[key]
     if param is not None and param[0] != spec.param_name:
         raise ValueError(f"class {key} takes parameter {spec.param_name}, not {param[0]}")
@@ -282,7 +287,8 @@ class CurveSpec:
     target after transposing or inverting the printed matrix (verified by the
     exact limit check, which doubles as the transcription-typo detector);
     those carry orientation 'transposed' or 'inverse' here rather than being
-    silently rewritten.
+    silently rewritten.  ``source_param`` pins the source class parameter of
+    a curve that starts from one special member of a family.
     """
 
     id: str
@@ -295,6 +301,7 @@ class CurveSpec:
     orientation: str = "printed"
     time_scale: int = 1
     notes: tuple = ()
+    source_param: Optional[Fraction] = None
 
     def oriented_matrix(self, param=None):
         g = self.matrix(param)
@@ -314,9 +321,16 @@ class CurveSpec:
     def instantiate(self, param=None):
         if self.param_name is not None and param is None:
             raise ValueError(f"curve {self.id} needs parameter {self.param_name}")
-        src = class_id(self.source_key, param if CLASSES[self.source_key].param_name else None)
+        src_param = self.source_param
+        if src_param is None and CLASSES[self.source_key].param_name:
+            src_param = param
+        src = class_id(self.source_key, src_param)
         tgt = class_id(self.target_key, self.target_param)
-        g = self.oriented_matrix(param)
+        try:
+            g = self.oriented_matrix(param)
+        except ZeroDivisionError:
+            raise DomainError(f"curve {self.id}: the matrix has a pole at "
+                              f"{self.param_name}={format_rational(param)}") from None
         label = self.id if param is None else f"{self.id}:{self.param_name}={format_rational(param)}"
         return CurveInstance(label, self, src, tgt, g,
                              make(src)[0], make(tgt)[0])
@@ -490,8 +504,7 @@ CURVE_DEFS = [
                             [0, 1, 0, 0],
                             [0, _e(2, -2), _e(1), 0],
                             [_e(1, -2), 0, 0, 1]]),
-              target_param=None, param_name=None, samples=(),
-              orientation="inverse",
+              orientation="inverse", source_param=HALF,
               notes=("source instantiated at lambda = 1/2",
                      "printed matrix reaches the target only after inversion",)),
     CurveSpec("appendix:r4m1m1-rh3", "r4_m1_beta", "rh3",
@@ -499,7 +512,7 @@ CURVE_DEFS = [
                             [_e(1, -2), 0, 0, 0],
                             [0, _e(1, -1), 0, 1],
                             [0, 0, _e(-1, -HALF), 0]]),
-              notes=("source instantiated at beta = -1",)),
+              notes=("source instantiated at beta = -1",), source_param=F(-1)),
     CurveSpec("appendix:d4lambda-n4", "d4_lambda", "n4", _d4lambda_to_n4,
               param_name="lambda", samples=(F(5, 2), F(7, 3), F(3))),
     CurveSpec("appendix:d4pp-n4", "d4p:plus", "n4", _d4p_to_n4(F(1)),
@@ -541,27 +554,6 @@ CURVE_DEFS = [
               lambda _: _diag(1, _e(1), 1, _e(-1)), target_param=F(-1, 2)),
 ]
 
-
-def _fix_d4half_source():
-    # the d4half-rh3 and r4m1m1-rh3 sources live at pinned parameter values
-    for spec in CURVE_DEFS:
-        if spec.id == "appendix:d4half-rh3":
-            spec.instantiate = _pinned_instantiate(spec, F(1, 2))  # type: ignore
-        if spec.id == "appendix:r4m1m1-rh3":
-            spec.instantiate = _pinned_instantiate(spec, F(-1))  # type: ignore
-
-
-def _pinned_instantiate(spec: CurveSpec, source_param):
-    def instantiate(param=None):
-        src = class_id(spec.source_key, source_param)
-        tgt = class_id(spec.target_key, spec.target_param)
-        g = spec.oriented_matrix(None)
-        return CurveInstance(spec.id, spec, src, tgt, g, make(src)[0], make(tgt)[0])
-    return instantiate
-
-
-_fix_d4half_source()
-
 CURVES = {spec.id: spec for spec in CURVE_DEFS}
 
 
@@ -572,25 +564,14 @@ def curves():
 
 def parse_curve(text: str):
     """Parse 'appendix:d4lambda-n4:lambda=7/3' into an instantiated curve."""
-    segs = text.strip().split(":")
-    param = None
-    rest = []
-    for seg in segs:
-        if "=" in seg:
-            name, val = seg.split("=", 1)
-            param = (name, parse_rational(val))
-        else:
-            rest.append(seg)
-    cid = ":".join(rest)
+    cid, param = _split_id(text)
     if cid not in CURVES:
         raise KeyError(f"unknown curve id: {cid!r}")
     spec = CURVES[cid]
-    if spec.param_name is None:
-        if param is not None:
-            raise ValueError(f"curve {cid} takes no parameter")
-        return spec.instantiate()
     if param is None:
-        raise ValueError(f"curve {cid} needs parameter {spec.param_name}")
+        return spec.instantiate()
+    if spec.param_name is None:
+        raise ValueError(f"curve {cid} takes no parameter")
     if param[0] != spec.param_name:
         raise ValueError(f"curve {cid} takes parameter {spec.param_name}, not {param[0]}")
     return spec.instantiate(param[1])
@@ -629,10 +610,3 @@ def rho_family(t: Fraction) -> Bracket:
 def varrho_family(t: Fraction) -> Bracket:
     """shear_transform(t) acting on d4_1:w1."""
     return act(shear_transform(t), bracket_of("d4_1:w1"))
-
-
-NAMED_FAMILIES = {
-    "reference:xi": xi_family,
-    "reference:rho": rho_family,
-    "reference:varrho": varrho_family,
-}

@@ -32,13 +32,9 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_class(text: str):
-    return catalog.parse_class(text)
-
-
 def cmd_catalog(args) -> int:
     if args.cls:
-        cid = _parse_class(args.cls)
+        cid = catalog.parse_class(args.cls)
         mu, _ = catalog.make(cid)
         payload = {"class": str(cid), "display": cid.display(),
                    "bracket": mu.to_json_dict()}
@@ -73,7 +69,7 @@ def cmd_validate(args) -> int:
         omega = tensor.TwoForm.canonical(mu.dim)
         label = args.file
     else:
-        cid = _parse_class(args.cls)
+        cid = catalog.parse_class(args.cls)
         mu, omega = catalog.make(cid)
         label = str(cid)
     lie = tensor.is_lie(mu)
@@ -85,7 +81,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    cid = _parse_class(args.cls)
+    cid = catalog.parse_class(args.cls)
     summary = invariants.invariants_summary(cid)
     human = (f"{summary['class']}  {summary['display']}\n"
              f"  dim Der_w = {summary['dim_der_omega']} (expected {summary['expected_dim_der_omega']})\n"
@@ -99,18 +95,19 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_ricci(args) -> int:
-    cid = _parse_class(args.cls)
+    cid = catalog.parse_class(args.cls)
     mu, _ = catalog.make(cid)
-    tensors = curvature.ricci(mu)
+    form = curvature.ricci_form(mu)
     c = curvature.einstein_check(mu)
-    sig = tensors.ricci.signature()
+    sig = form.signature()
+    scal = format_rational(form.trace())
     payload = {"class": str(cid),
-               "ricci_matrix": [[format_rational(x) for x in row] for row in tensors.ricci.m],
+               "ricci_matrix": [[format_rational(x) for x in row] for row in form.m],
                "signature": list(sig),
-               "scalar_curvature": format_rational(tensors.scalar_curv),
+               "scalar_curvature": scal,
                "einstein": format_rational(c) if c is not None else None}
-    lines = [f"{cid}  Ricci signature {sig}, scalar curvature {format_rational(tensors.scalar_curv)}"]
-    for row in tensors.ricci.m:
+    lines = [f"{cid}  Ricci signature {sig}, scalar curvature {scal}"]
+    for row in form.m:
         lines.append("  [" + ", ".join(format_rational(x) for x in row) + "]")
     lines.append(f"  Einstein: {format_rational(c) if c is not None else 'no'}")
     _emit(args, payload, "\n".join(lines))
@@ -133,10 +130,6 @@ def cmd_degenerate(args) -> int:
     return 0 if report.verified else 1
 
 
-def _hasse_payload(report):
-    return report.to_json_dict()
-
-
 def cmd_hasse(args) -> int:
     report = degeneration.hasse()
     if args.dot:
@@ -145,7 +138,7 @@ def cmd_hasse(args) -> int:
                 fh.write(report.dot + "\n")
         except OSError as e:
             return _fail(3, f"cannot write {args.dot}: {e}")
-    payload = _hasse_payload(report)
+    payload = report.to_json_dict()
     lines = []
     for e in sorted(report.edges, key=lambda e: (e.source, e.target)):
         lines.append(f"{e.source:28s} -> {e.target:24s} [{e.status}]"
@@ -166,7 +159,7 @@ def cmd_theorem_a(args) -> int:
     if args.pairs:
         payload["pair_status"] = [
             {"source": a, "target": b, "status": s}
-            for a, b, s in degeneration.classify_pairs(report)]
+            for a, b, s in degeneration.classify_pairs(report, suite)]
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
@@ -207,7 +200,7 @@ def cmd_theorem_b(args) -> int:
 
 def cmd_remark_check(args) -> int:
     rho0 = catalog.rho_family(Fraction(0))
-    sig0 = curvature.ricci(rho0).ricci.signature()
+    sig0 = curvature.ricci_form(rho0).signature()
     roots = curvature.find_degenerate_ricci(
         catalog.rho_family, 0, 12, det_tol=args.tol or 1e-12)
     certified = [r for r in roots

@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg
-from .catalog import bracket_of, xi_family
 from .invariants import SymForm, nilpotent
 from .tensor import Bracket, MultiVec
 
@@ -89,37 +88,15 @@ def riemann(mu: Bracket, lc=None):
     return out
 
 
-_RICCI_SIGN = None
+# Trace-slot sign of the curvature contraction in _ricci_matrix.  The tests
+# pin it against the reduced nilpotent formula on xi_family(2) and the
+# tabulated diag(-3, -1, -1, 1) of r4_m1_beta at beta = -1.
+RICCI_SIGN = -1
 
 
-def _calibrated_sign() -> int:
-    """Fix the trace-slot sign of the curvature contraction.
-
-    The composite trace leaves a sign ambiguity; the convention is pinned by
-    requiring exact agreement with the reduced nilpotent formula on a
-    nilpotent catalog entry and the tabulated diag(-3,-1,-1,1) value on
-    r4_m1_beta at beta = -1.  A convention failing either is rejected.
-    """
-    global _RICCI_SIGN
-    if _RICCI_SIGN is not None:
-        return _RICCI_SIGN
-    xi2 = xi_family(Fraction(2))
-    target_nil = ricci_nilpotent(xi2).m
-    mu11 = bracket_of("r4_m1_beta", Fraction(-1))
-    target_11 = [[Fraction(v) if i == j else Fraction(0) for j in range(4)]
-                 for i, v in enumerate((-3, -1, -1, 1))]
-    for sign in (1, -1):
-        got_nil = _ricci_matrix(xi2, sign)
-        got_11 = _ricci_matrix(mu11, sign)
-        if linalg.mat_eq(got_nil, target_nil) and linalg.mat_eq(got_11, target_11):
-            _RICCI_SIGN = sign
-            return sign
-    raise AssertionError("no curvature trace convention matches both calibration fixtures")
-
-
-def _ricci_matrix(mu: Bracket, sign: int, lc=None):
+def _ricci_matrix(mu: Bracket):
     """The curvature contraction; only the traced components are formed."""
-    lc = lc if lc is not None else levi_civita(mu)
+    lc = levi_civita(mu)
     n = mu.dim
     zero = Fraction(0)
     out = [[None] * n for _ in range(n)]
@@ -139,7 +116,7 @@ def _ricci_matrix(mu: Bracket, sign: int, lc=None):
                 for p in range(n):
                     if u[p]:
                         tr = tr - u[p] * lc[p][c][b]
-            out[a][c] = sign * tr
+            out[a][c] = RICCI_SIGN * tr
     return out
 
 
@@ -153,7 +130,7 @@ class CurvatureTensors:
 def ricci_form(mu: Bracket) -> SymForm:
     """The Ricci form alone (no Riemann tensor); the fast exact path."""
     n = mu.dim
-    m = _ricci_matrix(mu, _calibrated_sign())
+    m = _ricci_matrix(mu)
     exact = all(isinstance(x, (int, Fraction)) for row in m for x in row)
     if not exact:
         # float cross-check path: mirror away last-ulp asymmetry
@@ -170,14 +147,13 @@ def ricci(mu: Bracket) -> CurvatureTensors:
     form = ricci_form(mu)
     rv = MultiVec(n, 3, {(i, j, k): r[i][j][k]
                          for i in range(n) for j in range(n) for k in range(n)})
-    scal = linalg.sum_entries([form.m[i][i] for i in range(n)])
-    return CurvatureTensors(rv, form, scal)
+    return CurvatureTensors(rv, form, form.trace())
 
 
 def ricci_matrix_float(mu: Bracket):
     """Binary64 Ricci matrix; the bisection driver path."""
     fmu = mu.map_scalars(float)
-    return [[float(x) for x in row] for row in _ricci_matrix(fmu, _calibrated_sign())]
+    return [[float(x) for x in row] for row in _ricci_matrix(fmu)]
 
 
 def ricci_nilpotent(mu: Bracket) -> SymForm:
@@ -207,7 +183,7 @@ def ricci_nilpotent(mu: Bracket) -> SymForm:
 
 def einstein_check(mu: Bracket) -> Optional[Fraction]:
     """c with Ric = c * <,> exactly, or None."""
-    m = ricci(mu).ricci.m
+    m = ricci_form(mu).m
     n = mu.dim
     c = m[0][0]
     for i in range(n):

@@ -14,11 +14,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .catalog import (CURVES, ClassId, CurveInstance, class_id,
+from .catalog import (CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       scaling_transform, shear_transform, make)
 from .curvature import ricci_form
 from .invariants import (composition_trace_form, derived_dim,
-                         equivariant_product, symplectic_derivations)
+                         equivariant_product, obstruction_report,
+                         symplectic_derivations)
 from .scalars import ExpPoly
 from .tensor import (Bracket, TwoForm, act, bracket_distance, is_symplectic,
                      jacobiator, symplectic_inverse, transvection)
@@ -114,26 +115,6 @@ def n_element(a, x, y, z):
             [a * x + y, a * y + z, a, Fraction(1)]]
 
 
-def k_element(a_block, b_block, tol: float = 1e-9):
-    """The maximal-compact factor [[A, -B], [B, A]] with A + iB unitary.
-
-    Unitarity is checked within tol (this factor lives on the float path
-    only; the exact machinery never needs it since closures of B-orbits
-    already determine the ones under study).
-    """
-    g = [[a_block[0][0], a_block[0][1], -b_block[0][0], -b_block[0][1]],
-         [a_block[1][0], a_block[1][1], -b_block[1][0], -b_block[1][1]],
-         [b_block[0][0], b_block[0][1], a_block[0][0], a_block[0][1]],
-         [b_block[1][0], b_block[1][1], a_block[1][0], a_block[1][1]]]
-    gt = linalg.transpose(g)
-    resid = linalg.mat_sub(linalg.mat_mul(gt, g), linalg.identity(4))
-    if max(abs(float(x)) for row in resid for x in row) >= tol:
-        raise ValueError("A + iB is not unitary within tolerance")
-    if not is_symplectic(g, OMEGA4, tol=tol):
-        raise ValueError("block matrix is not symplectic within tolerance")
-    return g
-
-
 def borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
     """(g.h)^{-1} . mu with g diagonal and h unipotent."""
     g = a_element(*a_params)
@@ -147,55 +128,58 @@ class TrapError(ValueError):
     """A bracket does not fit the trapping-subspace pattern."""
 
 
-def r2r2_trap_coords(xi: Bracket):
-    """Coordinates (b1..b6) of the subspace trapping the r2r2 B-orbit.
+@dataclass(frozen=True)
+class TrapPattern:
+    """A linear subspace of 4-dimensional brackets that traps a B-orbit.
 
-    Pattern: [e1,e2] = b1 e3 + b2 e4, [e1,e3] = b3 e3 + b4 e4,
-    [e2,e3] = b4 e3 + b5 e4, [e2,e4] = b6 e4, all other entries zero.
+    Coordinate b_n is groups[n-1]: the (i, j, k) slots, i < j, whose
+    structure constants c_ij^k all equal b_n.  Every other slot is zero.
     """
-    if xi.dim != 4:
-        raise TrapError("pattern is 4-dimensional")
-    allowed = {(1, 2): {3, 4}, (1, 3): {3, 4}, (2, 3): {3, 4}, (2, 4): {4}}
-    for (i, j), vec in xi.rules.items():
-        if (i, j) not in allowed:
-            raise TrapError(f"nonzero bracket outside the pattern at ({i},{j})")
-        for k in vec:
-            if k not in allowed[(i, j)]:
-                raise TrapError(f"component e{k} of [e{i},e{j}] outside the pattern")
-    b4a = xi.entry(1, 3, 4)
-    b4b = xi.entry(2, 3, 3)
-    if b4a != b4b:
-        raise TrapError("shared coordinate mismatch between [e1,e3] and [e2,e3]")
-    return (xi.entry(1, 2, 3), xi.entry(1, 2, 4), xi.entry(1, 3, 3),
-            b4a, xi.entry(2, 3, 4), xi.entry(2, 4, 4))
+
+    name: str
+    groups: tuple
+
+    def coords(self, xi: Bracket) -> tuple:
+        """(b1, b2, ...) of xi; TrapError when xi lies outside the subspace."""
+        if xi.dim != 4:
+            raise TrapError("pattern is 4-dimensional")
+        slots = {s for group in self.groups for s in group}
+        for i, j, k, _ in xi.entries():
+            if (i, j, k) not in slots:
+                raise TrapError(f"component e{k} of [e{i},e{j}] outside the "
+                                f"{self.name} pattern")
+        out = []
+        for n, group in enumerate(self.groups, 1):
+            values = {xi.entry(*s) for s in group}
+            if len(values) > 1:
+                raise TrapError(f"shared coordinate b{n} differs across {list(group)}")
+            out.append(values.pop())
+        return tuple(out)
+
+    def embed(self, b) -> Bracket:
+        """The bracket with coordinates b."""
+        rules = {}
+        for value, group in zip(b, self.groups):
+            for i, j, k in group:
+                rules.setdefault((i, j), {})[k] = value
+        return Bracket(4, rules)
+
+
+# [e1,e2] = b1 e3 + b2 e4, [e1,e3] = b3 e3 + b4 e4, [e2,e3] = b4 e3 + b5 e4,
+# [e2,e4] = b6 e4
+R2R2_TRAP = TrapPattern("r2r2", (((1, 2, 3),), ((1, 2, 4),), ((1, 3, 3),),
+                                 ((1, 3, 4), (2, 3, 3)), ((2, 3, 4),), ((2, 4, 4),)))
+# [e1,e2] = b1 e4, [e1,e3] = b2 e3, [e1,e4] = b2 e4, [e2,e3] = b3 e4,
+# [e2,e4] = b2 e3 + b4 e4
+R2P_TRAP = TrapPattern("r2p", (((1, 2, 4),), ((1, 3, 3), (1, 4, 4), (2, 4, 3)),
+                               ((2, 3, 4),), ((2, 4, 4),)))
 
 
 def r2r2_trap_residual(xi: Bracket, lam) -> Fraction:
     """b1 b5 - b2 b4 - lam * b3 b4 b6^2; identically zero on the r2r2 B-orbit."""
-    b1, b2, b3, b4, b5, b6 = r2r2_trap_coords(xi)
+    b1, b2, b3, b4, b5, b6 = R2R2_TRAP.coords(xi)
     lam = Fraction(lam)
     return b1 * b5 - b2 * b4 - lam * b3 * b4 * b6 * b6
-
-
-def r2p_trap_coords(xi: Bracket):
-    """Coordinates (b1..b4) of the subspace trapping the r2p B-orbit.
-
-    Pattern: [e1,e2] = b1 e4, [e1,e3] = b2 e3, [e1,e4] = b2 e4,
-    [e2,e3] = b3 e4, [e2,e4] = b2 e3 + b4 e4.
-    """
-    if xi.dim != 4:
-        raise TrapError("pattern is 4-dimensional")
-    allowed = {(1, 2): {4}, (1, 3): {3}, (1, 4): {4}, (2, 3): {4}, (2, 4): {3, 4}}
-    for (i, j), vec in xi.rules.items():
-        if (i, j) not in allowed:
-            raise TrapError(f"nonzero bracket outside the pattern at ({i},{j})")
-        for k in vec:
-            if k not in allowed[(i, j)]:
-                raise TrapError(f"component e{k} of [e{i},e{j}] outside the pattern")
-    b2 = xi.entry(1, 3, 3)
-    if xi.entry(1, 4, 4) != b2 or xi.entry(2, 4, 3) != b2:
-        raise TrapError("shared coordinate mismatch across [e1,e3], [e1,e4], [e2,e4]")
-    return (xi.entry(1, 2, 4), b2, xi.entry(2, 3, 4), xi.entry(2, 4, 4))
 
 
 # -- random exact symplectic elements ---------------------------------------------
@@ -241,30 +225,23 @@ def _node(key, param=None, samples=()):
     return HasseNode(nid, key, param, samples)
 
 
-from .catalog import CLASSES as _CLASSES  # noqa: E402  (registry reuse)
-
-
-def _family_samples(key):
-    return _CLASSES[key].samples
-
-
 HASSE_NODES = [
     _node("a4"), _node("rh3"), _node("rr3_0"), _node("rr3_m1"), _node("rr3p_0"),
-    _node("r2r2", samples=_family_samples("r2r2")),
+    _node("r2r2", samples=CLASSES["r2r2"].samples),
     _node("r2p"), _node("n4"),
     _node("r4_0:plus"), _node("r4_0:minus"), _node("r4_m1"),
-    _node("r4_m1_beta", samples=_family_samples("r4_m1_beta")),
+    _node("r4_m1_beta", samples=CLASSES["r4_m1_beta"].samples),
     _node("r4_m1_beta", Fraction(-1)),
-    _node("r4_alpha", samples=_family_samples("r4_alpha")),
+    _node("r4_alpha", samples=CLASSES["r4_alpha"].samples),
     _node("r4_alpha", Fraction(-1, 2)),
-    _node("r4p_0:plus", samples=_family_samples("r4p_0:plus")),
-    _node("r4p_0:minus", samples=_family_samples("r4p_0:minus")),
+    _node("r4p_0:plus", samples=CLASSES["r4p_0:plus"].samples),
+    _node("r4p_0:minus", samples=CLASSES["r4p_0:minus"].samples),
     _node("d4_1:w1"), _node("d4_1:w2"),
     _node("d4_2:w1"), _node("d4_2:w2"), _node("d4_2:w3"),
-    _node("d4_lambda", samples=_family_samples("d4_lambda")),
+    _node("d4_lambda", samples=CLASSES["d4_lambda"].samples),
     _node("d4_lambda", Fraction(1, 2)),
-    _node("d4p:plus", samples=_family_samples("d4p:plus")),
-    _node("d4p:minus", samples=_family_samples("d4p:minus")),
+    _node("d4p:plus", samples=CLASSES["d4p:plus"].samples),
+    _node("d4p:minus", samples=CLASSES["d4p:minus"].samples),
     _node("h4:plus"), _node("h4:minus"),
 ]
 
@@ -398,7 +375,7 @@ def hasse(edge_list=None) -> HasseReport:
     lines = ["digraph degenerations {", "  rankdir=TB;"]
     for node in HASSE_NODES:
         label = class_id(node.key, node.param).display() if node.param is not None \
-            else _CLASSES[node.key].display
+            else CLASSES[node.key].display
         lines.append(f'  "{node.id}" [label="{label}"];')
     for e in edges:
         style = "solid" if e.status == "verified" else "dashed"
@@ -409,16 +386,16 @@ def hasse(edge_list=None) -> HasseReport:
                        all(e.der_omega_increases for e in edges))
 
 
-def classify_pairs(report: HasseReport):
+def classify_pairs(report: HasseReport, checks):
     """Status of every ordered node pair: reachable, obstructed, or open.
 
     'obstructed' means the invariant battery or one of the worked
     non-degeneration arguments excludes the degeneration; remaining pairs
-    are reported open, with no claim of completeness either way.
+    are reported open, with no claim of completeness either way.  A pair
+    covered by one of ``checks`` (the non_degeneration_suite result) is
+    obstructed exactly when that check passed.
     """
-    from .invariants import obstruction_report
-
-    special = {("d4_2:w2", "d4_2:w1"), ("r2r2", "n4"), ("r2p", "n4")}
+    worked = {c.pair: c.passed for c in checks}
     out = []
     for a in HASSE_NODES:
         for b in HASSE_NODES:
@@ -427,8 +404,8 @@ def classify_pairs(report: HasseReport):
             if b.id in report.closure[a.id]:
                 out.append((a.id, b.id, "reachable"))
                 continue
-            if (a.id, b.id) in special:
-                out.append((a.id, b.id, "obstructed"))
+            if (a.id, b.id) in worked:
+                out.append((a.id, b.id, "obstructed" if worked[(a.id, b.id)] else "open"))
                 continue
             excluded = False
             for s in a.class_ids():
@@ -450,6 +427,7 @@ class SuiteCheck:
     name: str
     passed: bool
     details: dict
+    pair: tuple          # (source node, target node) the argument excludes
 
     def to_json_dict(self):
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -498,20 +476,6 @@ def quadratics_agree(f, g, nvars) -> bool:
     return all(f(p) == g(p) for p in _quadratic_grid(nvars))
 
 
-def _embed_r2r2(b):
-    b1, b2, b3, b4, b5, b6 = b
-    rules = {(1, 2): {3: b1, 4: b2}, (1, 3): {3: b3, 4: b4},
-             (2, 3): {3: b4, 4: b5}, (2, 4): {4: b6}}
-    return Bracket(4, rules)
-
-
-def _embed_r2p(b):
-    b1, b2, b3, b4 = b
-    rules = {(1, 2): {4: b1}, (1, 3): {3: b2}, (1, 4): {4: b2},
-             (2, 3): {4: b3}, (2, 4): {3: b2, 4: b4}}
-    return Bracket(4, rules)
-
-
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     """The three worked non-degeneration arguments as exact machine checks."""
     rng = random.Random(seed)
@@ -527,7 +491,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     ok1 = s17[1] == 0 and s17[0] > 0 and s18[0] == 0 and s18[1] > 0
     checks.append(SuiteCheck("signature_obstruction_d422_to_d421", ok1,
                              {"signature_target_product": list(s17),
-                              "signature_source_product": list(s18)}))
+                              "signature_source_product": list(s18)},
+                             ("d4_2:w2", "d4_2:w1")))
 
     # (2) algebraic-set residual: r2r2 does not reach n4
     mu7 = make(class_id("n4"))[0]
@@ -551,7 +516,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     # (e1,e2,e3) -> e4 jacobiator component (full signed-permutation sum) is
     # identically -4 b6^2 on the trace locus.  Certified as exact quadratic
     # identities on the polarization grid, never by floating point.
-    locus = _unimodular_locus(6, _embed_r2r2)
+    locus = _unimodular_locus(6, R2R2_TRAP.embed)
     locus_ok = (len(locus) == 4
                 and all(v[2] == 0 and v[3] == -v[5] for v in locus))
 
@@ -560,7 +525,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                 for j in range(6)]
 
     def jac_component(c):
-        return jacobiator(_embed_r2r2(_locus_point(c)))[(1, 2, 3)][3]
+        return jacobiator(R2R2_TRAP.embed(_locus_point(c)))[(1, 2, 3)][3]
 
     def neg_four_b6_sq(c):
         b6 = _locus_point(c)[5]
@@ -571,13 +536,13 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     # whose dependence determinant equals the residual itself
     def dependence_det(c):
         b1, b2, b5 = c
-        xi = _embed_r2r2([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
+        xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
         return linalg.det([[xi.entry(1, 2, 3), xi.entry(1, 2, 4)],
                            [xi.entry(2, 3, 3), xi.entry(2, 3, 4)]])
 
     def reduced_residual(c):
         b1, b2, b5 = c
-        xi = _embed_r2r2([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
+        xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
         return r2r2_trap_residual(xi, Fraction(1))
 
     det_is_residual = quadratics_agree(dependence_det, reduced_residual, 3)
@@ -588,7 +553,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                               "unimodular_locus_is_b3_0_b4_eq_minus_b6": locus_ok,
                               "jacobi_forces_b6_zero": jacobi_kills_b6,
                               "dependence_det_equals_residual": det_is_residual,
-                              "derived_dim_n4": derived_dim(mu7)}))
+                              "derived_dim_n4": derived_dim(mu7)},
+                             ("r2r2", "n4")))
 
     # (3) trapping subspace for r2p plus the derived-dimension bound
     mu6 = make(class_id("r2p"))[0]
@@ -599,22 +565,23 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
         nparams = [random_rational(rng) for _ in range(4)]
         xi = borbit_element(mu6, (t1, t2), nparams)
         try:
-            r2p_trap_coords(xi)
+            R2P_TRAP.coords(xi)
         except TrapError:
             contain_ok = False
             break
-    locus6 = _unimodular_locus(4, _embed_r2p)
+    locus6 = _unimodular_locus(4, R2P_TRAP.embed)
     forced6 = _forced_zero(locus6, 4)
     forced6_ok = forced6 == {1, 3}  # the shared-scale and trailing coordinates
     # with those zero, every bracket value lies on the e4 axis
-    dd_ok = all(derived_dim(_embed_r2p([Fraction(b1), Fraction(0), Fraction(b3),
-                                        Fraction(0)])) <= 1
+    dd_ok = all(derived_dim(R2P_TRAP.embed([Fraction(b1), Fraction(0), Fraction(b3),
+                                            Fraction(0)])) <= 1
                 for b1 in (-2, 0, 1, 3) for b3 in (-1, 0, 2, 5))
     ok3 = contain_ok and forced6_ok and dd_ok and derived_dim(mu7) == 2
     checks.append(SuiteCheck("trap_containment_r2p_to_n4", ok3,
                              {"containment_samples": samples,
                               "unimodular_forced_zero": sorted(forced6),
-                              "derived_dim_bound_holds": dd_ok}))
+                              "derived_dim_bound_holds": dd_ok},
+                             ("r2p", "n4")))
     return checks
 
 
@@ -769,7 +736,7 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500, tmax: float = 25.
     if not k_grid:
         raise ValueError("tmax admits no witness evaluation time")
     records = []
-    for spec in sorted(_CLASSES.values(), key=lambda s: s.mu):
+    for spec in sorted(CLASSES.values(), key=lambda s: s.mu):
         if spec.key in EXCEPTIONAL_KEYS:
             mu = make(class_id(spec.key))[0]
             all_zero = True

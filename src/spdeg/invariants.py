@@ -141,8 +141,8 @@ class SymForm:
     def signature(self):
         return linalg.signature_exact(self.m)
 
-    def signature_float(self, tol: float = 1e-9):
-        return linalg.signature_float(self.m, tol)
+    def trace(self):
+        return linalg.sum_entries([self.m[i][i] for i in range(len(self.m))])
 
     def is_zero(self):
         return all(x == 0 for row in self.m for x in row)
@@ -162,10 +162,6 @@ class SymForm:
         np_, nm, nz = self.signature()
         return {"matrix": [[format_rational(x) for x in row] for row in self.m],
                 "signature": [np_, nm, nz]}
-
-
-def signature(form: SymForm):
-    return form.signature()
 
 
 # -- equivariant products and trace forms ----------------------------------------
@@ -284,11 +280,6 @@ def _p_trace_matrix(mu: Bracket, slot: int):
     f = trace_slot(_p_map(mu), slot)
     n = mu.dim
     return [[f.data[(i, j)] for j in range(n)] for i in range(n)]
-
-
-def first_trace_of_p(mu: Bracket):
-    """tr_1 of mu(v1, mu(v2,v3)); identically zero on Lie brackets."""
-    return _p_trace_matrix(mu, 1)
 
 
 # -- structural predicates --------------------------------------------------------

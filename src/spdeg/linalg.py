@@ -154,16 +154,6 @@ def rank_bareiss(m) -> int:
     return r
 
 
-def solve(a, b):
-    """Solve a x = b exactly (a square nonsingular, b a vector)."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular system")
-    return [r[i][n] for i in range(n)]
-
-
 def inverse(a):
     """Exact inverse over Fraction; raises ValueError when singular."""
     n = len(a)

@@ -11,22 +11,13 @@ import math
 from fractions import Fraction
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, string or Fraction to an exact rational."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return parse_rational(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p' or 'p/q' with optional sign."""
+    """Parse 'p' or 'p/q' with optional sign; ValueError on malformed text."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
+        if int(q) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
 
@@ -151,11 +142,6 @@ class ExpPoly:
     def is_constant(self) -> bool:
         return all(r == 0 for r in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return self.terms.get(Fraction(0), Fraction(0))
-
     def has_limit(self) -> bool:
         """True iff the limit as t -> +inf is finite (every exponent <= 0)."""
         return all(r <= 0 for r in self.terms)
@@ -190,12 +176,6 @@ class ExpPoly:
             total += c * Fraction(base) ** int(rk)
         return total
 
-    def exponent_denominator_lcm(self) -> int:
-        out = 1
-        for r in self.terms:
-            out = math.lcm(out, r.denominator)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "ExpPoly(0)"
@@ -207,13 +187,3 @@ class ExpPoly:
             else:
                 bits.append(f"{format_rational(c)}*e^({format_rational(r)}t)")
         return "ExpPoly(" + " + ".join(bits) + ")"
-
-
-def scalar_to_float(x) -> float:
-    if isinstance(x, ExpPoly):
-        raise TypeError("ExpPoly needs an evaluation time")
-    return float(x)
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, ExpPoly))

@@ -189,15 +189,6 @@ class Bracket:
             bits.append(f"[e{i},e{j}]->{c}*e{k}")
         return f"Bracket(dim={self.dim}, {'; '.join(bits) or '0'})"
 
-    def max_abs(self):
-        """Max-abs norm of the structure constants."""
-        best = Fraction(0)
-        for _, _, _, c in self.entries():
-            a = abs(c)
-            if a > best:
-                best = a
-        return best
-
     def map_scalars(self, f) -> "Bracket":
         return Bracket(self.dim, {p: {k: f(c) for k, c in vec.items()} for p, vec in self.rules.items()})
 
@@ -433,11 +424,6 @@ class MultiVec:
     def from_bracket(cls, mu: Bracket) -> "MultiVec":
         data = {(i, j): mu.pair(i + 1, j + 1) for i, j in _tuples(mu.dim, 2)}
         return cls(mu.dim, 2, data)
-
-    @classmethod
-    def from_table(cls, table) -> "MultiVec":
-        dim = len(table)
-        return cls(dim, 2, {(i, j): list(table[i][j]) for i, j in _tuples(dim, 2)})
 
     def __eq__(self, other):
         return (self.dim, self.k) == (other.dim, other.k) and all(

@@ -167,10 +167,10 @@ def test_criterion_09_signature_witnesses(theorem_b_records):
            f"500 exact degenerate samples for each of the 3 exceptional classes")
 
 
-def test_criterion_10_obstruction_consistency(hasse_report):
+def test_criterion_10_obstruction_consistency(hasse_report, nondeg_checks):
     assert hasse_report.all_verified
     assert hasse_report.strict_der_omega
-    for a, b, status in classify_pairs(hasse_report):
+    for a, b, status in classify_pairs(hasse_report, nondeg_checks):
         if status != "reachable":
             continue
         for s in NODE_BY_ID[a].class_ids():

@@ -95,6 +95,8 @@ def test_class_grammar_rejects_garbage():
         parse_class("r2r2:beta=1")
     with pytest.raises(DomainError):
         parse_class("d4_lambda:lambda=1")
+    with pytest.raises(ValueError):
+        parse_class("r2r2:lambda=7/3:lambda=3")
 
 
 def test_every_curve_matrix_exactly_symplectic():
@@ -120,6 +122,8 @@ def test_curve_listing_and_parse():
         parse_curve("appendix:d4lambda-n4")
     with pytest.raises(ValueError):
         parse_curve("appendix:rh3-a4:lambda=1")
+    with pytest.raises(ValueError):
+        parse_curve("appendix:d4lambda-n4:lambda=7/3:lambda=3")
 
 
 def test_curve_metadata_records_normalizations():
@@ -127,6 +131,11 @@ def test_curve_metadata_records_normalizations():
     assert catalog.CURVES["appendix:d4half-rh3"].orientation == "inverse"
     assert catalog.CURVES["appendix:d4pp-n4"].time_scale == 2
     assert any("target" in note for note in catalog.CURVES["appendix:n4-rh3"].notes)
+
+
+def test_pinned_curve_sources():
+    assert parse_curve("appendix:d4half-rh3").source == class_id("d4_lambda", F(1, 2))
+    assert parse_curve("appendix:r4m1m1-rh3").source == class_id("r4_m1_beta", F(-1))
 
 
 def test_named_families():

@@ -60,6 +60,25 @@ def test_bad_parameter_is_usage_error(capsys):
     assert code == 2 and "lambda" in err
 
 
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "catalog", "--class", "r2r2:lambda=1/0")
+    assert code == 2 and "denominator" in err
+    code, _, err = run(capsys, "degenerate", "--curve", "appendix:d4lambda-n4:lambda=1/0")
+    assert code == 2 and "denominator" in err
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps({"dim": 4, "bracket": {"1,2": {"4": "1/0"}}}),
+                    encoding="utf-8")
+    code, _, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and "denominator" in err
+
+
+def test_curve_matrix_pole_is_usage_error(capsys):
+    for curve in ("appendix:d4lambda-n4:lambda=1/2", "appendix:r4m1beta-n4:beta=-1"):
+        code, out, err = run(capsys, "degenerate", "--curve", curve)
+        assert code == 2 and out == "", curve
+        assert curve.split(":")[1] in err and "pole" in err, err
+
+
 def test_unknown_verb_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

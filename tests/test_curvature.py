@@ -6,8 +6,8 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import (scaling_transform, shear_transform, rho_family,
                            varrho_family, xi_family)
-from spdeg.curvature import (einstein_check, find_degenerate_ricci, levi_civita,
-                             metric_compatible, ricci, ricci_form,
+from spdeg.curvature import (RICCI_SIGN, einstein_check, find_degenerate_ricci,
+                             levi_civita, metric_compatible, ricci, ricci_form,
                              ricci_matrix_float, ricci_nilpotent, riemann,
                              torsion_free)
 from spdeg.tensor import TwoForm, act, is_symplectic
@@ -43,6 +43,15 @@ def test_riemann_antisymmetric_in_first_two_slots():
         for j in range(4):
             for k in range(4):
                 assert r[i][j][k] == [-x for x in r[j][i][k]]
+
+
+def test_ricci_sign_matches_both_fixtures():
+    # the contraction's trace-slot sign is a constant; these two fixtures
+    # (reduced nilpotent formula, tabulated diag(-3,-1,-1,1)) pin it
+    assert RICCI_SIGN == -1
+    xi2 = xi_family(F(2))
+    assert ricci_form(xi2).m == ricci_nilpotent(xi2).m
+    assert ricci_form(_mu("r4_m1_beta", F(-1))).m == _diag(-3, -1, -1, 1)
 
 
 def test_ricci_reference_values():

@@ -5,9 +5,9 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
-from spdeg.degeneration import (HASSE_EDGES, NODE_BY_ID, TrapError,
-                                borbit_element, classify_pairs, hasse,
-                                n_element, r2p_trap_coords, r2r2_trap_coords,
+from spdeg.degeneration import (HASSE_EDGES, NODE_BY_ID, R2P_TRAP, R2R2_TRAP,
+                                SuiteCheck, TrapError, borbit_element,
+                                classify_pairs, hasse, n_element,
                                 r2r2_trap_residual, random_symplectic,
                                 verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
@@ -123,17 +123,6 @@ def test_n_element_is_symplectic():
     assert is_symplectic(h, OMEGA)
 
 
-def test_k_element_float_path():
-    from spdeg.degeneration import k_element
-
-    a = [[F(3, 5), F(0)], [F(0), F(5, 13)]]
-    b = [[F(4, 5), F(0)], [F(0), F(12, 13)]]
-    g = k_element(a, b)
-    assert is_symplectic(g, OMEGA)
-    with pytest.raises(ValueError):
-        k_element([[F(1), F(0)], [F(0), F(1)]], [[F(1), F(0)], [F(0), F(0)]])
-
-
 # -- trapping subspaces ---------------------------------------------------------------
 
 
@@ -151,21 +140,28 @@ def test_trap_residual_on_orbit_samples():
 
 def test_trap_rejects_off_pattern_brackets():
     with pytest.raises(TrapError):
-        r2r2_trap_coords(catalog.bracket_of("n4"))
+        R2R2_TRAP.coords(catalog.bracket_of("n4"))
     with pytest.raises(TrapError):
-        r2p_trap_coords(catalog.bracket_of("n4"))
+        R2P_TRAP.coords(catalog.bracket_of("n4"))
 
 
 def test_trap_residual_handcrafted():
     xi = Bracket(4, {(1, 2): {3: F(1)}, (2, 3): {4: F(1)}})
-    assert r2r2_trap_coords(xi) == (F(1), F(0), F(0), F(0), F(1), F(0))
+    assert R2R2_TRAP.coords(xi) == (F(1), F(0), F(0), F(0), F(1), F(0))
+    assert R2R2_TRAP.embed(R2R2_TRAP.coords(xi)) == xi
     assert r2r2_trap_residual(xi, F(1)) == 1
 
 
 def test_trap_shared_coordinate_enforced():
     bad = Bracket(4, {(1, 3): {4: F(1)}, (2, 3): {3: F(2)}})
     with pytest.raises(TrapError):
-        r2r2_trap_coords(bad)
+        R2R2_TRAP.coords(bad)
+    b = (F(1), F(2), F(3), F(4))
+    xi = R2P_TRAP.embed(b)
+    assert xi.entry(1, 3, 3) == xi.entry(1, 4, 4) == xi.entry(2, 4, 3) == 2
+    assert R2P_TRAP.coords(xi) == b
+    with pytest.raises(TrapError):
+        R2P_TRAP.coords(Bracket(4, {(1, 3): {3: F(1)}, (1, 4): {4: F(2)}}))
 
 
 def test_r2p_orbit_lands_in_trap():
@@ -176,7 +172,7 @@ def test_r2p_orbit_lands_in_trap():
         t2 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
         xi = borbit_element(mu, (t1, t2),
                             tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
-        coords = r2p_trap_coords(xi)
+        coords = R2P_TRAP.coords(xi)
         assert len(coords) == 4
 
 
@@ -210,8 +206,8 @@ def test_hasse_closure_contains_composites(hasse_report):
     assert "n4" not in closure["r2r2"]     # excluded by the worked argument
 
 
-def test_battery_never_contradicts_reachable_pairs(hasse_report):
-    for a, b, status in classify_pairs(hasse_report):
+def test_battery_never_contradicts_reachable_pairs(hasse_report, nondeg_checks):
+    for a, b, status in classify_pairs(hasse_report, nondeg_checks):
         if status != "reachable":
             continue
         for s in NODE_BY_ID[a].class_ids():
@@ -219,11 +215,25 @@ def test_battery_never_contradicts_reachable_pairs(hasse_report):
                 assert not obstruction_report(s, t).excluded(), (a, b)
 
 
-def test_pair_classification_is_exhaustive(hasse_report):
-    pairs = classify_pairs(hasse_report)
+def test_pair_classification_is_exhaustive(hasse_report, nondeg_checks):
+    pairs = classify_pairs(hasse_report, nondeg_checks)
     n = len(NODE_BY_ID)
     assert len(pairs) == n * (n - 1)
     assert {s for _, _, s in pairs} == {"reachable", "obstructed", "open"}
+    status = {(a, b): s for a, b, s in pairs}
+    for check in nondeg_checks:
+        assert status[check.pair] == "obstructed", check.name
+
+
+def test_worked_pairs_follow_their_checks(hasse_report):
+    worked = [("d4_2:w2", "d4_2:w1"), ("r2r2", "n4"), ("r2p", "n4")]
+    checks = [SuiteCheck("failed", False, {}, worked[0]),
+              SuiteCheck("passed", True, {}, worked[1])]
+    status = {(a, b): s for a, b, s in classify_pairs(hasse_report, checks)}
+    assert status[worked[0]] == "open"
+    assert status[worked[1]] == "obstructed"
+    # with no certificate the battery alone does not exclude the r2p pair
+    assert status[worked[2]] == "open"
 
 
 def test_worked_nondegenerations_not_reachable(hasse_report):

@@ -6,9 +6,9 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import class_id
 from spdeg.degeneration import random_symplectic
-from spdeg.invariants import (AsymmetryError, SymForm, composition_trace_form,
+from spdeg.invariants import (AsymmetryError, composition_trace_form,
                               derivation_kernel_rank_oracle, derivations,
-                              derived_dim, equivariant_product, first_trace_of_p,
+                              derived_dim, equivariant_product,
                               invariants_summary, is_derivation, killing_form,
                               modified_killing_form, nilpotent,
                               obstruction_report, orbit_dim,
@@ -177,11 +177,6 @@ def test_killing_form_examples():
     assert mk.m[0][0] == 0  # killing minus the squared trace form
 
 
-def test_first_trace_vanishes_on_lie_brackets():
-    m = first_trace_of_p(_mu("r2r2", F(1)))
-    assert all(x == 0 for row in m for x in row)
-
-
 # -- structural predicates -------------------------------------------------------------
 
 
@@ -267,9 +262,3 @@ def test_trace_form_and_killing_are_gl_equivariant_25_samples():
         lhs_k = killing_form(act(g, mu, ginv)).m
         rhs_k = _pullback(killing_form(mu).m, ginv)
         assert linalg.mat_eq(lhs_k, rhs_k)
-
-
-def test_symform_signature_float_path():
-    f = SymForm([[F(-3), 0, 0, 0], [0, F(-1), 0, 0], [0, 0, F(-1), 0], [0, 0, 0, F(1)]])
-    assert f.signature() == (1, 3, 0)
-    assert f.signature_float() == (1, 3, 0)

@@ -61,12 +61,6 @@ def test_inverse_and_det():
         linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
 
 
-def test_solve_exact():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    x = linalg.solve(a, [F(5), F(10)])
-    assert [sum(a[i][j] * x[j] for j in range(2)) for i in range(2)] == [F(5), F(10)]
-
-
 def test_signature_examples():
     diag = lambda *xs: [[F(x) if i == j else F(0) for j in range(len(xs))]
                         for i, x in enumerate(xs)]
