@@ -144,10 +144,11 @@ class TrapPattern:
         if xi.dim != 4:
             raise TrapError("pattern is 4-dimensional")
         slots = {s for group in self.groups for s in group}
-        for i, j, k, _ in xi.entries():
-            if (i, j, k) not in slots:
-                raise TrapError(f"component e{k} of [e{i},e{j}] outside the "
-                                f"{self.name} pattern")
+        for (i, j), vec in xi.rules.items():
+            for k in vec:
+                if (i, j, k) not in slots:
+                    raise TrapError(f"component e{k} of [e{i},e{j}] outside the "
+                                    f"{self.name} pattern")
         out = []
         for n, group in enumerate(self.groups, 1):
             values = {xi.entry(*s) for s in group}
