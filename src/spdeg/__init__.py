@@ -17,21 +17,20 @@ from .invariants import (DerivationAlgebra, SymForm, composition_trace_form,
                          obstruction_report, orbit_dim, symplectic_derivations,
                          unimodular)
 from .scalars import ExpPoly
-from .tensor import (Bracket, InnerProduct, TwoForm, act, bracket_distance,
-                     d_omega, flat, is_closed, is_lie, is_symplectic,
-                     jacobiator, sharp, symplectic_inverse, trace_slot,
-                     transvection)
+from .tensor import (Bracket, TwoForm, act, bracket_distance, d_omega,
+                     is_closed, is_lie, is_symplectic, jacobiator,
+                     symplectic_inverse, transvection)
 
 __all__ = [
-    "Bracket", "ClassId", "DerivationAlgebra", "ExpPoly", "InnerProduct",
+    "Bracket", "ClassId", "DerivationAlgebra", "ExpPoly",
     "SymForm", "TwoForm", "act", "borbit_element", "bracket_distance",
     "class_id", "composition_trace_form", "curves", "d_omega", "derivations",
     "derived_dim", "einstein_check", "equivariant_product",
-    "expected_invariants", "find_degenerate_ricci", "flat", "hasse",
+    "expected_invariants", "find_degenerate_ricci", "hasse",
     "is_closed", "is_lie", "is_symplectic", "jacobiator", "killing_form",
     "levi_civita", "make", "modified_killing_form", "nilpotent",
     "non_degeneration_suite", "obstruction_report", "orbit_dim",
-    "parse_class", "r2r2_trap_residual", "ricci", "ricci_nilpotent", "sharp",
+    "parse_class", "r2r2_trap_residual", "ricci", "ricci_nilpotent",
     "symplectic_derivations", "symplectic_inverse", "tau6", "theorem_b_search",
-    "trace_slot", "transvection", "verify_curve",
+    "transvection", "verify_curve",
 ]

@@ -98,7 +98,7 @@ def cmd_ricci(args) -> int:
     cid = catalog.parse_class(args.cls)
     mu, _ = catalog.make(cid)
     form = curvature.ricci_form(mu)
-    c = curvature.einstein_check(mu)
+    c = curvature.einstein_constant(form)
     sig = form.signature()
     scal = format_rational(form.trace())
     payload = {"class": str(cid),
@@ -219,6 +219,14 @@ def cmd_remark_check(args) -> int:
     return 0 if ok else 1
 
 
+def positive_int(text: str) -> int:
+    """--samples value: an integer of at least 1, so no check passes vacuously."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spdeg",
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("theorem-a", help="full diagram verification plus the "
                                           "non-degeneration certificates")
     sp.add_argument("--dot", help="write DOT graph to this path")
-    sp.add_argument("--samples", type=int, default=1000,
+    sp.add_argument("--samples", type=positive_int, default=1000,
                     help="random exact samples per orbit check")
     sp.add_argument("--pairs", action="store_true",
                     help="include the status of every ordered class pair")
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("theorem-b", help="curvature-signature witnesses and "
                                           "exceptional-class degeneracy")
-    sp.add_argument("--samples", type=int, default=500,
+    sp.add_argument("--samples", type=positive_int, default=500,
                     help="random exact samples per exceptional class")
     sp.add_argument("--tmax", type=float, default=25.0,
                     help="largest curve time used in the witness search")

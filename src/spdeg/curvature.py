@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from . import linalg
 from .invariants import SymForm, nilpotent
-from .tensor import Bracket, MultiVec
+from .tensor import Bracket
 
 HALF = Fraction(1, 2)
 
@@ -122,32 +122,19 @@ def _ricci_matrix(mu: Bracket):
 
 @dataclass
 class CurvatureTensors:
-    riemann: MultiVec
     ricci: SymForm
     scalar_curv: Fraction
 
 
 def ricci_form(mu: Bracket) -> SymForm:
-    """The Ricci form alone (no Riemann tensor); the fast exact path."""
-    n = mu.dim
-    m = _ricci_matrix(mu)
-    exact = all(isinstance(x, (int, Fraction)) for row in m for x in row)
-    if not exact:
-        # float cross-check path: mirror away last-ulp asymmetry
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[j][i] = m[i][j]
-    return SymForm(m)
+    """The exact Ricci form of (mu, dot product); no Riemann tensor is built."""
+    return SymForm(_ricci_matrix(mu))
 
 
 def ricci(mu: Bracket) -> CurvatureTensors:
-    """Riemann and Ricci tensors of (mu, dot product); exact on Fractions."""
-    r = riemann(mu)
-    n = mu.dim
+    """Ricci form and scalar curvature of (mu, dot product)."""
     form = ricci_form(mu)
-    rv = MultiVec(n, 3, {(i, j, k): r[i][j][k]
-                         for i in range(n) for j in range(n) for k in range(n)})
-    return CurvatureTensors(rv, form, form.trace())
+    return CurvatureTensors(form, form.trace())
 
 
 def ricci_matrix_float(mu: Bracket):
@@ -181,10 +168,10 @@ def ricci_nilpotent(mu: Bracket) -> SymForm:
     return SymForm(m)
 
 
-def einstein_check(mu: Bracket) -> Optional[Fraction]:
-    """c with Ric = c * <,> exactly, or None."""
-    m = ricci_form(mu).m
-    n = mu.dim
+def einstein_constant(form: SymForm) -> Optional[Fraction]:
+    """c with form = c * <,> exactly, or None."""
+    m = form.m
+    n = len(m)
     c = m[0][0]
     for i in range(n):
         for j in range(n):
@@ -192,6 +179,11 @@ def einstein_check(mu: Bracket) -> Optional[Fraction]:
             if m[i][j] != want:
                 return None
     return c
+
+
+def einstein_check(mu: Bracket) -> Optional[Fraction]:
+    """c with Ric = c * <,> exactly, or None."""
+    return einstein_constant(ricci_form(mu))
 
 
 # -- degenerate-Ricci root finder ------------------------------------------------

@@ -14,8 +14,7 @@ from typing import Optional
 from . import linalg
 from .catalog import ClassId, expected_invariants, make
 from .scalars import format_rational
-from .tensor import (Bracket, MultiForm, MultiVec, TwoForm, is_lie, sharp,
-                     trace_slot, validate_symplectic)
+from .tensor import Bracket, TwoForm, bracket_to_table, is_lie, validate_symplectic
 
 
 @dataclass
@@ -190,11 +189,14 @@ def equivariant_product(mu: Bracket, coeffs, omega: TwoForm):
     c1, c2, c3, c4, c5, c6 = (Fraction(c) for c in coeffs)
     n = mu.dim
     tr2 = second_trace(mu)
-    form = MultiForm(n, 3)
     basis = linalg.identity(n)
+    # w(P, e_k) = (M^T P)_k, so P(i, j) = (M^T)^{-1} r with r_k = form(e_i, e_j, e_k).
+    minv_t = linalg.inverse(linalg.transpose(omega.m))
+    out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             mij = mu.pair(i + 1, j + 1)
+            r = []
             for k in range(n):
                 val = Fraction(0)
                 if c1 != 0:
@@ -209,9 +211,9 @@ def equivariant_product(mu: Bracket, coeffs, omega: TwoForm):
                     val += c5 * omega.m[j][k] * tr2[i]
                 if c6 != 0:
                     val += c6 * omega.m[k][i] * tr2[j]
-                form.data[(i, j, k)] = val
-    prod = sharp(form, 3, omega)
-    return [[prod.data[(i, j)] for j in range(n)] for i in range(n)]
+                r.append(val)
+            out[i][j] = linalg.mat_vec(minv_t, r)
+    return out
 
 
 def chu_connection(mu: Bracket, omega: TwoForm):
@@ -249,10 +251,10 @@ def composition_trace_form(table) -> SymForm:
 
 
 def killing_form(mu: Bracket) -> SymForm:
-    """trace(ad_x ad_y), via the third trace of mu(v1, mu(v2, v3))."""
+    """trace(ad_x ad_y): the composition trace form of the bracket itself."""
     if not is_lie(mu):
         raise ValueError("input is not a Lie bracket")
-    return SymForm(_p_trace_matrix(mu, 3))
+    return composition_trace_form(bracket_to_table(mu))
 
 
 def modified_killing_form(mu: Bracket, c) -> SymForm:
@@ -263,23 +265,6 @@ def modified_killing_form(mu: Bracket, c) -> SymForm:
     n = mu.dim
     m = [[k.m[i][j] + c * tr2[i] * tr2[j] for j in range(n)] for i in range(n)]
     return SymForm(m)
-
-
-def _p_map(mu: Bracket) -> MultiVec:
-    """The trilinear map (v1,v2,v3) -> mu(v1, mu(v2,v3))."""
-    n = mu.dim
-    out = MultiVec(n, 3)
-    basis = linalg.identity(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                out.data[(i, j, k)] = mu.apply(basis[i], mu.pair(j + 1, k + 1))
-    return out
-
-def _p_trace_matrix(mu: Bracket, slot: int):
-    f = trace_slot(_p_map(mu), slot)
-    n = mu.dim
-    return [[f.data[(i, j)] for j in range(n)] for i in range(n)]
 
 
 # -- structural predicates --------------------------------------------------------

@@ -121,7 +121,7 @@ def nullspace(m):
 def rank_bareiss(m) -> int:
     """Rank by fraction-free (Bareiss) elimination on an integer scaling of m.
 
-    Independent of :func:`rref"`; used as an oracle for kernel dimensions.
+    Independent of :func:`rref`; used as an oracle for kernel dimensions.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0

@@ -114,29 +114,6 @@ class ExpPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- ordering by eventual dominance ------------------------------------
-
-    def leading(self):
-        """(r, c) of the term dominating as t -> +inf, or (0, 0) if zero."""
-        if not self.terms:
-            return Fraction(0), Fraction(0)
-        r = max(self.terms)
-        return r, self.terms[r]
-
-    def eventually_positive(self) -> bool:
-        return self.leading()[1] > 0
-
-    def __lt__(self, other):
-        d = ExpPoly.coerce(other) - self
-        return d.eventually_positive()
-
-    def __gt__(self, other):
-        d = self - ExpPoly.coerce(other)
-        return d.eventually_positive()
-
-    def __abs__(self):
-        return -self if self.leading()[1] < 0 else self
-
     # -- limits and evaluation ----------------------------------------------
 
     def is_constant(self) -> bool:

@@ -1,4 +1,4 @@
-"""Core multilinear algebra: brackets, forms, the group action, musical maps.
+"""Core multilinear algebra: brackets, forms, the group action, dense tables.
 
 Basis indices are 1-based in constructors, serialized forms and reports,
 matching the classification tables; dense internal tensors are 0-based.
@@ -16,10 +16,6 @@ from .scalars import ExpPoly, format_rational, parse_rational
 
 PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
           ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
-
-
-def _is_zero(x):
-    return not x if isinstance(x, ExpPoly) else x == 0
 
 
 class TwoForm:
@@ -62,30 +58,6 @@ class TwoForm:
         return linalg.det(self.m) != 0
 
 
-class InnerProduct:
-    """Symmetric positive-definite bilinear form; the canonical one is the dot product."""
-
-    def __init__(self, m):
-        self.dim = len(m)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("inner-product matrix must be symmetric")
-        if linalg.signature_exact(m) != (self.dim, 0, 0):
-            raise ValueError("inner-product matrix must be positive definite")
-        self.m = [list(row) for row in m]
-
-    @classmethod
-    def canonical(cls, dim: int) -> "InnerProduct":
-        return cls(linalg.identity(dim))
-
-    def __call__(self, u, v):
-        return linalg.sum_entries(
-            [u[i] * self.m[i][j] * v[j]
-             for i in range(self.dim) for j in range(self.dim)
-             if self.m[i][j] != 0])
-
-
 class Bracket:
     """Antisymmetric bilinear product on R^dim via structure constants.
 
@@ -102,7 +74,7 @@ class Bracket:
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ValueError(f"index out of range in pair ({i},{j})")
             if i == j:
-                if any(not _is_zero(c) for c in vec.values()):
+                if any(vec.values()):
                     raise ValueError("nonzero diagonal entry in an antisymmetric product")
                 continue
             sign = 1
@@ -115,7 +87,7 @@ class Bracket:
                 c = sign * c
                 if (i, j) in clean and k in tgt:
                     c = tgt[k] + c
-                if _is_zero(c):
+                if not c:
                     tgt.pop(k, None)
                 else:
                     tgt[k] = c
@@ -151,7 +123,7 @@ class Bracket:
         out = [Fraction(0)] * self.dim
         for (i, j), vec in self.rules.items():
             coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
-            if _is_zero(coef):
+            if not coef:
                 continue
             for k, c in vec.items():
                 out[k - 1] = out[k - 1] + coef * c
@@ -239,13 +211,25 @@ class Bracket:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Bracket":
+        """Inverse of :meth:`to_json_dict`; ValueError on any malformed part."""
+        if not isinstance(d, dict):
+            raise ValueError("a bracket file must hold a JSON object")
+        if type(d.get("dim")) is not int:
+            raise ValueError('"dim" must be an integer')
         if d.get("scalars", "rational") != "rational":
             raise ValueError("only rational scalars are supported in files")
+        if d.get("omega", "canonical") != "canonical":
+            raise ValueError("only the canonical omega is supported in files")
+        bracket = d.get("bracket", {})
+        if not isinstance(bracket, dict):
+            raise ValueError('"bracket" must be an object keyed by "i,j"')
         rules = {}
-        for key, vec in d.get("bracket", {}).items():
+        for key, vec in bracket.items():
+            if not (isinstance(vec, dict) and all(isinstance(c, str) for c in vec.values())):
+                raise ValueError(f'bracket entry "{key}" must map components to rational strings')
             i, j = (int(x) for x in key.split(","))
             rules[(i, j)] = {int(k): parse_rational(c) for k, c in vec.items()}
-        return cls(int(d["dim"]), rules)
+        return cls(d["dim"], rules)
 
     @classmethod
     def from_json(cls, s: str) -> "Bracket":
@@ -272,7 +256,7 @@ def jacobiator(mu: Bracket) -> dict:
 
 
 def is_lie(mu: Bracket) -> bool:
-    return all(all(_is_zero(x) for x in v) for v in jacobiator(mu).values())
+    return not any(x for v in jacobiator(mu).values() for x in v)
 
 
 def d_omega(mu: Bracket, omega: TwoForm) -> dict:
@@ -294,7 +278,7 @@ def d_omega(mu: Bracket, omega: TwoForm) -> dict:
 
 
 def is_closed(mu: Bracket, omega: TwoForm) -> bool:
-    return all(_is_zero(x) for x in d_omega(mu, omega).values())
+    return not any(d_omega(mu, omega).values())
 
 
 def validate_symplectic(mu: Bracket, omega: TwoForm) -> bool:
@@ -304,15 +288,13 @@ def validate_symplectic(mu: Bracket, omega: TwoForm) -> bool:
 # -- the group action ----------------------------------------------------------
 
 
-def is_symplectic(g, omega: TwoForm = None, tol: float = None) -> bool:
-    """Whether g^T J g == J, term-wise exactly (or within tol on floats)."""
+def is_symplectic(g, omega: TwoForm = None) -> bool:
+    """Whether g^T J g == J, term-wise exactly."""
     dim = len(g)
     omega = omega or TwoForm.canonical(dim)
     gt = linalg.transpose(g)
     resid = linalg.mat_sub(linalg.mat_mul(gt, linalg.mat_mul(omega.m, g)), omega.m)
-    if tol is None:
-        return all(_is_zero(x) for row in resid for x in row)
-    return max(abs(float(x)) for row in resid for x in row) < tol
+    return not any(x for row in resid for x in row)
 
 
 def symplectic_inverse(g, omega: TwoForm = None):
@@ -344,7 +326,7 @@ def act(g, mu: Bracket, ginv=None) -> Bracket:
         for j in range(i + 1, mu.dim + 1):
             w = mu.apply(cols[i - 1], cols[j - 1])
             gw = linalg.mat_vec(g, w)
-            vec = {k + 1: gw[k] for k in range(mu.dim) if not _is_zero(gw[k])}
+            vec = {k + 1: gw[k] for k in range(mu.dim) if gw[k]}
             if vec:
                 rules[(i, j)] = vec
     return Bracket(mu.dim, rules)
@@ -362,11 +344,11 @@ def act_bilinear(g, table, ginv=None):
             w = [Fraction(0)] * dim
             for a in range(dim):
                 ca = cols[i][a]
-                if _is_zero(ca):
+                if not ca:
                     continue
                 for b in range(dim):
                     coef = ca * cols[j][b]
-                    if _is_zero(coef):
+                    if not coef:
                         continue
                     tab = table[a][b]
                     w = [x + coef * y for x, y in zip(w, tab)]
@@ -401,125 +383,24 @@ def table_to_bracket(table) -> Bracket:
         for j in range(i + 1, dim):
             anti = [(a - b) for a, b in zip(table[i][j], table[j][i])]
             sym = [(a + b) for a, b in zip(table[i][j], table[j][i])]
-            if any(not _is_zero(x) for x in sym):
+            if any(sym):
                 raise ValueError("table is not antisymmetric")
-            vec = {k + 1: anti[k] / 2 for k in range(dim) if not _is_zero(anti[k])}
+            vec = {k + 1: anti[k] / 2 for k in range(dim) if anti[k]}
             if vec:
                 rules[(i + 1, j + 1)] = vec
     return Bracket(dim, rules)
-
-
-def _tuples(dim, k):
-    return itertools.product(range(dim), repeat=k)
-
-
-class MultiVec:
-    """Dense k-linear vector-valued map: data[(i1..ik)] -> coordinate list."""
-
-    def __init__(self, dim, k, data=None):
-        self.dim, self.k = dim, k
-        self.data = data or {idx: [Fraction(0)] * dim for idx in _tuples(dim, k)}
-
-    @classmethod
-    def from_bracket(cls, mu: Bracket) -> "MultiVec":
-        data = {(i, j): mu.pair(i + 1, j + 1) for i, j in _tuples(mu.dim, 2)}
-        return cls(mu.dim, 2, data)
-
-    def __eq__(self, other):
-        return (self.dim, self.k) == (other.dim, other.k) and all(
-            all(a == b for a, b in zip(self.data[idx], other.data[idx]))
-            for idx in _tuples(self.dim, self.k))
-
-
-class MultiForm:
-    """Dense k-linear scalar form: data[(i1..ik)] -> scalar."""
-
-    def __init__(self, dim, k, data=None):
-        self.dim, self.k = dim, k
-        self.data = data or {idx: Fraction(0) for idx in _tuples(dim, k)}
-
-    def __eq__(self, other):
-        return (self.dim, self.k) == (other.dim, other.k) and all(
-            self.data[idx] == other.data[idx] for idx in _tuples(self.dim, self.k))
-
-
-def flat(mv: MultiVec, slot: int, omega: TwoForm) -> MultiForm:
-    """Lower a vector-valued map to a form: feed the map's value to w(., v_slot).
-
-    slot is 1-based among the k+1 arguments of the resulting form.
-    """
-    k = mv.k
-    if not (1 <= slot <= k + 1):
-        raise ValueError("slot out of range")
-    out = MultiForm(mv.dim, k + 1)
-    for idx in _tuples(mv.dim, k + 1):
-        rest = idx[:slot - 1] + idx[slot:]
-        vi = [Fraction(0)] * mv.dim
-        vi[idx[slot - 1]] = Fraction(1)
-        out.data[idx] = omega(mv.data[rest], vi)
-    return out
-
-
-def sharp(mf: MultiForm, slot: int, omega: TwoForm) -> MultiVec:
-    """Raise a (k+1)-form to a vector-valued k-map; inverse of :func:`flat`."""
-    k1 = mf.k
-    if not (1 <= slot <= k1):
-        raise ValueError("slot out of range")
-    if not omega.nondegenerate():
-        raise ValueError("degenerate two-form")
-    # w(w, e_l) = (M^T w)_l, so w = (M^T)^{-1} r with r_l = form(e_l in slot).
-    minv_t = linalg.inverse(linalg.transpose(omega.m))
-    out = MultiVec(mf.dim, k1 - 1)
-    for idx in _tuples(mf.dim, k1 - 1):
-        r = []
-        for l in range(mf.dim):
-            full = idx[:slot - 1] + (l,) + idx[slot - 1:]
-            r.append(mf.data[full])
-        out.data[idx] = linalg.mat_vec(minv_t, r)
-    return out
-
-
-def trace_slot(mv: MultiVec, slot: int) -> MultiForm:
-    """Trace of the endomorphism got by plugging the free argument into slot."""
-    if not (1 <= slot <= mv.k):
-        raise ValueError("slot out of range")
-    out = MultiForm(mv.dim, mv.k - 1)
-    for idx in _tuples(mv.dim, mv.k - 1):
-        tr = Fraction(0)
-        for l in range(mv.dim):
-            full = idx[:slot - 1] + (l,) + idx[slot - 1:]
-            tr = tr + mv.data[full][l]
-        out.data[idx] = tr
-    return out
 
 
 # -- distances -------------------------------------------------------------------
 
 
 def bracket_distance(a: Bracket, b: Bracket):
-    """max over (i<j, k) of |a_{ij}^k - b_{ij}^k|.
-
-    Works in every scalar domain; ExpPoly entries are compared by eventual
-    dominance as t -> +inf.
-    """
+    """max over (i<j, k) of |a_{ij}^k - b_{ij}^k| for rational or float brackets."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    keys = set(a.rules) | set(b.rules)
-    exp_mode = any(isinstance(c, ExpPoly)
-                   for br in (a, b) for vec in br.rules.values() for c in vec.values())
-    best = ExpPoly.const(0) if exp_mode else Fraction(0)
-    if not exp_mode and any(isinstance(c, float)
-                            for br in (a, b) for vec in br.rules.values() for c in vec.values()):
-        best = 0.0
-    for key in keys:
-        va = a.rules.get(key, {})
-        vb = b.rules.get(key, {})
+    best = 0
+    for key in set(a.rules) | set(b.rules):
+        va, vb = a.rules.get(key, {}), b.rules.get(key, {})
         for k in set(va) | set(vb):
-            d = va.get(k, 0) - vb.get(k, 0)
-            if exp_mode:
-                d = abs(ExpPoly.coerce(d))
-            else:
-                d = abs(d)
-            if d > best:
-                best = d
+            best = max(best, abs(va.get(k, 0) - vb.get(k, 0)))
     return best

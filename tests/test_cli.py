@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spdeg import catalog
 from spdeg.cli import main
 
@@ -42,6 +44,30 @@ def test_validate_broken_bracket_fails(tmp_path, capsys):
     path.write_text(json.dumps(broken), encoding="utf-8")
     code, out, _ = run(capsys, "validate", "--file", str(path))
     assert code == 1 and "Jacobi: FAIL" in out
+
+
+@pytest.mark.parametrize("content", [
+    [1, 2],
+    {"dim": 4, "bracket": []},
+    {"dim": 4, "bracket": {"1,2": 5}},
+    {"dim": 4, "bracket": {"1,2": {"4": 1}}},
+    {"dim": 4, "bracket": {"1,2": {"4": "1"}}, "omega": "dual"},
+    {"dim": [4], "bracket": {}},
+], ids=["top-level-list", "bracket-list", "vector-number", "coefficient-number",
+        "omega-not-canonical", "dim-list"])
+def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bracket.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and out == "" and err.strip()
+
+
+@pytest.mark.parametrize("verb", ["theorem-a", "theorem-b"])
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_samples_below_one_is_usage_error(capsys, verb, samples):
+    code, out, err = run(capsys, verb, "--samples", samples)
+    assert code == 2 and out == ""
+    assert "--samples" in err and "at least 1" in err
 
 
 def test_invariants_verb(capsys):

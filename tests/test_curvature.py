@@ -45,6 +45,20 @@ def test_riemann_antisymmetric_in_first_two_slots():
                 assert r[i][j][k] == [-x for x in r[j][i][k]]
 
 
+def test_riemann_traces_to_the_ricci_form():
+    # sum_b R(e_b, e_a)e_c . e_b: the full tensor as an oracle for the
+    # traced contraction, on every tabulated class and a few conjugates
+    from spdeg.degeneration import random_symplectic
+
+    brackets = [catalog.make(cid)[0] for cid, _ in catalog.expected_invariants_table()]
+    rng = random.Random(17)
+    brackets += [act(random_symplectic(rng), mu) for mu in brackets[::8]]
+    for mu in brackets:
+        r = riemann(mu)
+        traced = [[sum(r[b][a][c][b] for b in range(4)) for c in range(4)] for a in range(4)]
+        assert traced == ricci_form(mu).m, repr(mu)
+
+
 def test_ricci_sign_matches_both_fixtures():
     # the contraction's trace-slot sign is a constant; these two fixtures
     # (reduced nilpotent formula, tabulated diag(-3,-1,-1,1)) pin it

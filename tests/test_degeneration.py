@@ -6,7 +6,7 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (HASSE_EDGES, NODE_BY_ID, R2P_TRAP, R2R2_TRAP,
-                                SuiteCheck, TrapError, borbit_element,
+                                SuiteCheck, _edge_instances, TrapError, borbit_element,
                                 classify_pairs, hasse, n_element,
                                 r2r2_trap_residual, random_symplectic,
                                 verify_curve, witness_for_class)
@@ -183,6 +183,17 @@ def test_hasse_all_edges_verified(hasse_report):
     assert hasse_report.all_verified
     assert hasse_report.strict_der_omega
     assert len(hasse_report.edges) == len(HASSE_EDGES) == 35
+
+
+def test_hasse_edge_curves_join_their_nodes():
+    for source, target, curve_id, pinned in HASSE_EDGES:
+        insts = _edge_instances(source, curve_id, pinned)
+        assert ({str(i.source) for i in insts}
+                == {str(c) for c in NODE_BY_ID[source].class_ids()}), curve_id
+        assert ({str(i.target) for i in insts}
+                == {str(c) for c in NODE_BY_ID[target].class_ids()}), curve_id
+    in_no_edge = {c.id for c in catalog.curves()} - {row[2] for row in HASSE_EDGES}
+    assert in_no_edge == {"ex2:xi_u"}
 
 
 def test_hasse_rejects_self_loops():

@@ -81,14 +81,6 @@ def test_eval_base_exact_substitution():
         p.eval_base(2)  # 2 * (-1/4) is not an integer
 
 
-def test_eventual_dominance_order():
-    small = ExpPoly({F(-1): F(100)})
-    big = ExpPoly({F(0): F(1, 1000)})
-    assert small < big
-    assert abs(ExpPoly({F(1): F(-2)})) == ExpPoly({F(1): F(2)})
-    assert max(small, big) == big
-
-
 def test_immutability():
     p = ExpPoly.const(1)
     with pytest.raises(AttributeError):

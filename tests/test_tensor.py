@@ -6,11 +6,10 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.degeneration import random_symplectic
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import (Bracket, MultiForm, MultiVec, TwoForm, act,
-                          bracket_distance, bracket_to_table, d_omega, flat,
-                          is_closed, is_lie, is_symplectic, jacobiator, sharp,
-                          symplectic_inverse, table_to_bracket, trace_slot,
-                          transvection)
+from spdeg.tensor import (Bracket, TwoForm, act, bracket_distance,
+                          bracket_to_table, d_omega, is_closed, is_lie,
+                          is_symplectic, jacobiator, symplectic_inverse,
+                          table_to_bracket, transvection)
 
 OMEGA = TwoForm.canonical(4)
 
@@ -47,16 +46,6 @@ def test_canonical_two_form():
     assert OMEGA.nondegenerate()
     om6 = TwoForm.canonical(6)
     assert om6.pairing(3, 6) == 1
-
-
-def test_canonical_inner_product():
-    from spdeg.tensor import InnerProduct
-
-    dot = InnerProduct.canonical(4)
-    assert dot.m == linalg.identity(4)
-    assert dot([F(1), F(2), F(0), F(0)], [F(3), F(1), F(0), F(0)]) == 5
-    with pytest.raises(ValueError):
-        InnerProduct([[F(0), F(1)], [F(1), F(0)]])  # indefinite
 
 
 # -- validation ------------------------------------------------------------------
@@ -175,53 +164,6 @@ def test_closedness_is_equivariant():
             assert is_closed(act(g, mu), OMEGA)
 
 
-# -- musical maps and traces --------------------------------------------------------
-
-
-def test_flat_evaluation_example():
-    mv = MultiVec.from_bracket(_mu("n4"))
-    form = flat(mv, 3, OMEGA)
-    # w(mu(e1,e2), e2) = w(e4, e2) = -1
-    assert form.data[(0, 1, 1)] == -1
-
-
-def test_flat_sharp_roundtrip_all_slots_all_classes():
-    for cid, _ in catalog.expected_invariants_table():
-        mv = MultiVec.from_bracket(catalog.make(cid)[0])
-        for slot in (1, 2, 3):
-            form = flat(mv, slot, OMEGA)
-            assert sharp(form, slot, OMEGA) == mv
-    # and the opposite composition on a generic trilinear form
-    rng = random.Random(3)
-    form = MultiForm(4, 3, {idx: F(rng.randint(-3, 3))
-                            for idx in MultiForm(4, 3).data})
-    for slot in (1, 2, 3):
-        assert flat(sharp(form, slot, OMEGA), slot, OMEGA) == form
-
-
-def test_sharp_of_zero_form_is_zero_map():
-    zero = MultiForm(4, 3)
-    mv = sharp(zero, 2, OMEGA)
-    assert all(all(x == 0 for x in v) for v in mv.data.values())
-
-
-def test_sharp_rejects_degenerate_form():
-    degenerate = TwoForm(linalg.zeros(4))
-    with pytest.raises(ValueError):
-        sharp(MultiForm(4, 3), 3, degenerate)
-
-
-def test_trace_slot_examples():
-    tr2 = trace_slot(MultiVec.from_bracket(_mu("rr3_0")), 2)
-    assert tr2.data[(0,)] == 1  # trace of ad_{e1} for [e1,e3] = e3
-    tr2_n4 = trace_slot(MultiVec.from_bracket(_mu("n4")), 2)
-    assert all(x == 0 for x in tr2_n4.data.values())
-    zero = trace_slot(MultiVec(4, 2), 1)
-    assert all(x == 0 for x in zero.data.values())
-    with pytest.raises(ValueError):
-        trace_slot(MultiVec(4, 2), 3)
-
-
 # -- distances -------------------------------------------------------------------
 
 
@@ -229,13 +171,6 @@ def test_bracket_distance_examples():
     mu = _mu("n4")
     assert bracket_distance(mu, mu) == 0
     assert bracket_distance(_mu("a4"), _mu("rh3")) == 1
-
-
-def test_bracket_distance_exppoly_family():
-    inst = catalog.parse_curve("ex2:xi_u")
-    moved = act(inst.g, inst.source_bracket, symplectic_inverse(inst.g, OMEGA))
-    d = bracket_distance(moved, inst.target_bracket)
-    assert d == ExpPoly.exp(-2)
 
 
 def test_bracket_distance_dim_mismatch():
