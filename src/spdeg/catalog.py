@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import linalg
 from .scalars import ExpPoly, format_rational, parse_rational
-from .tensor import Bracket, TwoForm, act
+from .tensor import Bracket, TwoForm, act, symplectic_inverse
 
 F = Fraction
 
@@ -313,9 +313,7 @@ class CurveSpec:
         if self.orientation == "transposed":
             return linalg.transpose(g)
         if self.orientation == "inverse":
-            j = TwoForm.canonical(4).m
-            return linalg.mat_scale(Fraction(-1),
-                                    linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j)))
+            return symplectic_inverse(g)
         raise ValueError(f"unknown orientation {self.orientation!r}")
 
     def instantiate(self, param=None):

@@ -191,6 +191,8 @@ def cmd_theorem_b(args) -> int:
         elif r.status == "exceptional":
             lines.append(f"{r.class_id:28s} degenerate Ricci on {r.samples} exact samples: "
                          f"{'OK' if r.all_det_zero else 'FAIL'}")
+        elif r.status == "failed":
+            lines.append(f"{r.class_id:28s} FAILED: {r.reason}")
         else:
             lines.append(f"{r.class_id:28s} SEARCH EXHAUSTED")
     lines.append(f"theorem-b: {'PASS' if ok else 'FAIL'}")

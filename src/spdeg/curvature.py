@@ -2,7 +2,7 @@
 
 Levi-Civita product, Riemann and Ricci tensors, the reduced nilpotent Ricci
 formula, Einstein checks, and the degenerate-Ricci root finder.  The exact
-path runs on Fractions; floats serve the bisection driver and cross-checks.
+path runs on ints over one denominator; floats serve the bisection driver.
 """
 
 from __future__ import annotations
@@ -13,9 +13,16 @@ from typing import Callable, Optional
 
 from . import linalg
 from .invariants import SymForm, nilpotent
-from .tensor import Bracket
+from .tensor import Bracket, bracket_to_table
 
 HALF = Fraction(1, 2)
+MAX_EXACT_HALVINGS = 1100  # see find_degenerate_ricci
+
+
+def _doubled_levi_civita(c):
+    """2*LC from the bracket table c: c_{ij}^k - c_{jk}^i + c_{ki}^j, no 1/2."""
+    r = range(len(c))
+    return [[[c[i][j][k] - c[j][k][i] + c[k][i][j] for k in r] for j in r] for i in r]
 
 
 def levi_civita(mu: Bracket):
@@ -24,13 +31,7 @@ def levi_civita(mu: Bracket):
     With the dot product as metric the three-term formula reduces to
     LC_{ij}^k = (c_{ij}^k - c_{jk}^i + c_{ki}^j) / 2.
     """
-    n = mu.dim
-    c = [[mu.pair(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = [(c[i][j][k] - c[j][k][i] + c[k][i][j]) * HALF for k in range(n)]
-    return out
+    return [[[x * HALF for x in v] for v in row] for row in _doubled_levi_civita(bracket_to_table(mu))]
 
 
 def torsion_free(mu: Bracket, lc=None) -> bool:
@@ -95,14 +96,15 @@ RICCI_SIGN = -1
 
 
 def _ricci_matrix(mu: Bracket):
-    """The curvature contraction; only the traced components are formed."""
-    lc = levi_civita(mu)
+    """4*Ric: the traced curvature contraction of 2*LC and 2*mu, with no 1/2, so
+    int brackets give ints and binary64 ones exactly 4x the binary64 result."""
+    table = bracket_to_table(mu)
+    lc = _doubled_levi_civita(table)
     n = mu.dim
-    zero = Fraction(0)
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for c in range(n):
-            tr = zero
+            tr = 0
             for b in range(n):
                 w = lc[b][c]
                 for m in range(n):
@@ -112,10 +114,10 @@ def _ricci_matrix(mu: Bracket):
                 for m in range(n):
                     if v[m]:
                         tr = tr - v[m] * lc[b][m][b]
-                u = mu.pair(a + 1, b + 1)
+                u = table[a][b]
                 for p in range(n):
                     if u[p]:
-                        tr = tr - u[p] * lc[p][c][b]
+                        tr = tr - 2 * u[p] * lc[p][c][b]
             out[a][c] = RICCI_SIGN * tr
     return out
 
@@ -127,8 +129,9 @@ class CurvatureTensors:
 
 
 def ricci_form(mu: Bracket) -> SymForm:
-    """The exact Ricci form of (mu, dot product); no Riemann tensor is built."""
-    return SymForm(_ricci_matrix(mu))
+    """Exact Ricci form of (mu, dot product): ints on m*mu, one division by 4m^2."""
+    m, scaled = mu.integer_multiple()
+    return SymForm([[Fraction(x, 4 * m * m) for x in row] for row in _ricci_matrix(scaled)])
 
 
 def ricci(mu: Bracket) -> CurvatureTensors:
@@ -140,7 +143,7 @@ def ricci(mu: Bracket) -> CurvatureTensors:
 def ricci_matrix_float(mu: Bracket):
     """Binary64 Ricci matrix; the bisection driver path."""
     fmu = mu.map_scalars(float)
-    return [[float(x) for x in row] for row in _ricci_matrix(fmu)]
+    return [[float(x) / 4 for x in row] for row in _ricci_matrix(fmu)]
 
 
 def ricci_nilpotent(mu: Bracket) -> SymForm:
@@ -224,7 +227,10 @@ def find_degenerate_ricci(family: Callable, lo, hi, subintervals: int = 120,
     and certified with exact determinant signs at dyadic rationals until
     |det| < det_tol at the reported t_hat, and the flanking signatures are
     recomputed exactly.  Returns a (possibly empty) list of RootRecord.
+    RuntimeError names the bracket whose bisection exceeds MAX_EXACT_HALVINGS.
     """
+    if not det_tol > 0:
+        raise ValueError(f"det_tol must be positive, got {det_tol}")
     lo, hi = float(lo), float(hi)
     grid = [lo + (hi - lo) * k / subintervals for k in range(subintervals + 1)]
     vals = [_det_float(family, t) for t in grid]
@@ -260,7 +266,12 @@ def find_degenerate_ricci(family: Callable, lo, hi, subintervals: int = 120,
             continue  # binary64 noise crossing, not a true sign change
         mid = (ra + rb) / 2
         dm = _det_exact(family, mid)
+        halvings = 0
         while dm != 0 and abs(float(dm)) >= det_tol:
+            if halvings == MAX_EXACT_HALVINGS:  # |det| ~halves per step: below any float now
+                raise RuntimeError(f"exact bisection on [{a!r}, {b!r}] did not reach "
+                                   f"|det Ric| < {det_tol} in {halvings} halvings")
+            halvings += 1
             if (da > 0) != (dm > 0):
                 rb, db = mid, dm
             else:

@@ -1,9 +1,9 @@
 """Exact linear algebra on list-of-list matrices.
 
 Matrices are plain nested lists.  Generic helpers (mat_mul, transpose, ...)
-work over any commutative ring of entries (Fraction, float, ExpPoly); the
-elimination routines require Fraction entries.  Nothing here touches floats
-except :func:`signature_float`.
+work over any commutative ring of entries (Fraction, int, float, ExpPoly);
+the elimination routines require rational (Fraction or int) entries.
+Nothing here touches floats except :func:`signature_float`.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ def sum_entries(xs):
 
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_eq(a, b):
@@ -164,29 +160,31 @@ def inverse(a):
     return [row[n:] for row in r]
 
 
+def clear_denominators(m):
+    """(d, d*m) for d the lcm of the entry denominators: d*m has int entries."""
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
 def det(m):
-    """Exact determinant by fraction elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    out = Fraction(1)
+    """Exact det(m) = det(d*m) / d^n, by fraction-free (Bareiss) elimination in ints."""
+    n = len(m)
+    d, a = clear_denominators(m)
+    sign, prev = 1, 1
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(c, n) if a[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
-            out = -out
-        out *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return out
+            sign = -sign
+        top, p = a[c], a[c][c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for j in range(c + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return Fraction(sign * prev, d ** n)
 
 
 # -- signatures of symmetric forms -------------------------------------------

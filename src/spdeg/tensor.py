@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import re
 from fractions import Fraction
 
 from . import linalg
 from .scalars import ExpPoly, format_rational, parse_rational
 
+_INDEX = re.compile(r"\s*[+-]?\d+\s*")  # a basis index key, as int() reads it
 PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
           ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
 
@@ -35,10 +38,10 @@ class TwoForm:
         if dim % 2:
             raise ValueError("dimension must be even")
         n = dim // 2
-        m = linalg.zeros(dim)
+        m = [[0] * dim for _ in range(dim)]
         for i in range(n):
-            m[i][n + i] = Fraction(1)
-            m[n + i][i] = Fraction(-1)
+            m[i][n + i] = 1
+            m[n + i][i] = -1
         return cls(m)
 
     def __call__(self, u, v):
@@ -108,7 +111,7 @@ class Bracket:
 
     def pair(self, i: int, j: int):
         """The vector [e_i, e_j] as a 0-based coordinate list."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         if i == j:
             return out
         sign = 1
@@ -120,7 +123,7 @@ class Bracket:
 
     def apply(self, u, v):
         """Bilinear extension to coordinate vectors (0-based lists)."""
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for (i, j), vec in self.rules.items():
             coef = u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1]
             if not coef:
@@ -163,6 +166,11 @@ class Bracket:
 
     def map_scalars(self, f) -> "Bracket":
         return Bracket(self.dim, {p: {k: f(c) for k, c in vec.items()} for p, vec in self.rules.items()})
+
+    def integer_multiple(self):
+        """(m, m*self) for m the lcm of the denominators: m*self has int constants."""
+        m = math.lcm(*(c.denominator for vec in self.rules.values() for c in vec.values()))
+        return m, self.map_scalars(lambda c: c.numerator * (m // c.denominator))
 
     def limit(self) -> "Bracket":
         """Exact t -> +inf limit of an ExpPoly-valued bracket.
@@ -227,8 +235,13 @@ class Bracket:
         for key, vec in bracket.items():
             if not (isinstance(vec, dict) and all(isinstance(c, str) for c in vec.values())):
                 raise ValueError(f'bracket entry "{key}" must map components to rational strings')
-            i, j = (int(x) for x in key.split(","))
-            rules[(i, j)] = {int(k): parse_rational(c) for k, c in vec.items()}
+            pair = key.split(",")
+            if len(pair) != 2 or not all(map(_INDEX.fullmatch, pair)):
+                raise ValueError(f'bracket key "{key}" must have the form "i,j" with integer indices')
+            bad = [k for k in vec if not _INDEX.fullmatch(k)]
+            if bad:
+                raise ValueError(f'component key "{bad[0]}" of bracket entry "{key}" must be an integer')
+            rules[(int(pair[0]), int(pair[1]))] = {int(k): parse_rational(c) for k, c in vec.items()}
         return cls(d["dim"], rules)
 
     @classmethod
@@ -302,7 +315,7 @@ def symplectic_inverse(g, omega: TwoForm = None):
     dim = len(g)
     omega = omega or TwoForm.canonical(dim)
     j = omega.m
-    return linalg.mat_scale(Fraction(-1), linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j)))
+    return [[-x for x in row] for row in linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j))]
 
 
 def group_inverse(g, omega: TwoForm = None):

@@ -46,20 +46,24 @@ def test_validate_broken_bracket_fails(tmp_path, capsys):
     assert code == 1 and "Jacobi: FAIL" in out
 
 
-@pytest.mark.parametrize("content", [
-    [1, 2],
-    {"dim": 4, "bracket": []},
-    {"dim": 4, "bracket": {"1,2": 5}},
-    {"dim": 4, "bracket": {"1,2": {"4": 1}}},
-    {"dim": 4, "bracket": {"1,2": {"4": "1"}}, "omega": "dual"},
-    {"dim": [4], "bracket": {}},
+@pytest.mark.parametrize("content, named", [
+    ([1, 2], "JSON object"),
+    ({"dim": 4, "bracket": []}, '"bracket"'),
+    ({"dim": 4, "bracket": {"1,2": 5}}, '"1,2"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": 1}}}, '"1,2"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1"}}, "omega": "dual"}, "omega"),
+    ({"dim": [4], "bracket": {}}, '"dim"'),
+    ({"dim": 4, "bracket": {"1": {"4": "1"}}}, 'key "1" must have the form "i,j"'),
+    ({"dim": 4, "bracket": {"1,x": {"4": "1"}}}, 'key "1,x" must have the form "i,j"'),
+    ({"dim": 4, "bracket": {"1,2": {"z": "1"}}}, 'component key "z"'),
 ], ids=["top-level-list", "bracket-list", "vector-number", "coefficient-number",
-        "omega-not-canonical", "dim-list"])
-def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content):
+        "omega-not-canonical", "dim-list", "key-one-index", "key-not-integer",
+        "component-key-not-integer"])
+def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content, named):
     path = tmp_path / "bracket.json"
     path.write_text(json.dumps(content), encoding="utf-8")
     code, out, err = run(capsys, "validate", "--file", str(path))
-    assert code == 2 and out == "" and err.strip()
+    assert code == 2 and out == "" and named in err
 
 
 @pytest.mark.parametrize("verb", ["theorem-a", "theorem-b"])
@@ -167,6 +171,18 @@ def test_catalog_single_class(capsys):
 def test_theorem_b_small(capsys):
     code, out, _ = run(capsys, "theorem-b", "--samples", "3")
     assert code == 0 and "PASS" in out
+
+
+def test_theorem_b_failed_witness_exits_1(monkeypatch, capsys):
+    from spdeg import degeneration
+
+    monkeypatch.setattr(degeneration, "is_symplectic", lambda g, omega=None: False)
+    rec = degeneration.witness_for_class(catalog.parse_class("n4"))
+    assert rec.status == "failed" and "not symplectic" in rec.reason
+    assert rec.to_json_dict() == {"class": "n4", "status": "failed", "reason": rec.reason}
+    code, out, _ = run(capsys, "theorem-b", "--samples", "1")
+    assert code == 1 and "theorem-b: FAIL" in out
+    assert any(line.split()[:2] == ["n4", "FAILED:"] for line in out.splitlines())
 
 
 def test_remark_check(capsys):

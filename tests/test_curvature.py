@@ -149,6 +149,18 @@ def test_find_degenerate_ricci_reports_no_root():
     assert find_degenerate_ricci(rho_family, 0, 1, subintervals=20) == []
 
 
+def test_exact_bisection_is_capped(monkeypatch):
+    from spdeg import curvature
+
+    # an exact det whose sign changes at a point but never gets small
+    c = find_degenerate_ricci(rho_family, 0, 12)[0].t_hat
+    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: 1 if t > c else -1)
+    with pytest.raises(RuntimeError, match=r"on \[2\.19\d*, 2\.19\d*\].* 1100 halvings"):
+        find_degenerate_ricci(rho_family, 0, 12)
+    with pytest.raises(ValueError, match="det_tol"):
+        find_degenerate_ricci(rho_family, 0, 12, det_tol=-1.0)
+
+
 def test_signature_locally_constant_where_nondegenerate():
     from spdeg.linalg import signature_float
 

@@ -1,0 +1,150 @@
+"""Differential tests of the integer exact kernels against Fraction oracles.
+
+The oracles are the Fraction implementations that the integer kernels
+replaced: the Levi-Civita contraction with its 1/2 factor, and Gaussian
+elimination over Fraction for the determinant.  Both must agree exactly.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from spdeg import catalog, linalg
+from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
+from spdeg.degeneration import (EXCEPTIONAL_KEYS, OMEGA4, random_rational,
+                                random_symplectic)
+from spdeg.tensor import act, symplectic_inverse, transvection
+
+HALF = F(1, 2)
+
+
+def fraction_levi_civita(mu):
+    n = mu.dim
+    c = [[mu.pair(i + 1, j + 1) for j in range(n)] for i in range(n)]
+    return [[[(c[i][j][k] - c[j][k][i] + c[k][i][j]) * HALF for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
+def fraction_ricci_matrix(mu):
+    """The traced curvature contraction of LC = (c - c + c)/2 and mu."""
+    lc = fraction_levi_civita(mu)
+    n = mu.dim
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for c in range(n):
+            tr = F(0)
+            for b in range(n):
+                w = lc[b][c]
+                for m in range(n):
+                    if w[m]:
+                        tr = tr + w[m] * lc[a][m][b]
+                v = lc[a][c]
+                for m in range(n):
+                    if v[m]:
+                        tr = tr - v[m] * lc[b][m][b]
+                u = mu.pair(a + 1, b + 1)
+                for p in range(n):
+                    if u[p]:
+                        tr = tr - u[p] * lc[p][c][b]
+            out[a][c] = RICCI_SIGN * tr
+    return out
+
+
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Fraction."""
+    a = [[F(x) for x in row] for row in m]
+    n = len(a)
+    out = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            out = -out
+        out *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
+def old_random_symplectic(rng, factors=(6, 12)):
+    """The transvection product as linalg.mat_mul over Fraction matrices."""
+    out = linalg.identity(4)
+    for _ in range(rng.randint(*factors)):
+        u = [random_rational(rng) for _ in range(4)]
+        while all(x == 0 for x in u):
+            u = [random_rational(rng) for _ in range(4)]
+        c = random_rational(rng)
+        out = linalg.mat_mul(transvection(u, c, OMEGA4), out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def brackets():
+    """The 43 tabulated instances and three random conjugates of each."""
+    base = [catalog.make(cid)[0] for cid, _ in catalog.expected_invariants_table()]
+    rng = random.Random(23)
+    return base + [act(random_symplectic(rng), mu) for mu in base for _ in range(3)]
+
+
+def test_ricci_form_matches_fraction_contraction(brackets):
+    assert len(brackets) == 4 * 43
+    for mu in brackets:
+        form = ricci_form(mu).m
+        assert form == fraction_ricci_matrix(mu), repr(mu)
+        assert all(type(x) is F for row in form for x in row)
+
+
+def test_ricci_matrix_float_is_bit_identical(brackets):
+    # 2*LC and 2*mu scale every binary64 rounding by 4, and /4 is exact
+    for mu in brackets:
+        fmu = mu.map_scalars(float)
+        assert ricci_matrix_float(mu) == [[float(x) for x in row]
+                                          for row in fraction_ricci_matrix(fmu)]
+
+
+def test_det_matches_fraction_elimination(brackets):
+    for mu in brackets:
+        m = ricci_form(mu).m
+        assert linalg.det(m) == fraction_det(m)
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        # sparse, so that pivots are missing and rows get swapped
+        a = [[F(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.5 else F(0)
+              for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]
+        if rng.random() < 0.3:
+            a[0] = [0] * n  # int entries and a zero row
+        assert linalg.det(a) == fraction_det(a)
+    assert linalg.det([]) == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_symplectic_keeps_its_draw_stream(seed):
+    new, old = random.Random(seed), random.Random(seed)
+    assert random_symplectic(new) == old_random_symplectic(old)
+    assert new.getstate() == old.getstate()
+
+
+def test_integer_conjugate_scales_ricci_by_d6():
+    # theorem-b acts with G = d*g on m*mu: Ric grows by m^2*d^6 > 0 only
+    rng = random.Random(29)
+    keys = list(EXCEPTIONAL_KEYS) + ["n4", "d4_1:w1", "r2r2:lambda=7/3", "r4_m1_beta:beta=-1"]
+    for key in keys:
+        mu = catalog.make(catalog.parse_class(key))[0]
+        m, imu = mu.integer_multiple()
+        for _ in range(3):
+            g = random_symplectic(rng)
+            d, big_g = linalg.clear_denominators(g)
+            ginv = symplectic_inverse(big_g, OMEGA4)
+            assert ginv == [[d * x for x in row] for row in symplectic_inverse(g, OMEGA4)]
+            moved = act(big_g, imu, ginv)
+            assert all(type(c) is int for vec in moved.rules.values() for c in vec.values())
+            exact = ricci_form(act(g, mu))
+            assert ricci_form(moved).m == [[m * m * d ** 6 * x for x in row] for row in exact.m]
+            assert ricci_form(moved).signature() == exact.signature()
