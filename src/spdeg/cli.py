@@ -115,11 +115,8 @@ def cmd_ricci(args) -> int:
 
 
 def cmd_degenerate(args) -> int:
-    try:
-        inst = catalog.parse_curve(args.curve)
-    except (KeyError, ValueError) as e:
-        return _fail(2, str(e))
-    report = degeneration.verify_curve(inst, dist_tol=args.tol or 1e-8)
+    inst = catalog.parse_curve(args.curve)
+    report = degeneration.verify_curve(inst, dist_tol=1e-8 if args.tol is None else args.tol)
     payload = report.to_json_dict()
     lines = [f"{report.label}: {report.status}"
              + ("" if report.symplectic_exact else " (not symplectic)")]
@@ -203,8 +200,11 @@ def cmd_theorem_b(args) -> int:
 def cmd_remark_check(args) -> int:
     rho0 = catalog.rho_family(Fraction(0))
     sig0 = curvature.ricci_form(rho0).signature()
-    roots = curvature.find_degenerate_ricci(
-        catalog.rho_family, 0, 12, det_tol=args.tol or 1e-12)
+    try:
+        roots = curvature.find_degenerate_ricci(
+            catalog.rho_family, 0, 12, det_tol=1e-12 if args.tol is None else args.tol)
+    except RuntimeError as e:  # the exact bisection hit its cap: nothing certified
+        return _fail(1, f"remark-check: FAIL: {e}")
     certified = [r for r in roots
                  if r.signature_below == (0, 4, 0) and r.signature_above == (1, 3, 0)]
     ok = sig0 == (0, 4, 0) and len(certified) >= 1
@@ -229,6 +229,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def positive_float(text: str) -> float:
+    """--tol value: a finite float above 0."""
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="spdeg",
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for randomized exact sampling")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=positive_float, default=None,
                    help="float tolerance (default: 1e-8 curve distances, "
                         "1e-12 determinant roots)")
     sub = p.add_subparsers(dest="verb")

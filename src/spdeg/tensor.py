@@ -55,7 +55,9 @@ class TwoForm:
         return self.m[i - 1][j - 1]
 
     def is_canonical(self) -> bool:
-        return linalg.mat_eq(self.m, TwoForm.canonical(self.dim).m)
+        n = self.dim // 2
+        return not self.dim % 2 and all(x == (j == i + n) - (i == j + n)
+                                        for i, row in enumerate(self.m) for j, x in enumerate(row))
 
     def nondegenerate(self) -> bool:
         return linalg.det(self.m) != 0
@@ -311,11 +313,13 @@ def is_symplectic(g, omega: TwoForm = None) -> bool:
 
 
 def symplectic_inverse(g, omega: TwoForm = None):
-    """Inverse of a symplectic g as -J g^T J; exact in every scalar domain."""
-    dim = len(g)
-    omega = omega or TwoForm.canonical(dim)
-    j = omega.m
-    return [[-x for x in row] for row in linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j))]
+    """Inverse of a symplectic g = [[A, B], [C, D]]: -J g^T J = [[D^T, -B^T], [-C^T, A^T]]."""
+    n, odd = divmod(len(g), 2)
+    if odd or omega is not None and not omega.is_canonical():
+        raise ValueError("symplectic_inverse needs an even dimension and the canonical two-form")
+    rotated = [row[n:] + row[:n] for row in g[n:] + g[:n]]  # [[D, C], [B, A]]
+    return [[x if (i < n) == (j < n) else -x for j, x in enumerate(col)]
+            for i, col in enumerate(zip(*rotated))]
 
 
 def group_inverse(g, omega: TwoForm = None):

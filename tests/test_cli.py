@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -189,3 +190,24 @@ def test_remark_check(capsys):
     code, out, _ = run(capsys, "remark-check")
     assert code == 0
     assert "PASS" in out and "(0, 4, 0) -> (1, 3, 0)" in out
+
+
+@pytest.mark.parametrize("verb", [["degenerate", "--curve", "appendix:rh3-a4"], ["remark-check"]],
+                         ids=["degenerate", "remark-check"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(capsys, verb, tol):
+    code, out, err = run(capsys, "--tol", tol, *verb)
+    assert code == 2 and out == ""
+    assert "--tol" in err and "positive and finite" in err
+
+
+def test_remark_check_bisection_cap_exits_1(monkeypatch, capsys):
+    from spdeg import curvature
+
+    # an exact det whose sign changes at the root but never gets small
+    c = curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)[0].t_hat
+    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: 1 if t > c else -1)
+    code, out, err = run(capsys, "remark-check")
+    assert code == 1 and out == ""
+    assert "remark-check: FAIL" in err and "1100 halvings" in err
+    assert re.search(r"on \[2\.19\d*, 2\.19\d*\]", err), err

@@ -164,6 +164,27 @@ def test_trap_shared_coordinate_enforced():
         R2P_TRAP.coords(Bracket(4, {(1, 3): {3: F(1)}, (1, 4): {4: F(2)}}))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_containment_samples_count_the_checked_ones(monkeypatch, k):
+    from spdeg import degeneration
+
+    r2p, n4 = catalog.bracket_of("r2p"), catalog.bracket_of("n4")
+    calls = []
+
+    def leaves_pattern_at_k(mu, a_params, n_params):
+        if mu == r2p:
+            calls.append(mu)
+            if len(calls) == k:
+                return n4  # off the r2p pattern
+        return borbit_element(mu, a_params, n_params)
+
+    monkeypatch.setattr(degeneration, "borbit_element", leaves_pattern_at_k)
+    check = {c.name: c for c in degeneration.non_degeneration_suite(samples=5)}[
+        "trap_containment_r2p_to_n4"]
+    assert not check.passed and len(calls) == k
+    assert check.details["containment_samples"] == k - 1
+
+
 def test_r2p_orbit_lands_in_trap():
     rng = random.Random(31)
     mu = catalog.bracket_of("r2p")

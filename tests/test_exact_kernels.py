@@ -1,8 +1,9 @@
 """Differential tests of the integer exact kernels against Fraction oracles.
 
-The oracles are the Fraction implementations that the integer kernels
-replaced: the Levi-Civita contraction with its 1/2 factor, and Gaussian
-elimination over Fraction for the determinant.  Both must agree exactly.
+The oracles are the implementations that the integer kernels replaced:
+the Levi-Civita contraction with its 1/2 factor, Gaussian elimination over
+Fraction for the determinant, and -J g^T J as matrix products for the
+symplectic inverse.  All must agree exactly.
 """
 
 import random
@@ -14,7 +15,7 @@ from spdeg import catalog, linalg
 from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
 from spdeg.degeneration import (EXCEPTIONAL_KEYS, OMEGA4, random_rational,
                                 random_symplectic)
-from spdeg.tensor import act, symplectic_inverse, transvection
+from spdeg.tensor import TwoForm, act, symplectic_inverse, transvection
 
 HALF = F(1, 2)
 
@@ -82,12 +83,24 @@ def old_random_symplectic(rng, factors=(6, 12)):
     return out
 
 
+def mat_mul_symplectic_inverse(g):
+    """-J g^T J as two linalg.mat_mul products with the canonical J."""
+    j = TwoForm.canonical(len(g)).m
+    return [[-x for x in row] for row in linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j))]
+
+
 @pytest.fixture(scope="module")
-def brackets():
+def conjugators():
+    """129 seeded random_symplectic elements, three per tabulated instance."""
+    rng = random.Random(23)
+    return [random_symplectic(rng) for _ in range(3 * 43)]
+
+
+@pytest.fixture(scope="module")
+def brackets(conjugators):
     """The 43 tabulated instances and three random conjugates of each."""
     base = [catalog.make(cid)[0] for cid, _ in catalog.expected_invariants_table()]
-    rng = random.Random(23)
-    return base + [act(random_symplectic(rng), mu) for mu in base for _ in range(3)]
+    return base + [act(g, base[i // 3]) for i, g in enumerate(conjugators)]
 
 
 def test_ricci_form_matches_fraction_contraction(brackets):
@@ -148,3 +161,50 @@ def test_integer_conjugate_scales_ricci_by_d6():
             exact = ricci_form(act(g, mu))
             assert ricci_form(moved).m == [[m * m * d ** 6 * x for x in row] for row in exact.m]
             assert ricci_form(moved).signature() == exact.signature()
+
+
+def _scaled_identity(m, c):
+    return all(x == c * (i == j) for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+def test_symplectic_inverse_matches_mat_mul_oracle(conjugators):
+    for g in conjugators:
+        inv = symplectic_inverse(g, OMEGA4)
+        assert inv == mat_mul_symplectic_inverse(g)
+        assert _scaled_identity(linalg.mat_mul(g, inv), 1)
+        d, big_g = linalg.clear_denominators(g)  # ints; the inverse formula gives d*g^-1
+        inv = symplectic_inverse(big_g)
+        assert inv == mat_mul_symplectic_inverse(big_g)
+        assert all(type(x) is int for row in inv for x in row)
+        assert _scaled_identity(linalg.mat_mul(big_g, inv), d * d)
+        fg = [[float(x) for x in row] for row in g]
+        assert symplectic_inverse(fg) == mat_mul_symplectic_inverse(fg)
+
+
+def test_symplectic_inverse_of_curves_and_float_matrices():
+    curves = [inst.g for spec in catalog.curves() for inst in spec.instances()]
+    assert len(curves) == 53
+    for g in curves:
+        inv = symplectic_inverse(g, OMEGA4)
+        assert inv == mat_mul_symplectic_inverse(g)
+        assert _scaled_identity(linalg.mat_mul(g, inv), 1)
+    # small integer transvection data keeps every float product exact
+    rng = random.Random(37)
+    for _ in range(20):
+        g = linalg.identity(4)
+        for _ in range(3):
+            u = [rng.randint(-2, 2) for _ in range(4)]
+            g = linalg.mat_mul(transvection(u, rng.randint(-2, 2), OMEGA4), g)
+        fg = [[float(x) for x in row] for row in g]
+        inv = symplectic_inverse(fg)
+        assert inv == mat_mul_symplectic_inverse(fg)
+        assert all(type(x) is float for row in inv for x in row)
+        assert _scaled_identity(linalg.mat_mul(fg, inv), 1)
+
+
+def test_symplectic_inverse_refuses_other_forms():
+    g = linalg.identity(4)
+    with pytest.raises(ValueError, match="canonical"):
+        symplectic_inverse(g, TwoForm([[2 * x for x in row] for row in OMEGA4.m]))
+    with pytest.raises(ValueError, match="even dimension"):
+        symplectic_inverse(linalg.identity(3))
