@@ -17,13 +17,13 @@ from .invariants import (DerivationAlgebra, SymForm, composition_trace_form,
                          obstruction_report, orbit_dim, symplectic_derivations,
                          unimodular)
 from .scalars import ExpPoly
-from .tensor import (Bracket, TwoForm, act, bracket_distance, d_omega,
+from .tensor import (Bracket, act, bracket_distance, canonical_form, d_omega,
                      is_closed, is_lie, is_symplectic, jacobiator,
                      symplectic_inverse, transvection)
 
 __all__ = [
     "Bracket", "ClassId", "DerivationAlgebra", "ExpPoly",
-    "SymForm", "TwoForm", "act", "borbit_element", "bracket_distance",
+    "SymForm", "act", "borbit_element", "bracket_distance", "canonical_form",
     "class_id", "composition_trace_form", "curves", "d_omega", "derivations",
     "derived_dim", "einstein_check", "equivariant_product",
     "expected_invariants", "find_degenerate_ricci", "hasse",

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from . import linalg
 from .scalars import ExpPoly, format_rational, parse_rational
-from .tensor import Bracket, TwoForm, act, symplectic_inverse
+from .tensor import Bracket, act, symplectic_inverse
 
 F = Fraction
 
@@ -217,19 +217,14 @@ def parse_class(text: str) -> ClassId:
     return class_id(key, param[1] if param else None)
 
 
-def make(cid: ClassId):
-    """Structure constants and canonical two-form for a validated class id."""
+def make(cid: ClassId) -> Bracket:
+    """The bracket of a validated class id; its two-form is the canonical one."""
     cid = class_id(cid.key, cid.param)
-    spec = CLASSES[cid.key]
-    return Bracket(4, spec.rules(cid.param)), TwoForm.canonical(4)
-
-
-def make_key(key: str, param=None):
-    return make(class_id(key, param))
+    return Bracket(4, CLASSES[cid.key].rules(cid.param))
 
 
 def bracket_of(key: str, param=None) -> Bracket:
-    return make_key(key, param)[0]
+    return make(class_id(key, param))
 
 
 def expected_invariants(cid: ClassId):
@@ -254,10 +249,10 @@ def expected_invariants_table():
 
 
 def tau6():
-    """The 6-dimensional validation law with the canonical two-form on R^6."""
+    """The 6-dimensional validation law, closed for the canonical two-form on R^6."""
     rules = {(1, 3): {3: F(1)}, (1, 6): {6: F(-1)},
              (2, 4): {5: F(1)}, (4, 5): {2: F(1)}}
-    return Bracket(6, rules), TwoForm.canonical(6)
+    return Bracket(6, rules)
 
 
 # -- degeneration curves -------------------------------------------------------
@@ -276,6 +271,12 @@ def _diag(*entries):
 
 def _m(rows):
     return [[ExpPoly.coerce(x) for x in row] for row in rows]
+
+
+def rescale_time(g, m: int):
+    """The matrix g(m*t): every exponent of every ExpPoly entry times m."""
+    return [[ExpPoly({r * m: c for r, c in ExpPoly.coerce(x).terms.items()})
+             for x in row] for row in g]
 
 
 @dataclass
@@ -306,8 +307,7 @@ class CurveSpec:
     def oriented_matrix(self, param=None):
         g = self.matrix(param)
         if self.time_scale != 1:
-            g = [[ExpPoly({r * self.time_scale: c for r, c in x.terms.items()})
-                  for x in row] for row in g]
+            g = rescale_time(g, self.time_scale)
         if self.orientation == "printed":
             return g
         if self.orientation == "transposed":
@@ -330,8 +330,7 @@ class CurveSpec:
             raise DomainError(f"curve {self.id}: the matrix has a pole at "
                               f"{self.param_name}={format_rational(param)}") from None
         label = self.id if param is None else f"{self.id}:{self.param_name}={format_rational(param)}"
-        return CurveInstance(label, self, src, tgt, g,
-                             make(src)[0], make(tgt)[0])
+        return CurveInstance(label, self, src, tgt, g, make(src), make(tgt))
 
     def instances(self):
         if self.param_name is None:

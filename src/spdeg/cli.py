@@ -35,7 +35,7 @@ def _fail(code: int, message: str) -> int:
 def cmd_catalog(args) -> int:
     if args.cls:
         cid = catalog.parse_class(args.cls)
-        mu, _ = catalog.make(cid)
+        mu = catalog.make(cid)
         payload = {"class": str(cid), "display": cid.display(),
                    "bracket": mu.to_json_dict()}
         lines = [f"{cid}  {cid.display()}"]
@@ -66,14 +66,13 @@ def cmd_validate(args) -> int:
                 mu = tensor.Bracket.from_json(fh.read())
         except OSError as e:
             return _fail(3, f"cannot read {args.file}: {e}")
-        omega = tensor.TwoForm.canonical(mu.dim)
         label = args.file
     else:
         cid = catalog.parse_class(args.cls)
-        mu, omega = catalog.make(cid)
+        mu = catalog.make(cid)
         label = str(cid)
     lie = tensor.is_lie(mu)
-    closed = tensor.is_closed(mu, omega)
+    closed = tensor.is_closed(mu)
     payload = {"class": label, "jacobi": lie, "closed": closed}
     _emit(args, payload,
           f"{label}: Jacobi: {'OK' if lie else 'FAIL'}, dw=0: {'OK' if closed else 'FAIL'}")
@@ -96,8 +95,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_ricci(args) -> int:
     cid = catalog.parse_class(args.cls)
-    mu, _ = catalog.make(cid)
-    form = curvature.ricci_form(mu)
+    form = curvature.ricci_form(catalog.make(cid))
     c = curvature.einstein_constant(form)
     sig = form.signature()
     scal = format_rational(form.trace())

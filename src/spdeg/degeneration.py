@@ -17,16 +17,15 @@ from typing import Optional
 
 from . import linalg
 from .catalog import (CLASSES, CURVES, ClassId, CurveInstance, class_id,
-                      scaling_transform, shear_transform, make)
+                      rescale_time, scaling_transform, shear_transform, make)
 from .curvature import ricci_form
 from .invariants import (composition_trace_form, derived_dim,
                          equivariant_product, obstruction_report,
                          symplectic_derivations)
 from .scalars import ExpPoly
-from .tensor import (Bracket, TwoForm, act, bracket_distance, is_symplectic,
-                     jacobiator, symplectic_inverse)
+from .tensor import (Bracket, act, bracket_distance, is_symplectic, jacobiator,
+                     symplectic_inverse)
 
-OMEGA4 = TwoForm.canonical(4)
 T_GRID = (5.0, 10.0, 15.0, 20.0, 25.0)
 
 
@@ -59,35 +58,21 @@ class CurveReport:
                 "verified": self.verified}
 
 
-def verify_curve(inst: CurveInstance, t_grid=T_GRID, dist_tol: float = 1e-8) -> CurveReport:
+def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
     """Symbolic symplecticity, exact limit, and the binary64 distance grid."""
     g = inst.g
-    sympl = is_symplectic(g, OMEGA4)
-    if not sympl:
+    if not is_symplectic(g):
         return CurveReport(inst.label, False, "not symplectic", None)
-    moved = act(g, inst.source_bracket, symplectic_inverse(g, OMEGA4))
-    divergent = []
-    wrong = []
-    for (i, j), vec in moved.rules.items():
-        for k, c in vec.items():
-            c = ExpPoly.coerce(c)
-            if not c.has_limit():
-                divergent.append((i, j, k))
+    moved = act(g, inst.source_bracket, symplectic_inverse(g))
+    divergent = moved.divergent_entries()
     if divergent:
-        return CurveReport(inst.label, True, "no limit", moved, tuple(sorted(divergent)))
-    limit = moved.limit()
-    if limit != inst.target_bracket:
-        keys = set(limit.rules) | set(inst.target_bracket.rules)
-        for key in sorted(keys):
-            va = limit.rules.get(key, {})
-            vb = inst.target_bracket.rules.get(key, {})
-            for k in sorted(set(va) | set(vb)):
-                if va.get(k, Fraction(0)) != vb.get(k, Fraction(0)):
-                    wrong.append((key[0], key[1], k))
+        return CurveReport(inst.label, True, "no limit", moved, tuple(divergent))
+    wrong = moved.limit().differing_entries(inst.target_bracket)
+    if wrong:
         return CurveReport(inst.label, True, "wrong target", moved, tuple(wrong))
     target_f = inst.target_bracket.map_scalars(float)
     dists = []
-    for t in t_grid:
+    for t in T_GRID:
         dists.append((t, float(bracket_distance(moved.eval_at(t), target_f))))
     # strict decrease, except a curve already sitting on its target (all zeros)
     decreasing = all(b < a or a == b == 0.0
@@ -122,7 +107,7 @@ def borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
     g = a_element(*a_params)
     h = n_element(*n_params)
     gh = linalg.mat_mul(g, h)
-    k = symplectic_inverse(gh, OMEGA4)
+    k = symplectic_inverse(gh)
     return act(k, mu, gh)
 
 
@@ -188,28 +173,26 @@ def r2r2_trap_residual(xi: Bracket, lam) -> Fraction:
 # -- random exact symplectic elements ---------------------------------------------
 
 
-def random_rational(rng: random.Random, num=3, den=3) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
-def random_symplectic(rng: random.Random, omega: TwoForm = OMEGA4,
-                      factors=(6, 12)) -> list:
-    """Product of symplectic transvections with small random rational data.
+def random_symplectic(rng: random.Random) -> list:
+    """Product of 6 to 12 symplectic transvections of R^4 with small random rational data.
 
     It runs in ints, drawing what random_rational draws but unreduced: for u = U/e
-    and c = p/q the transvection v -> v + c*w(v,u)*u is T/s with s = q*e^2 and
+    and c = p/q the transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and
     T = s*I + p*U*(J^T U)^T, applied as the rank-one update s*out + p*U*((J^T U)^T out).
     """
-    dim = omega.dim
-    out, d = [[int(i == j) for j in range(dim)] for i in range(dim)], 1
-    for _ in range(rng.randint(*factors)):
+    out, d = [[int(i == j) for j in range(4)] for i in range(4)], 1
+    for _ in range(rng.randint(6, 12)):
         u = ()
         while not any(x for x, _ in u):
-            u = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+            u = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
         p, q = rng.randint(-3, 3), rng.randint(1, 3)
         e = math.lcm(*(y for _, y in u))
         num = [x * (e // y) for x, y in u]
-        ju = [sum(map(operator.mul, col, num)) for col in zip(*omega.m)]  # J^T U
+        ju = [-x for x in num[2:]] + num[:2]  # J^T U = (-U2, U1)
         ju_out = [sum(map(operator.mul, ju, col)) for col in zip(*out)]
         s = q * e * e
         out = [[s * x + p * ui * r for x, r in zip(row, ju_out)] for ui, row in zip(num, out)]
@@ -323,8 +306,7 @@ _DERW_CACHE = {}
 def der_omega_dim(cid: ClassId) -> int:
     key = str(cid)
     if key not in _DERW_CACHE:
-        mu, om = make(cid)
-        _DERW_CACHE[key] = symplectic_derivations(mu, om).dim
+        _DERW_CACHE[key] = symplectic_derivations(make(cid)).dim
     return _DERW_CACHE[key]
 
 
@@ -497,10 +479,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
 
     # (1) trace-form signature obstruction: d4_2:w2 does not reach d4_2:w1
     coeffs = (0, 1, 0, -1, 0, -1)
-    f17 = composition_trace_form(
-        equivariant_product(make(class_id("d4_2:w1"))[0], coeffs, OMEGA4))
-    f18 = composition_trace_form(
-        equivariant_product(make(class_id("d4_2:w2"))[0], coeffs, OMEGA4))
+    f17 = composition_trace_form(equivariant_product(make(class_id("d4_2:w1")), coeffs))
+    f18 = composition_trace_form(equivariant_product(make(class_id("d4_2:w2")), coeffs))
     s17, s18 = f17.signature(), f18.signature()
     ok1 = s17[1] == 0 and s17[0] > 0 and s18[0] == 0 and s18[1] > 0
     checks.append(SuiteCheck("signature_obstruction_d422_to_d421", ok1,
@@ -509,11 +489,11 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                              ("d4_2:w2", "d4_2:w1")))
 
     # (2) algebraic-set residual: r2r2 does not reach n4
-    mu7 = make(class_id("n4"))[0]
+    mu7 = make(class_id("n4"))
     residual_ok = True
     count = 0
     for lam in (Fraction(0), Fraction(1), Fraction(7, 3)):
-        mu5 = make(class_id("r2r2", lam))[0]
+        mu5 = make(class_id("r2r2", lam))
         for _ in range(samples):
             t1 = abs(random_rational(rng)) + Fraction(1, 3)
             t2 = abs(random_rational(rng)) + Fraction(1, 3)
@@ -571,7 +551,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                              ("r2r2", "n4")))
 
     # (3) trapping subspace for r2p plus the derived-dimension bound
-    mu6 = make(class_id("r2p"))[0]
+    mu6 = make(class_id("r2p"))
     contained = 0
     for _ in range(samples):
         t1 = abs(random_rational(rng)) + Fraction(1, 3)
@@ -651,11 +631,6 @@ _WITNESS_PLANS_SPECIAL = {
 _RATE = 16  # rate separation between chained curves
 
 
-def _scale_exponents(g, m: int):
-    return [[ExpPoly({r * m: c for r, c in ExpPoly.coerce(x).terms.items()})
-             for x in row] for row in g]
-
-
 def _witness_matrix_symbolic(cid: ClassId, chain, transform_key):
     """ExpPoly matrix L . g_k(t) . ... . g_1(RATE^{k-1} t) plus its reference limit.
 
@@ -674,11 +649,11 @@ def _witness_matrix_symbolic(cid: ClassId, chain, transform_key):
         source = inst.target
     total = None
     for depth, g in enumerate(mats):
-        g = _scale_exponents(g, _RATE ** (len(mats) - 1 - depth))
+        g = rescale_time(g, _RATE ** (len(mats) - 1 - depth))
         total = g if total is None else linalg.mat_mul(g, total)
     ref = [[ExpPoly.coerce(x) for x in row] for row in _REFERENCE_TRANSFORMS[transform_key]()]
     total = ref if total is None else linalg.mat_mul(ref, total)
-    reference = act(_REFERENCE_TRANSFORMS[transform_key](), make(source)[0])
+    reference = act(_REFERENCE_TRANSFORMS[transform_key](), make(source))
     return total, reference
 
 
@@ -728,15 +703,18 @@ def witness_for_class(cid: ClassId, k_grid=DEFAULT_K_GRID):
         return WitnessRecord(str(cid), "failed", reason="reference lacks the target signature")
     # the chained matrix must itself converge after the action: certified by
     # checking the symbolic limit against the reference bracket
-    mu = make(cid)[0]
-    moved_sym = act(sym, mu, symplectic_inverse(sym, OMEGA4))
+    mu = make(cid)
+    moved_sym = act(sym, mu, symplectic_inverse(sym))
+    divergent = moved_sym.divergent_entries()
+    if divergent:
+        return WitnessRecord(str(cid), "failed", reason=f"symbolic chain diverges at {divergent}")
     if moved_sym.limit() != reference:
         return WitnessRecord(str(cid), "failed", reason="symbolic chain misses its reference")
     for k in k_grid:
         s = [[ExpPoly.coerce(x).eval_base(k) for x in row] for row in sym]
-        if not is_symplectic(s, OMEGA4):
+        if not is_symplectic(s):
             return WitnessRecord(str(cid), "failed", reason=f"not symplectic at exp(t) = 2**{k}")
-        moved = act(s, mu, symplectic_inverse(s, OMEGA4))
+        moved = act(s, mu, symplectic_inverse(s))
         form = ricci_form(moved)
         if form.signature() == TARGET_SIGNATURE:
             prov = tuple(chain) + (transform_key, f"exp(t) := 2**{k}")
@@ -759,11 +737,11 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500, tmax: float = 25.
             # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
             # = d*g^{-1}, act gives m*d^3*(g.mu), whose Ricci form is
             # m^2*d^6*Ric(g.mu).  det = 0 and the signature are unchanged.
-            _, mu = make(class_id(spec.key))[0].integer_multiple()
+            _, mu = make(class_id(spec.key)).integer_multiple()
             all_zero = True
             for _ in range(samples):
                 _, g = linalg.clear_denominators(random_symplectic(rng))
-                moved = act(g, mu, symplectic_inverse(g, OMEGA4))
+                moved = act(g, mu, symplectic_inverse(g))
                 if linalg.det(ricci_form(moved).m) != 0:
                     all_zero = False
                     break

@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import linalg
 from .catalog import ClassId, expected_invariants, make
 from .scalars import format_rational
-from .tensor import Bracket, TwoForm, bracket_to_table, is_lie, validate_symplectic
+from .tensor import (Bracket, bracket_to_table, canonical_form, is_lie, omega,
+                     validate_symplectic)
 
 
 @dataclass
@@ -50,17 +50,18 @@ def _derivation_rows(mu: Bracket):
     return rows
 
 
-def _skew_adjoint_rows(dim: int, omega: TwoForm):
+def _skew_adjoint_rows(dim: int):
     """Rows of w(De_i, e_j) + w(e_i, De_j) = 0 for i < j (the rest is redundant)."""
+    jm = canonical_form(dim)
     rows = []
     for i in range(dim):
         for j in range(i + 1, dim):
             row = [Fraction(0)] * (dim * dim)
             for p in range(dim):
-                if omega.m[p][j] != 0:
-                    row[p * dim + i] += omega.m[p][j]
-                if omega.m[i][p] != 0:
-                    row[p * dim + j] += omega.m[i][p]
+                if jm[p][j] != 0:
+                    row[p * dim + i] += jm[p][j]
+                if jm[i][p] != 0:
+                    row[p * dim + j] += jm[i][p]
             rows.append(row)
     return rows
 
@@ -78,20 +79,20 @@ def derivations(mu: Bracket) -> DerivationAlgebra:
     return DerivationAlgebra(_kernel_to_matrices(basis, mu.dim), len(basis))
 
 
-def symplectic_derivations(mu: Bracket, omega: TwoForm) -> DerivationAlgebra:
-    """Exact basis of the derivations that are also skew-adjoint for omega."""
-    if not validate_symplectic(mu, omega):
+def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
+    """Exact basis of the derivations that are also skew-adjoint for w."""
+    if not validate_symplectic(mu):
         raise ValueError("input is not a symplectic Lie algebra")
-    rows = _derivation_rows(mu) + _skew_adjoint_rows(mu.dim, omega)
+    rows = _derivation_rows(mu) + _skew_adjoint_rows(mu.dim)
     basis = linalg.nullspace(rows)
     return DerivationAlgebra(_kernel_to_matrices(basis, mu.dim), len(basis))
 
 
-def derivation_kernel_rank_oracle(mu: Bracket, omega: Optional[TwoForm] = None) -> int:
+def derivation_kernel_rank_oracle(mu: Bracket, symplectic: bool = False) -> int:
     """Kernel dimension via the independent fraction-free rank routine."""
     rows = _derivation_rows(mu)
-    if omega is not None:
-        rows += _skew_adjoint_rows(mu.dim, omega)
+    if symplectic:
+        rows += _skew_adjoint_rows(mu.dim)
     return mu.dim * mu.dim - linalg.rank_bareiss(rows)
 
 
@@ -110,12 +111,11 @@ def is_derivation(mu: Bracket, d) -> bool:
     return True
 
 
-def orbit_dim(mu: Bracket, omega: Optional[TwoForm] = None, group: str = "symplectic") -> int:
+def orbit_dim(mu: Bracket, group: str = "symplectic") -> int:
     """Orbit dimension as dim(G) - dim(stabilizer Lie algebra)."""
     n = mu.dim // 2
     if group == "symplectic":
-        omega = omega or TwoForm.canonical(mu.dim)
-        return n * (2 * n + 1) - symplectic_derivations(mu, omega).dim
+        return n * (2 * n + 1) - symplectic_derivations(mu).dim
     if group == "general-linear":
         return (2 * n) ** 2 - derivations(mu).dim
     raise ValueError(f"unknown group {group!r}")
@@ -173,10 +173,10 @@ def second_trace(mu: Bracket):
             for i in range(1, n + 1)]
 
 
-def equivariant_product(mu: Bracket, coeffs, omega: TwoForm):
+def equivariant_product(mu: Bracket, coeffs):
     """The six-coefficient equivariant bilinear product attached to a closed bracket.
 
-    Defined through omega by
+    Defined through the canonical two-form w by
         w(P(v1,v2), v3) = c1 w(mu(v1,v2),v3) + c2 w(mu(v2,v3),v1)
                         + c3 w(mu(v3,v1),v2) + c4 w(v1,v2) tr(ad_{v3})
                         + c5 w(v2,v3) tr(ad_{v1}) + c6 w(v3,v1) tr(ad_{v2})
@@ -184,14 +184,11 @@ def equivariant_product(mu: Bracket, coeffs, omega: TwoForm):
     coeffs = (c1..c6).  (c1,c2,c3,c4,c5,c6) = (0,0,-1,0,0,0) is the canonical
     torsion-free flat connection of the symplectic structure.
     """
-    if not omega.nondegenerate():
-        raise ValueError("degenerate two-form")
     c1, c2, c3, c4, c5, c6 = (Fraction(c) for c in coeffs)
     n = mu.dim
     tr2 = second_trace(mu)
     basis = linalg.identity(n)
-    # w(P, e_k) = (M^T P)_k, so P(i, j) = (M^T)^{-1} r with r_k = form(e_i, e_j, e_k).
-    minv_t = linalg.inverse(linalg.transpose(omega.m))
+    jm = canonical_form(n)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -206,19 +203,20 @@ def equivariant_product(mu: Bracket, coeffs, omega: TwoForm):
                 if c3 != 0:
                     val += c3 * omega(mu.pair(k + 1, i + 1), basis[j])
                 if c4 != 0:
-                    val += c4 * omega.m[i][j] * tr2[k]
+                    val += c4 * jm[i][j] * tr2[k]
                 if c5 != 0:
-                    val += c5 * omega.m[j][k] * tr2[i]
+                    val += c5 * jm[j][k] * tr2[i]
                 if c6 != 0:
-                    val += c6 * omega.m[k][i] * tr2[j]
+                    val += c6 * jm[k][i] * tr2[j]
                 r.append(val)
-            out[i][j] = linalg.mat_vec(minv_t, r)
+            # w(P, e_k) = (J^T P)_k, so P(i, j) = (J^T)^{-1} r = J r = (r2, -r1)
+            out[i][j] = r[n // 2:] + [-x for x in r[:n // 2]]
     return out
 
 
-def chu_connection(mu: Bracket, omega: TwoForm):
+def chu_connection(mu: Bracket):
     """The canonical torsion-free flat connection product."""
-    return equivariant_product(mu, (0, 0, -1, 0, 0, 0), omega)
+    return equivariant_product(mu, (0, 0, -1, 0, 0, 0))
 
 
 class AsymmetryError(ValueError):
@@ -344,8 +342,8 @@ class ObstructionReport:
 
 @lru_cache(maxsize=None)
 def _class_profile(cid: ClassId):
-    mu, omega = make(cid)
-    return (symplectic_derivations(mu, omega).dim, derivations(mu).dim,
+    mu = make(cid)
+    return (symplectic_derivations(mu).dim, derivations(mu).dim,
             unimodular(mu), derived_dim(mu))
 
 
@@ -367,8 +365,8 @@ def obstruction_report(source: ClassId, target: ClassId) -> ObstructionReport:
 
 def invariants_summary(cid: ClassId) -> dict:
     """All invariants of one class, with the tabulated expectation."""
-    mu, omega = make(cid)
-    dw = symplectic_derivations(mu, omega).dim
+    mu = make(cid)
+    dw = symplectic_derivations(mu).dim
     d = derivations(mu).dim
     exp_dw, exp_d = expected_invariants(cid)
     return {
@@ -379,8 +377,8 @@ def invariants_summary(cid: ClassId) -> dict:
         "expected_dim_der_omega": exp_dw,
         "expected_dim_der": exp_d,
         "matches_expected": (dw, d) == (exp_dw, exp_d),
-        "orbit_dim_symplectic": orbit_dim(mu, omega, "symplectic"),
-        "orbit_dim_general_linear": orbit_dim(mu, None, "general-linear"),
+        "orbit_dim_symplectic": orbit_dim(mu, "symplectic"),
+        "orbit_dim_general_linear": orbit_dim(mu, "general-linear"),
         "unimodular": unimodular(mu),
         "derived_dim": derived_dim(mu),
         "nilpotent": nilpotent(mu),

@@ -12,9 +12,8 @@ import math
 from fractions import Fraction
 
 
-def zeros(n, m=None):
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
+def zeros(n):
+    return [[Fraction(0)] * n for _ in range(n)]
 
 
 def identity(n):

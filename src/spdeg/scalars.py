@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+# eval_at refuses exp arguments above this (exp(230) ~ 1e100), well below
+# the binary64 overflow of exp near 709.
+EXP_GUARD = 230.0
+
 
 def parse_rational(s: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign; ValueError on malformed text."""
@@ -35,7 +39,7 @@ class ExpPoly:
 
     Supports exact ring arithmetic (exponents add under multiplication), the
     exact limit t -> +inf, float evaluation, and exact evaluation at
-    t = K*log(base) where every r*K is an integer.  Instances are immutable.
+    t = K*log(2) where every r*K is an integer.  Instances are immutable.
     """
 
     __slots__ = ("terms",)
@@ -129,20 +133,20 @@ class ExpPoly:
             return None
         return self.terms.get(Fraction(0), Fraction(0))
 
-    def eval_at(self, t: float, guard: float = 230.0) -> float:
-        """Binary64 value at time t; raises on exp arguments beyond guard."""
+    def eval_at(self, t: float) -> float:
+        """Binary64 value at time t; raises on exp arguments beyond EXP_GUARD."""
         total = 0.0
         for r, c in self.terms.items():
             x = float(r) * t
-            if x > guard:
+            if x > EXP_GUARD:
                 raise OverflowError(f"exp({x}) exceeds the overflow guard")
             total += float(c) * math.exp(x)
         return total
 
-    def eval_base(self, k: int, base: int = 2) -> Fraction:
-        """Exact value at t = k*log(base), i.e. with exp(t) := base**k.
+    def eval_base(self, k: int) -> Fraction:
+        """Exact value at t = k*log(2), i.e. with exp(t) := 2**k.
 
-        Every exponent r must satisfy r*k integral so that base**(r*k) is
+        Every exponent r must satisfy r*k integral so that 2**(r*k) is
         rational.
         """
         total = Fraction(0)
@@ -150,7 +154,7 @@ class ExpPoly:
             rk = r * k
             if rk.denominator != 1:
                 raise ValueError(f"exponent {r} * {k} is not an integer")
-            total += c * Fraction(base) ** int(rk)
+            total += c * Fraction(2) ** int(rk)
         return total
 
     def __repr__(self):

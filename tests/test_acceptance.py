@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from spdeg import catalog, linalg
 from spdeg.catalog import parse_curve, rho_family, varrho_family, xi_family
 from spdeg.curvature import einstein_check, find_degenerate_ricci, ricci
-from spdeg.degeneration import (EXCEPTIONAL_KEYS, NODE_BY_ID, OMEGA4,
+from spdeg.degeneration import (EXCEPTIONAL_KEYS, NODE_BY_ID,
                                 classify_pairs, random_symplectic)
 from spdeg.invariants import (composition_trace_form, derivations,
                               equivariant_product, obstruction_report,
@@ -26,8 +26,8 @@ def _ok(n, text):
 def test_criterion_01_derivation_dimension_table():
     table = catalog.expected_invariants_table()
     for cid, (exp_dw, exp_d) in table:
-        mu, omega = catalog.make(cid)
-        dw = symplectic_derivations(mu, omega).dim
+        mu = catalog.make(cid)
+        dw = symplectic_derivations(mu).dim
         d = derivations(mu).dim
         assert (dw, d) == (exp_dw, exp_d), f"{cid}: got ({dw}, {d})"
     _ok(1, f"(dim Der_w, dim Der) matches the table exactly for all "
@@ -37,12 +37,12 @@ def test_criterion_01_derivation_dimension_table():
 def test_criterion_02_catalog_soundness():
     count = 0
     for cid, _ in catalog.expected_invariants_table():
-        mu, omega = catalog.make(cid)
+        mu = catalog.make(cid)
         assert is_lie(mu), str(cid)
-        assert is_closed(mu, omega), str(cid)
+        assert is_closed(mu), str(cid)
         count += 1
-    tau, omega6 = catalog.tau6()
-    assert is_lie(tau) and is_closed(tau, omega6)
+    tau = catalog.tau6()
+    assert is_lie(tau) and is_closed(tau)
     _ok(2, f"Jacobi and closedness hold exactly for {count} class instances "
            f"and the 6-dimensional fixture")
 
@@ -62,7 +62,7 @@ def test_criterion_03_curve_list_verification(curve_reports):
 
 def test_criterion_04_worked_degeneration_curve():
     inst = parse_curve("ex2:xi_u")
-    moved = act(inst.g, inst.source_bracket, symplectic_inverse(inst.g, OMEGA4))
+    moved = act(inst.g, inst.source_bracket, symplectic_inverse(inst.g))
     assert moved.entry(1, 2, 2) == ExpPoly.const(-1)
     assert moved.entry(1, 3, 3) == ExpPoly.const(2)
     assert moved.entry(1, 4, 4) == ExpPoly.const(1)
@@ -77,8 +77,8 @@ def test_criterion_04_worked_degeneration_curve():
 
 def test_criterion_05_trace_form_obstruction():
     coeffs = (0, 1, 0, -1, 0, -1)
-    lam1 = equivariant_product(catalog.bracket_of("d4_2:w1"), coeffs, OMEGA4)
-    lam2 = equivariant_product(catalog.bracket_of("d4_2:w2"), coeffs, OMEGA4)
+    lam1 = equivariant_product(catalog.bracket_of("d4_2:w1"), coeffs)
+    lam2 = equivariant_product(catalog.bracket_of("d4_2:w2"), coeffs)
     printed1 = {(1, 1, 1): F(1), (1, 2, 2): F(-1), (1, 3, 3): F(1),
                 (1, 4, 4): F(-1), (2, 1, 2): F(3), (2, 4, 3): F(3)}
     printed2 = {(2, 1, 2): F(1), (2, 2, 1): F(-1), (2, 3, 4): F(-1),
@@ -189,10 +189,10 @@ def test_criterion_11_equivariance():
     for i in range(25):
         g = random_symplectic(rng)
         mu = brackets[i % 3]
-        lhs = equivariant_product(act(g, mu), coeffs, OMEGA4)
-        rhs = act_bilinear(g, equivariant_product(mu, coeffs, OMEGA4))
+        lhs = equivariant_product(act(g, mu), coeffs)
+        rhs = act_bilinear(g, equivariant_product(mu, coeffs))
         assert lhs == rhs
-    theta = equivariant_product(brackets[2], coeffs, OMEGA4)
+    theta = equivariant_product(brackets[2], coeffs)
     base_form = composition_trace_form(theta).m
     for _ in range(25):
         g = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]

@@ -2,8 +2,6 @@
 
 Exit codes keep their contract on any input: 0 a valid Lie bracket with a
 closed form, 1 a failed Jacobi or closedness check, 2 a malformed file.
-Integers stay small: validation builds dim x dim tables for whatever
-"dim" a file declares.
 """
 
 import json
@@ -35,7 +33,8 @@ RATIONAL = rarely(st.builds("{}/{}".format, SMALL, st.integers(1, 3)) | SMALL.ma
 KEY = rarely(st.builds("{},{}".format, INDEX, INDEX), INDEX)
 ODD = st.sampled_from([5, "1", [], None, {}])
 FILE = st.fixed_dictionaries(
-    {"dim": rarely(st.just(4), st.sampled_from([6, 2, 3, 0, -2, "4", 4.0, [4], None])),
+    {"dim": rarely(st.just(4), st.sampled_from([6, 2, 3, 0, -2, "4", 4.0, [4], None])
+                   | st.integers(min_value=17)),
      "bracket": rarely(st.dictionaries(KEY, rarely(st.dictionaries(INDEX, RATIONAL, min_size=1, max_size=2),
                                                    ODD), max_size=4), ODD)},
     optional={"omega": rarely(st.just("canonical"), st.sampled_from(["dual", 0])),

@@ -4,17 +4,17 @@ import pytest
 
 from spdeg import catalog
 from spdeg.catalog import ClassId, DomainError, class_id, parse_class, parse_curve
-from spdeg.tensor import TwoForm, is_closed, is_lie, is_symplectic
+from spdeg.tensor import is_closed, is_lie, is_symplectic
 
 
 def test_make_n4_structure():
-    mu, omega = catalog.make_key("n4")
+    mu = catalog.bracket_of("n4")
     assert dict(mu.rules) == {(1, 2): {4: F(1)}, (1, 4): {3: F(1)}}
-    assert omega.is_canonical()
+    assert mu == catalog.make(class_id("n4"))
 
 
 def test_make_abelian_is_zero():
-    mu, _ = catalog.make_key("a4")
+    mu = catalog.bracket_of("a4")
     assert mu.is_zero()
 
 
@@ -26,22 +26,22 @@ def test_make_abelian_is_zero():
 ])
 def test_out_of_domain_parameters_raise(key, param):
     with pytest.raises(DomainError) as err:
-        catalog.make_key(key, param)
+        catalog.bracket_of(key, param)
     assert key.split(":")[0] in str(err.value)
 
 
 def test_missing_or_extra_parameter_raise():
     with pytest.raises(DomainError):
-        catalog.make_key("r2r2")
+        catalog.bracket_of("r2r2")
     with pytest.raises(DomainError):
-        catalog.make_key("n4", F(1))
+        catalog.bracket_of("n4", F(1))
 
 
 def test_every_class_is_lie_and_closed():
     for cid, _ in catalog.expected_invariants_table():
-        mu, omega = catalog.make(cid)
+        mu = catalog.make(cid)
         assert is_lie(mu), str(cid)
-        assert is_closed(mu, omega), str(cid)
+        assert is_closed(mu), str(cid)
 
 
 def test_no_two_classes_coincide():
@@ -50,7 +50,7 @@ def test_no_two_classes_coincide():
     known_overlap = {("r4_m1_beta:beta=0", "rr3_m1")}
     seen = {}
     for cid, _ in catalog.expected_invariants_table():
-        mu, _ = catalog.make(cid)
+        mu = catalog.make(cid)
         for other, bracket in seen.items():
             pair = tuple(sorted((str(cid), other)))
             if pair in known_overlap:
@@ -69,10 +69,10 @@ def test_expected_invariants_lookup_examples():
 
 
 def test_tau6_fixture():
-    tau, omega = catalog.tau6()
+    tau = catalog.tau6()
     assert tau.dim == 6
     assert is_lie(tau)
-    assert is_closed(tau, omega)
+    assert is_closed(tau)
     assert tau.pair(4, 5)[1] == 1  # [e4,e5] = e2
 
 
@@ -100,11 +100,10 @@ def test_class_grammar_rejects_garbage():
 
 
 def test_every_curve_matrix_exactly_symplectic():
-    omega = TwoForm.canonical(4)
     count = 0
     for spec in catalog.curves():
         for inst in spec.instances():
-            assert is_symplectic(inst.g, omega), inst.label
+            assert is_symplectic(inst.g), inst.label
             count += 1
     assert count >= 35
 

@@ -57,9 +57,11 @@ def test_validate_broken_bracket_fails(tmp_path, capsys):
     ({"dim": 4, "bracket": {"1": {"4": "1"}}}, 'key "1" must have the form "i,j"'),
     ({"dim": 4, "bracket": {"1,x": {"4": "1"}}}, 'key "1,x" must have the form "i,j"'),
     ({"dim": 4, "bracket": {"1,2": {"z": "1"}}}, 'component key "z"'),
+    ({"dim": 18, "bracket": {}}, '"dim" must be at most 16, got 18'),
+    ({"dim": 10 ** 9, "bracket": {}}, '"dim" must be at most 16'),
 ], ids=["top-level-list", "bracket-list", "vector-number", "coefficient-number",
         "omega-not-canonical", "dim-list", "key-one-index", "key-not-integer",
-        "component-key-not-integer"])
+        "component-key-not-integer", "dim-18", "dim-huge"])
 def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content, named):
     path = tmp_path / "bracket.json"
     path.write_text(json.dumps(content), encoding="utf-8")
@@ -177,12 +179,33 @@ def test_theorem_b_small(capsys):
 def test_theorem_b_failed_witness_exits_1(monkeypatch, capsys):
     from spdeg import degeneration
 
-    monkeypatch.setattr(degeneration, "is_symplectic", lambda g, omega=None: False)
+    monkeypatch.setattr(degeneration, "is_symplectic", lambda g: False)
     rec = degeneration.witness_for_class(catalog.parse_class("n4"))
     assert rec.status == "failed" and "not symplectic" in rec.reason
     assert rec.to_json_dict() == {"class": "n4", "status": "failed", "reason": rec.reason}
     code, out, _ = run(capsys, "theorem-b", "--samples", "1")
     assert code == 1 and "theorem-b: FAIL" in out
+    assert any(line.split()[:2] == ["n4", "FAILED:"] for line in out.splitlines())
+
+
+def test_theorem_b_divergent_chain_exits_1(monkeypatch, capsys):
+    from spdeg import degeneration, linalg
+    from spdeg.scalars import ExpPoly
+
+    plain = degeneration._witness_matrix_symbolic
+
+    def diverging(cid, chain, transform_key):
+        # diag(1, e^-5t, 1, e^5t) in front: the moved bracket has no limit
+        total, reference = plain(cid, chain, transform_key)
+        kick = [[ExpPoly.exp(r) if i == j else ExpPoly.const(0) for j in range(4)]
+                for i, r in enumerate((0, -5, 0, 5))]
+        return linalg.mat_mul(kick, total), reference
+
+    monkeypatch.setattr(degeneration, "_witness_matrix_symbolic", diverging)
+    rec = degeneration.witness_for_class(catalog.parse_class("n4"))
+    assert rec.status == "failed" and rec.reason.startswith("symbolic chain diverges at [(")
+    code, out, err = run(capsys, "theorem-b", "--samples", "1")
+    assert code == 1 and "theorem-b: FAIL" in out and err == ""
     assert any(line.split()[:2] == ["n4", "FAILED:"] for line in out.splitlines())
 
 

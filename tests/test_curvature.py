@@ -10,9 +10,7 @@ from spdeg.curvature import (RICCI_SIGN, einstein_check, find_degenerate_ricci,
                              levi_civita, metric_compatible, ricci, ricci_form,
                              ricci_matrix_float, ricci_nilpotent, riemann,
                              torsion_free)
-from spdeg.tensor import TwoForm, act, is_symplectic
-
-OMEGA = TwoForm.canonical(4)
+from spdeg.tensor import act, is_symplectic
 
 
 def _diag(*xs):
@@ -30,7 +28,7 @@ def test_levi_civita_flat_abelian():
 
 def test_torsion_and_metric_compatibility_all_classes():
     for cid, _ in catalog.expected_invariants_table():
-        mu = catalog.make(cid)[0]
+        mu = catalog.make(cid)
         lc = levi_civita(mu)
         assert torsion_free(mu, lc), str(cid)
         assert metric_compatible(lc), str(cid)
@@ -50,7 +48,7 @@ def test_riemann_traces_to_the_ricci_form():
     # traced contraction, on every tabulated class and a few conjugates
     from spdeg.degeneration import random_symplectic
 
-    brackets = [catalog.make(cid)[0] for cid, _ in catalog.expected_invariants_table()]
+    brackets = [catalog.make(cid) for cid, _ in catalog.expected_invariants_table()]
     rng = random.Random(17)
     brackets += [act(random_symplectic(rng), mu) for mu in brackets[::8]]
     for mu in brackets:
@@ -90,10 +88,10 @@ def test_ricci_nilpotent_agrees_with_full_path_on_nilpotent_classes():
     from spdeg.invariants import nilpotent
 
     nil = [cid for cid, _ in catalog.expected_invariants_table()
-           if nilpotent(catalog.make(cid)[0])]
+           if nilpotent(catalog.make(cid))]
     assert len(nil) >= 3  # a4, rh3, n4
     for cid in nil:
-        mu = catalog.make(cid)[0]
+        mu = catalog.make(cid)
         assert ricci_nilpotent(mu).m == ricci(mu).ricci.m
     for t in (F(1, 2), F(2), F(5)):
         assert ricci_nilpotent(xi_family(t)).m == ricci(xi_family(t)).ricci.m
@@ -126,9 +124,9 @@ def test_scalar_curvature_is_trace():
 
 
 def test_lemma_transforms_are_symplectic():
-    assert is_symplectic(scaling_transform(F(2)), OMEGA)
-    assert is_symplectic(scaling_transform(F(1, 2)), OMEGA)
-    assert is_symplectic(shear_transform(F(12)), OMEGA)
+    assert is_symplectic(scaling_transform(F(2)))
+    assert is_symplectic(scaling_transform(F(1, 2)))
+    assert is_symplectic(shear_transform(F(12)))
     with pytest.raises(ValueError):
         scaling_transform(F(0))
 
@@ -170,7 +168,7 @@ def test_signature_locally_constant_where_nondegenerate():
     for _ in range(5):
         from spdeg.tensor import transvection
         u = [F(rng.randint(-2, 2), 97) for _ in range(4)]
-        g = transvection(u, F(1, 89), OMEGA)
+        g = transvection(u, F(1, 89))
         moved = act(g, mu)
         assert signature_float(ricci_matrix_float(moved), tol=1e-6) == base
 
@@ -180,7 +178,7 @@ def test_ricci_pullback_equivariance_orthogonal_symplectic_float_path():
     a1, b1 = F(3, 5), F(4, 5)
     a2, b2 = F(5, 13), F(12, 13)
     g = [[a1, 0, -b1, 0], [0, a2, 0, -b2], [b1, 0, a1, 0], [0, b2, 0, a2]]
-    assert is_symplectic(g, OMEGA)
+    assert is_symplectic(g)
     gt = linalg.transpose(g)
     assert linalg.mat_eq(linalg.mat_mul(gt, g), linalg.identity(4))
     for key in ("n4", "d4_1:w1"):

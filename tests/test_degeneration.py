@@ -12,9 +12,7 @@ from spdeg.degeneration import (HASSE_EDGES, NODE_BY_ID, R2P_TRAP, R2R2_TRAP,
                                 verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import (Bracket, TwoForm, is_closed, is_lie, is_symplectic)
-
-OMEGA = TwoForm.canonical(4)
+from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
 
 
 # -- curve verification -----------------------------------------------------------
@@ -107,7 +105,7 @@ def test_borbit_outputs_are_symplectic_lie_algebras():
             t2 = abs(F(rng.randint(1, 5), rng.randint(1, 3)))
             xi = borbit_element(mu, (t1, t2),
                                 tuple(F(rng.randint(-3, 3), 2) for _ in range(4)))
-            assert is_lie(xi) and is_closed(xi, OMEGA)
+            assert is_lie(xi) and is_closed(xi)
 
 
 def test_borbit_rejects_nonpositive_diagonal():
@@ -120,7 +118,7 @@ def test_borbit_rejects_nonpositive_diagonal():
 
 def test_n_element_is_symplectic():
     h = n_element(F(1, 3), F(-2), F(5, 2), F(7))
-    assert is_symplectic(h, OMEGA)
+    assert is_symplectic(h)
 
 
 # -- trapping subspaces ---------------------------------------------------------------
@@ -281,7 +279,7 @@ def test_worked_nondegenerations_not_reachable(hasse_report):
 def test_random_symplectic_products_exact():
     rng = random.Random(37)
     for _ in range(50):
-        assert is_symplectic(random_symplectic(rng), OMEGA)
+        assert is_symplectic(random_symplectic(rng))
 
 
 # -- witness search ------------------------------------------------------------------------

@@ -13,9 +13,8 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
-from spdeg.degeneration import (EXCEPTIONAL_KEYS, OMEGA4, random_rational,
-                                random_symplectic)
-from spdeg.tensor import TwoForm, act, symplectic_inverse, transvection
+from spdeg.degeneration import EXCEPTIONAL_KEYS, random_rational, random_symplectic
+from spdeg.tensor import act, canonical_form, symplectic_inverse, transvection
 
 HALF = F(1, 2)
 
@@ -79,13 +78,13 @@ def old_random_symplectic(rng, factors=(6, 12)):
         while all(x == 0 for x in u):
             u = [random_rational(rng) for _ in range(4)]
         c = random_rational(rng)
-        out = linalg.mat_mul(transvection(u, c, OMEGA4), out)
+        out = linalg.mat_mul(transvection(u, c), out)
     return out
 
 
 def mat_mul_symplectic_inverse(g):
     """-J g^T J as two linalg.mat_mul products with the canonical J."""
-    j = TwoForm.canonical(len(g)).m
+    j = canonical_form(len(g))
     return [[-x for x in row] for row in linalg.mat_mul(j, linalg.mat_mul(linalg.transpose(g), j))]
 
 
@@ -99,7 +98,7 @@ def conjugators():
 @pytest.fixture(scope="module")
 def brackets(conjugators):
     """The 43 tabulated instances and three random conjugates of each."""
-    base = [catalog.make(cid)[0] for cid, _ in catalog.expected_invariants_table()]
+    base = [catalog.make(cid) for cid, _ in catalog.expected_invariants_table()]
     return base + [act(g, base[i // 3]) for i, g in enumerate(conjugators)]
 
 
@@ -149,13 +148,13 @@ def test_integer_conjugate_scales_ricci_by_d6():
     rng = random.Random(29)
     keys = list(EXCEPTIONAL_KEYS) + ["n4", "d4_1:w1", "r2r2:lambda=7/3", "r4_m1_beta:beta=-1"]
     for key in keys:
-        mu = catalog.make(catalog.parse_class(key))[0]
+        mu = catalog.make(catalog.parse_class(key))
         m, imu = mu.integer_multiple()
         for _ in range(3):
             g = random_symplectic(rng)
             d, big_g = linalg.clear_denominators(g)
-            ginv = symplectic_inverse(big_g, OMEGA4)
-            assert ginv == [[d * x for x in row] for row in symplectic_inverse(g, OMEGA4)]
+            ginv = symplectic_inverse(big_g)
+            assert ginv == [[d * x for x in row] for row in symplectic_inverse(g)]
             moved = act(big_g, imu, ginv)
             assert all(type(c) is int for vec in moved.rules.values() for c in vec.values())
             exact = ricci_form(act(g, mu))
@@ -169,7 +168,7 @@ def _scaled_identity(m, c):
 
 def test_symplectic_inverse_matches_mat_mul_oracle(conjugators):
     for g in conjugators:
-        inv = symplectic_inverse(g, OMEGA4)
+        inv = symplectic_inverse(g)
         assert inv == mat_mul_symplectic_inverse(g)
         assert _scaled_identity(linalg.mat_mul(g, inv), 1)
         d, big_g = linalg.clear_denominators(g)  # ints; the inverse formula gives d*g^-1
@@ -185,7 +184,7 @@ def test_symplectic_inverse_of_curves_and_float_matrices():
     curves = [inst.g for spec in catalog.curves() for inst in spec.instances()]
     assert len(curves) == 53
     for g in curves:
-        inv = symplectic_inverse(g, OMEGA4)
+        inv = symplectic_inverse(g)
         assert inv == mat_mul_symplectic_inverse(g)
         assert _scaled_identity(linalg.mat_mul(g, inv), 1)
     # small integer transvection data keeps every float product exact
@@ -194,7 +193,7 @@ def test_symplectic_inverse_of_curves_and_float_matrices():
         g = linalg.identity(4)
         for _ in range(3):
             u = [rng.randint(-2, 2) for _ in range(4)]
-            g = linalg.mat_mul(transvection(u, rng.randint(-2, 2), OMEGA4), g)
+            g = linalg.mat_mul(transvection(u, rng.randint(-2, 2)), g)
         fg = [[float(x) for x in row] for row in g]
         inv = symplectic_inverse(fg)
         assert inv == mat_mul_symplectic_inverse(fg)
@@ -203,8 +202,5 @@ def test_symplectic_inverse_of_curves_and_float_matrices():
 
 
 def test_symplectic_inverse_refuses_other_forms():
-    g = linalg.identity(4)
-    with pytest.raises(ValueError, match="canonical"):
-        symplectic_inverse(g, TwoForm([[2 * x for x in row] for row in OMEGA4.m]))
     with pytest.raises(ValueError, match="even dimension"):
         symplectic_inverse(linalg.identity(3))

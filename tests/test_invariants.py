@@ -13,9 +13,7 @@ from spdeg.invariants import (AsymmetryError, composition_trace_form,
                               modified_killing_form, nilpotent,
                               obstruction_report, orbit_dim,
                               symplectic_derivations, unimodular)
-from spdeg.tensor import Bracket, TwoForm, act, act_bilinear, table_to_bracket
-
-OMEGA = TwoForm.canonical(4)
+from spdeg.tensor import Bracket, act, act_bilinear, canonical_form, table_to_bracket
 EX1_COEFFS = (0, 1, 0, -1, 0, -1)
 
 
@@ -37,7 +35,7 @@ def test_derivations_dims(key, param, dim):
     ("rh3", None, 5), ("a4", None, 10), ("d4_2:w3", None, 1),
 ])
 def test_symplectic_derivations_dims(key, param, dim):
-    assert symplectic_derivations(_mu(key, param), OMEGA).dim == dim
+    assert symplectic_derivations(_mu(key, param)).dim == dim
 
 
 def test_derivation_basis_satisfies_identity_exactly():
@@ -50,24 +48,25 @@ def test_derivation_basis_satisfies_identity_exactly():
 
 def test_symplectic_derivations_are_skew_adjoint():
     mu = _mu("d4_1:w1")
-    for d in symplectic_derivations(mu, OMEGA).basis:
-        dt_j = linalg.mat_mul(linalg.transpose(d), OMEGA.m)
-        j_d = linalg.mat_mul(OMEGA.m, d)
+    j = canonical_form(4)
+    for d in symplectic_derivations(mu).basis:
+        dt_j = linalg.mat_mul(linalg.transpose(d), j)
+        j_d = linalg.mat_mul(j, d)
         assert all(dt_j[i][j] + j_d[i][j] == 0 for i in range(4) for j in range(4))
 
 
 def test_kernel_dims_match_fraction_free_oracle():
     for cid, _ in catalog.expected_invariants_table():
-        mu, omega = catalog.make(cid)
+        mu = catalog.make(cid)
         assert derivations(mu).dim == derivation_kernel_rank_oracle(mu)
-        assert (symplectic_derivations(mu, omega).dim
-                == derivation_kernel_rank_oracle(mu, omega))
+        assert (symplectic_derivations(mu).dim
+                == derivation_kernel_rank_oracle(mu, symplectic=True))
 
 
 def test_der_omega_never_exceeds_der():
     for cid, _ in catalog.expected_invariants_table():
-        mu, omega = catalog.make(cid)
-        assert symplectic_derivations(mu, omega).dim <= derivations(mu).dim
+        mu = catalog.make(cid)
+        assert symplectic_derivations(mu).dim <= derivations(mu).dim
 
 
 def test_derivations_rejects_non_lie():
@@ -81,13 +80,7 @@ def test_symplectic_derivations_rejects_non_closed_pair():
     # a Lie bracket whose two-form is not closed: [e1,e2] = e1
     open_law = Bracket(4, {(1, 2): {1: F(1)}})
     with pytest.raises(ValueError):
-        symplectic_derivations(open_law, OMEGA)
-
-
-def test_equivariant_product_rejects_degenerate_form():
-    degenerate = TwoForm(linalg.zeros(4))
-    with pytest.raises(ValueError):
-        equivariant_product(_mu("n4"), (1, 0, 0, 0, 0, 0), degenerate)
+        symplectic_derivations(open_law)
 
 
 @pytest.mark.parametrize("key,param,group,dim", [
@@ -97,8 +90,7 @@ def test_equivariant_product_rejects_degenerate_form():
     ("n4", None, "general-linear", 9),
 ])
 def test_orbit_dims(key, param, group, dim):
-    mu, omega = catalog.make_key(key, param)
-    assert orbit_dim(mu, omega if group == "symplectic" else None, group) == dim
+    assert orbit_dim(_mu(key, param), group) == dim
 
 
 # -- equivariant products and trace forms ---------------------------------------------
@@ -107,7 +99,7 @@ def test_orbit_dims(key, param, group, dim):
 def test_equivariant_product_identity_coefficients():
     for key in ("d4_2:w1", "n4", "r2r2"):
         mu = _mu(key, F(1) if key == "r2r2" else None)
-        table = equivariant_product(mu, (1, 0, 0, 0, 0, 0), OMEGA)
+        table = equivariant_product(mu, (1, 0, 0, 0, 0, 0))
         assert table_to_bracket(table) == mu
 
 
@@ -116,7 +108,7 @@ def test_chu_connection_is_torsion_free_for_the_bracket():
 
     for key in ("d4_2:w1", "n4"):
         mu = _mu(key)
-        conn = chu_connection(mu, OMEGA)
+        conn = chu_connection(mu)
         for i in range(4):
             for j in range(4):
                 mij = mu.pair(i + 1, j + 1)
@@ -129,16 +121,16 @@ def test_equivariant_product_redundancy_identity():
         mu = _mu(key)
         c = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
         reduced = (c[0] - c[2], c[1] - c[2], F(0), c[3], c[4], c[5])
-        assert equivariant_product(mu, c, OMEGA) == equivariant_product(mu, reduced, OMEGA)
+        assert equivariant_product(mu, c) == equivariant_product(mu, reduced)
 
 
 def test_worked_products_match_printed_values():
-    lam1 = equivariant_product(_mu("d4_2:w1"), EX1_COEFFS, OMEGA)
+    lam1 = equivariant_product(_mu("d4_2:w1"), EX1_COEFFS)
     got1 = {(i + 1, j + 1, k + 1): v[k] for i in range(4) for j in range(4)
             for k, v in ((k, lam1[i][j]) for k in range(4)) if v[k] != 0}
     assert got1 == {(1, 1, 1): F(1), (1, 2, 2): F(-1), (1, 3, 3): F(1),
                     (1, 4, 4): F(-1), (2, 1, 2): F(3), (2, 4, 3): F(3)}
-    lam2 = equivariant_product(_mu("d4_2:w2"), EX1_COEFFS, OMEGA)
+    lam2 = equivariant_product(_mu("d4_2:w2"), EX1_COEFFS)
     got2 = {(i + 1, j + 1, k + 1): v[k] for i in range(4) for j in range(4)
             for k, v in ((k, lam2[i][j]) for k in range(4)) if v[k] != 0}
     assert got2 == {(2, 1, 2): F(1), (2, 2, 1): F(-1), (2, 3, 4): F(-1),
@@ -146,8 +138,8 @@ def test_worked_products_match_printed_values():
 
 
 def test_trace_form_verdicts():
-    lam1 = equivariant_product(_mu("d4_2:w1"), EX1_COEFFS, OMEGA)
-    lam2 = equivariant_product(_mu("d4_2:w2"), EX1_COEFFS, OMEGA)
+    lam1 = equivariant_product(_mu("d4_2:w1"), EX1_COEFFS)
+    lam2 = equivariant_product(_mu("d4_2:w2"), EX1_COEFFS)
     f1, f2 = composition_trace_form(lam1), composition_trace_form(lam2)
     assert f1.verdict() == "positive semidefinite, nonzero"
     assert f2.verdict() == "negative semidefinite, nonzero"
@@ -236,8 +228,8 @@ def test_equivariant_product_is_sp_equivariant_25_samples():
     for i in range(25):
         g = random_symplectic(rng)
         mu = brackets[i % 3]
-        lhs = equivariant_product(act(g, mu), EX1_COEFFS, OMEGA)
-        rhs = act_bilinear(g, equivariant_product(mu, EX1_COEFFS, OMEGA))
+        lhs = equivariant_product(act(g, mu), EX1_COEFFS)
+        rhs = act_bilinear(g, equivariant_product(mu, EX1_COEFFS))
         assert lhs == rhs
 
 
@@ -251,7 +243,7 @@ def _random_invertible(rng):
 def test_trace_form_and_killing_are_gl_equivariant_25_samples():
     rng = random.Random(73)
     mu = _mu("d4_2:w2")
-    theta = equivariant_product(mu, EX1_COEFFS, OMEGA)
+    theta = equivariant_product(mu, EX1_COEFFS)
     for _ in range(25):
         g = _random_invertible(rng)
         ginv = linalg.inverse(g)

@@ -6,12 +6,10 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.degeneration import random_symplectic
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import (Bracket, TwoForm, act, bracket_distance,
-                          bracket_to_table, d_omega, is_closed, is_lie,
-                          is_symplectic, jacobiator, symplectic_inverse,
+from spdeg.tensor import (Bracket, act, bracket_distance, bracket_to_table,
+                          canonical_form, d_omega, is_closed, is_lie,
+                          is_symplectic, jacobiator, omega, symplectic_inverse,
                           table_to_bracket, transvection)
-
-OMEGA = TwoForm.canonical(4)
 
 
 def _mu(key, param=None):
@@ -39,13 +37,21 @@ def test_bracket_rejects_diagonal_and_bad_indices():
 
 
 def test_canonical_two_form():
-    assert OMEGA.pairing(1, 3) == 1
-    assert OMEGA.pairing(2, 4) == 1
-    assert OMEGA.pairing(1, 2) == 0
-    assert OMEGA.pairing(3, 1) == -1
-    assert OMEGA.nondegenerate()
-    om6 = TwoForm.canonical(6)
-    assert om6.pairing(3, 6) == 1
+    j = canonical_form(4)
+    assert j == [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    assert linalg.det(j) == 1
+    assert canonical_form(6)[2][5] == 1
+    with pytest.raises(ValueError):
+        canonical_form(5)
+    rng = random.Random(53)
+    for dim in (2, 4, 6):
+        jm = canonical_form(dim)
+        for _ in range(10):
+            u = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+            v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+            assert omega(u, v) == sum(u[i] * jm[i][k] * v[k]
+                                      for i in range(dim) for k in range(dim))
+            assert omega(v, u) == -omega(u, v)
 
 
 # -- validation ------------------------------------------------------------------
@@ -64,16 +70,11 @@ def test_jacobiator_table_law_and_broken_variant():
 
 
 def test_d_omega_examples():
-    assert is_closed(_mu("n4"), OMEGA)
-    assert is_closed(Bracket(4), OMEGA)
+    assert is_closed(_mu("n4"))
+    assert is_closed(Bracket(4))
     single = Bracket(4, {(1, 2): {1: F(1)}})
-    vals = d_omega(single, OMEGA)
+    vals = d_omega(single)
     assert vals[(1, 2, 3)] != 0
-
-
-def test_d_omega_dim_mismatch():
-    with pytest.raises(ValueError):
-        d_omega(Bracket(4), TwoForm.canonical(6))
 
 
 # -- the action ------------------------------------------------------------------
@@ -89,7 +90,7 @@ def test_act_worked_example_family():
          for i in range(4)]
     g[1][1] = ExpPoly.exp(1)
     g[3][3] = ExpPoly.exp(-1)
-    moved = act(g, _mu("d4_2:w2"), symplectic_inverse(g, OMEGA))
+    moved = act(g, _mu("d4_2:w2"), symplectic_inverse(g))
     assert moved.entry(1, 2, 2) == ExpPoly.const(-1)
     assert moved.entry(1, 3, 3) == ExpPoly.const(2)
     assert moved.entry(1, 4, 4) == ExpPoly.const(1)
@@ -122,13 +123,13 @@ def test_act_exppoly_requires_symplectic():
 
 def test_is_symplectic_block_scaling():
     g = [[F(3), 0, 0, 0], [0, F(-2, 7), 0, 0], [0, 0, F(1, 3), 0], [0, 0, 0, F(-7, 2)]]
-    assert is_symplectic(g, OMEGA)
+    assert is_symplectic(g)
 
 
 def test_is_symplectic_exppoly_curve():
     inst = catalog.parse_curve("appendix:d411-rh3")
-    assert is_symplectic(inst.g, OMEGA)
-    gi = symplectic_inverse(inst.g, OMEGA)
+    assert is_symplectic(inst.g)
+    gi = symplectic_inverse(inst.g)
     prod = linalg.mat_mul(inst.g, gi)
     ident = [[ExpPoly.const(1 if i == j else 0) for j in range(4)] for i in range(4)]
     assert all(prod[i][j] == ident[i][j] for i in range(4) for j in range(4))
@@ -136,7 +137,7 @@ def test_is_symplectic_exppoly_curve():
 
 def test_is_symplectic_counterexample():
     g = [[F(2), 0, 0, 0], [0, F(1), 0, 0], [0, 0, F(1), 0], [0, 0, 0, F(1)]]
-    assert not is_symplectic(g, OMEGA)
+    assert not is_symplectic(g)
 
 
 def test_symplectic_closure_under_inverse_and_product_50_samples():
@@ -144,24 +145,24 @@ def test_symplectic_closure_under_inverse_and_product_50_samples():
     for _ in range(50):
         g = random_symplectic(rng)
         h = random_symplectic(rng)
-        assert is_symplectic(g, OMEGA)
-        assert is_symplectic(symplectic_inverse(g, OMEGA), OMEGA)
-        assert is_symplectic(linalg.mat_mul(g, h), OMEGA)
+        assert is_symplectic(g)
+        assert is_symplectic(symplectic_inverse(g))
+        assert is_symplectic(linalg.mat_mul(g, h))
 
 
 def test_transvection_is_symplectic_for_any_vector():
-    t = transvection([F(1), F(-2), F(1, 3), F(5)], F(-3, 7), OMEGA)
-    assert is_symplectic(t, OMEGA)
+    t = transvection([F(1), F(-2), F(1, 3), F(5)], F(-3, 7))
+    assert is_symplectic(t)
 
 
 def test_closedness_is_equivariant():
     rng = random.Random(47)
     for key in ("n4", "d4_2:w2", "h4:plus"):
         mu = _mu(key)
-        assert is_closed(mu, OMEGA)
+        assert is_closed(mu)
         for _ in range(5):
             g = random_symplectic(rng)
-            assert is_closed(act(g, mu), OMEGA)
+            assert is_closed(act(g, mu))
 
 
 # -- distances -------------------------------------------------------------------
