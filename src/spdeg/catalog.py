@@ -289,7 +289,8 @@ class CurveSpec:
     exact limit check, which doubles as the transcription-typo detector);
     those carry orientation 'transposed' or 'inverse' here rather than being
     silently rewritten.  ``source_param`` pins the source class parameter of
-    a curve that starts from one special member of a family.
+    a curve that starts from one special member of a family; otherwise the
+    curve takes its source family's parameter and samples.
     """
 
     id: str
@@ -297,12 +298,14 @@ class CurveSpec:
     target_key: str
     matrix: Callable
     target_param: Optional[Fraction] = None
-    param_name: Optional[str] = None
-    samples: tuple = ()
     orientation: str = "printed"
     time_scale: int = 1
     notes: tuple = ()
     source_param: Optional[Fraction] = None
+
+    @property
+    def param_name(self) -> Optional[str]:
+        return None if self.source_param is not None else CLASSES[self.source_key].param_name
 
     def oriented_matrix(self, param=None):
         g = self.matrix(param)
@@ -319,10 +322,7 @@ class CurveSpec:
     def instantiate(self, param=None):
         if self.param_name is not None and param is None:
             raise ValueError(f"curve {self.id} needs parameter {self.param_name}")
-        src_param = self.source_param
-        if src_param is None and CLASSES[self.source_key].param_name:
-            src_param = param
-        src = class_id(self.source_key, src_param)
+        src = class_id(self.source_key, param if self.param_name else self.source_param)
         tgt = class_id(self.target_key, self.target_param)
         try:
             g = self.oriented_matrix(param)
@@ -335,7 +335,7 @@ class CurveSpec:
     def instances(self):
         if self.param_name is None:
             return [self.instantiate()]
-        return [self.instantiate(p) for p in self.samples]
+        return [self.instantiate(p) for p in CLASSES[self.source_key].samples]
 
 
 @dataclass
@@ -424,11 +424,9 @@ CURVE_DEFS = [
                             [0, 0, _e(-1, -1), 0],
                             [0, 0, 1, 1],
                             [_e(1), _e(1, -1), 0, 0]])),
-    CurveSpec("appendix:r2r2-d411", "r2r2", "d4_1:w1", _r2r2_to_d411,
-              param_name="lambda", samples=(F(0), F(1), F(7, 3))),
+    CurveSpec("appendix:r2r2-d411", "r2r2", "d4_1:w1", _r2r2_to_d411),
     CurveSpec("appendix:r2r2-rr30", "r2r2", "rr3_0",
-              lambda _: _diag(1, _e(1), 1, _e(-1)),
-              param_name="lambda", samples=(F(0), F(1), F(7, 3))),
+              lambda _: _diag(1, _e(1), 1, _e(-1))),
     CurveSpec("appendix:r2p-d411", "r2p", "d4_1:w1",
               lambda _: _m([[1, 0, 0, 0],
                             [0, 0, 0, _e(HALF)],
@@ -510,23 +508,16 @@ CURVE_DEFS = [
                             [0, _e(1, -1), 0, 1],
                             [0, 0, _e(-1, -HALF), 0]]),
               notes=("source instantiated at beta = -1",), source_param=F(-1)),
-    CurveSpec("appendix:d4lambda-n4", "d4_lambda", "n4", _d4lambda_to_n4,
-              param_name="lambda", samples=(F(5, 2), F(7, 3), F(3))),
+    CurveSpec("appendix:d4lambda-n4", "d4_lambda", "n4", _d4lambda_to_n4),
     CurveSpec("appendix:d4pp-n4", "d4p:plus", "n4", _d4p_to_n4(F(1)),
-              param_name="delta", samples=(F(1), F(2), F(5, 2)),
               time_scale=2, notes=(_CLOCK_NOTE,)),
     CurveSpec("appendix:d4pm-n4", "d4p:minus", "n4", _d4p_to_n4(F(-1)),
-              param_name="delta", samples=(F(1), F(2), F(5, 2)),
               time_scale=2, notes=(_CLOCK_NOTE,)),
-    CurveSpec("appendix:r4m1beta-n4", "r4_m1_beta", "n4", _r4m1beta_to_n4,
-              param_name="beta", samples=(F(-1, 2), F(0), F(1, 2))),
-    CurveSpec("appendix:r4alpha-n4", "r4_alpha", "n4", _r4alpha_to_n4,
-              param_name="alpha", samples=(F(-1, 4), F(-1, 2), F(-3, 4))),
+    CurveSpec("appendix:r4m1beta-n4", "r4_m1_beta", "n4", _r4m1beta_to_n4),
+    CurveSpec("appendix:r4alpha-n4", "r4_alpha", "n4", _r4alpha_to_n4),
     CurveSpec("appendix:r4p0p-n4", "r4p_0:plus", "n4", _r4p0_to_n4(F(1)),
-              param_name="delta", samples=(F(1), F(2), F(5, 2)),
               time_scale=2, notes=(_CLOCK_NOTE,)),
     CurveSpec("appendix:r4p0m-n4", "r4p_0:minus", "n4", _r4p0_to_n4(F(-1)),
-              param_name="delta", samples=(F(1), F(2), F(5, 2)),
               time_scale=2, notes=(_CLOCK_NOTE,)),
     CurveSpec("appendix:rr3m1-n4", "rr3_m1", "n4",
               lambda _: _m([[0, -1, 0, 0],

@@ -16,12 +16,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .catalog import (CLASSES, CURVES, ClassId, CurveInstance, class_id,
+from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
 from .curvature import ricci_form
-from .invariants import (composition_trace_form, derived_dim,
-                         equivariant_product, obstruction_report,
-                         symplectic_derivations)
+from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
+                         equivariant_product, obstruction_report)
 from .scalars import ExpPoly
 from .tensor import (Bracket, act, bracket_distance, is_symplectic, jacobiator,
                      symplectic_inverse)
@@ -208,79 +207,62 @@ class HasseNode:
     id: str
     key: str
     param: Optional[Fraction]      # pinned parameter, None for generic families
-    samples: tuple                  # parameters at which the node is instantiated
 
     def class_ids(self):
         if self.param is not None:
             return [class_id(self.key, self.param)]
-        spec_samples = self.samples or (None,)
-        return [class_id(self.key, p) for p in spec_samples]
+        return [class_id(self.key, p) for p in CLASSES[self.key].samples or (None,)]
 
 
-def _node(key, param=None, samples=()):
-    nid = key if param is None else str(class_id(key, param))
-    return HasseNode(nid, key, param, samples)
+# the family members that some curve starts or ends at
+_PINNED = {(k, p) for c in CURVES.values()
+           for k, p in ((c.source_key, c.source_param), (c.target_key, c.target_param))
+           if p is not None}
 
-
-HASSE_NODES = [
-    _node("a4"), _node("rh3"), _node("rr3_0"), _node("rr3_m1"), _node("rr3p_0"),
-    _node("r2r2", samples=CLASSES["r2r2"].samples),
-    _node("r2p"), _node("n4"),
-    _node("r4_0:plus"), _node("r4_0:minus"), _node("r4_m1"),
-    _node("r4_m1_beta", samples=CLASSES["r4_m1_beta"].samples),
-    _node("r4_m1_beta", Fraction(-1)),
-    _node("r4_alpha", samples=CLASSES["r4_alpha"].samples),
-    _node("r4_alpha", Fraction(-1, 2)),
-    _node("r4p_0:plus", samples=CLASSES["r4p_0:plus"].samples),
-    _node("r4p_0:minus", samples=CLASSES["r4p_0:minus"].samples),
-    _node("d4_1:w1"), _node("d4_1:w2"),
-    _node("d4_2:w1"), _node("d4_2:w2"), _node("d4_2:w3"),
-    _node("d4_lambda", samples=CLASSES["d4_lambda"].samples),
-    _node("d4_lambda", Fraction(1, 2)),
-    _node("d4p:plus", samples=CLASSES["d4p:plus"].samples),
-    _node("d4p:minus", samples=CLASSES["d4p:minus"].samples),
-    _node("h4:plus"), _node("h4:minus"),
-]
+# each class in catalog order, followed by its pinned members
+HASSE_NODES = [HasseNode(str(ClassId(spec.key, p)), spec.key, p)
+               for spec in CLASS_DEFS
+               for p in [None] + sorted(m for k, m in _PINNED if k == spec.key)]
 
 NODE_BY_ID = {n.id: n for n in HASSE_NODES}
 
-# (source node, target node, curve id, pinned curve parameter or None)
+# (source node, target node, curve id)
 HASSE_EDGES = [
-    ("r2r2", "d4_1:w1", "appendix:r2r2-d411", None),
-    ("r2p", "d4_1:w1", "appendix:r2p-d411", None),
-    ("d4_1:w2", "d4_1:w1", "appendix:d412-d411", None),
-    ("d4_1:w2", "n4", "appendix:d412-n4", None),
-    ("d4_1:w1", "rh3", "appendix:d411-rh3", None),
-    ("n4", "rh3", "appendix:n4-rh3", None),
-    ("r2r2", "rr3_0", "appendix:r2r2-rr30", None),
-    ("rr3_0", "rh3", "appendix:rr30-rh3", None),
-    ("rh3", "a4", "appendix:rh3-a4", None),
-    ("d4_2:w2", "r4_alpha:alpha=-1/2", "appendix:d422-r4a", None),
-    ("d4_2:w3", "r4_alpha:alpha=-1/2", "appendix:d423-r4a", None),
-    ("d4_2:w3", "d4_2:w1", "appendix:d423-d421", None),
-    ("d4_2:w1", "n4", "appendix:d421-n4", None),
-    ("r4_alpha:alpha=-1/2", "n4", "appendix:r4alpha-n4", Fraction(-1, 2)),
-    ("r4_m1", "n4", "appendix:r4m1-n4", None),
-    ("r4_m1", "r4_m1_beta:beta=-1", "appendix:r4m1-r4m1m1", None),
-    ("r4_m1_beta:beta=-1", "rh3", "appendix:r4m1m1-rh3", None),
-    ("r4_0:plus", "n4", "appendix:r40p-n4", None),
-    ("r4_0:minus", "n4", "appendix:r40m-n4", None),
-    ("r4_0:plus", "rr3_0", "appendix:r40p-rr30", None),
-    ("r4_0:minus", "rr3_0", "appendix:r40m-rr30", None),
-    ("h4:plus", "d4_lambda:lambda=1/2", "appendix:h4p-d4half", None),
-    ("h4:minus", "d4_lambda:lambda=1/2", "appendix:h4m-d4half", None),
-    ("h4:plus", "n4", "appendix:h4p-n4", None),
-    ("h4:minus", "n4", "appendix:h4m-n4", None),
-    ("d4_lambda:lambda=1/2", "rh3", "appendix:d4half-rh3", None),
-    ("d4_lambda", "n4", "appendix:d4lambda-n4", None),
-    ("d4p:plus", "n4", "appendix:d4pp-n4", None),
-    ("d4p:minus", "n4", "appendix:d4pm-n4", None),
-    ("r4_alpha", "n4", "appendix:r4alpha-n4", None),
-    ("r4_m1_beta", "n4", "appendix:r4m1beta-n4", None),
-    ("r4p_0:plus", "n4", "appendix:r4p0p-n4", None),
-    ("r4p_0:minus", "n4", "appendix:r4p0m-n4", None),
-    ("rr3_m1", "n4", "appendix:rr3m1-n4", None),
-    ("rr3p_0", "n4", "appendix:rr3p0-n4", None),
+    ("r2r2", "d4_1:w1", "appendix:r2r2-d411"),
+    ("r2p", "d4_1:w1", "appendix:r2p-d411"),
+    ("d4_1:w2", "d4_1:w1", "appendix:d412-d411"),
+    ("d4_1:w2", "n4", "appendix:d412-n4"),
+    ("d4_1:w1", "rh3", "appendix:d411-rh3"),
+    ("n4", "rh3", "appendix:n4-rh3"),
+    ("r2r2", "rr3_0", "appendix:r2r2-rr30"),
+    ("rr3_0", "rh3", "appendix:rr30-rh3"),
+    ("rh3", "a4", "appendix:rh3-a4"),
+    ("d4_2:w2", "r4_alpha:alpha=-1/2", "appendix:d422-r4a"),
+    ("d4_2:w3", "r4_alpha:alpha=-1/2", "appendix:d423-r4a"),
+    ("d4_2:w3", "d4_2:w1", "appendix:d423-d421"),
+    ("d4_2:w1", "n4", "appendix:d421-n4"),
+    ("r4_alpha:alpha=-1/2", "n4", "appendix:r4alpha-n4"),
+    ("r4_m1", "n4", "appendix:r4m1-n4"),
+    ("r4_m1", "r4_m1_beta:beta=-1", "appendix:r4m1-r4m1m1"),
+    ("r4_m1_beta:beta=-1", "rh3", "appendix:r4m1m1-rh3"),
+    ("r4_0:plus", "n4", "appendix:r40p-n4"),
+    ("r4_0:minus", "n4", "appendix:r40m-n4"),
+    ("r4_0:plus", "rr3_0", "appendix:r40p-rr30"),
+    ("r4_0:minus", "rr3_0", "appendix:r40m-rr30"),
+    ("h4:plus", "d4_lambda:lambda=1/2", "appendix:h4p-d4half"),
+    ("h4:minus", "d4_lambda:lambda=1/2", "appendix:h4m-d4half"),
+    ("h4:plus", "n4", "appendix:h4p-n4"),
+    ("h4:minus", "n4", "appendix:h4m-n4"),
+    ("d4_lambda:lambda=1/2", "rh3", "appendix:d4half-rh3"),
+    ("d4_lambda", "n4", "appendix:d4lambda-n4"),
+    ("d4p:plus", "n4", "appendix:d4pp-n4"),
+    ("d4p:minus", "n4", "appendix:d4pm-n4"),
+    ("r4_alpha", "n4", "appendix:r4alpha-n4"),
+    ("r4_m1_beta", "n4", "appendix:r4m1beta-n4"),
+    ("r4p_0:plus", "n4", "appendix:r4p0p-n4"),
+    ("r4p_0:minus", "n4", "appendix:r4p0m-n4"),
+    ("rr3_m1", "n4", "appendix:rr3m1-n4"),
+    ("rr3p_0", "n4", "appendix:rr3p0-n4"),
 ]
 
 
@@ -300,24 +282,12 @@ class HasseEdge:
                 "reports": [r.to_json_dict() for r in self.reports]}
 
 
-_DERW_CACHE = {}
-
-
-def der_omega_dim(cid: ClassId) -> int:
-    key = str(cid)
-    if key not in _DERW_CACHE:
-        _DERW_CACHE[key] = symplectic_derivations(make(cid)).dim
-    return _DERW_CACHE[key]
-
-
-def _edge_instances(source_node, curve_id, pinned):
+def _edge_instances(source_node, curve_id):
+    """The curve at each class of its source node."""
     spec = CURVES[curve_id]
     if spec.param_name is None:
         return [spec.instantiate()]
-    if pinned is not None:
-        return [spec.instantiate(pinned)]
-    node = NODE_BY_ID[source_node]
-    return [spec.instantiate(p) for p in (node.samples or spec.samples)]
+    return [spec.instantiate(c.param) for c in NODE_BY_ID[source_node].class_ids()]
 
 
 @dataclass
@@ -351,15 +321,12 @@ def _transitive_closure(edges):
     return succ
 
 
-def hasse(edge_list=None) -> HasseReport:
+def hasse() -> HasseReport:
     """Verify every diagram edge by its curve and emit the DOT graph."""
-    edge_list = edge_list if edge_list is not None else HASSE_EDGES
     edges = []
-    for source, target, curve_id, pinned in edge_list:
-        if source == target:
-            raise ValueError(f"self-loop at {source}: the degeneration order is strict")
+    for source, target, curve_id in HASSE_EDGES:
         edge = HasseEdge(source, target, curve_id)
-        reports = [verify_curve(inst) for inst in _edge_instances(source, curve_id, pinned)]
+        reports = [verify_curve(inst) for inst in _edge_instances(source, curve_id)]
         edge.reports = reports
         edge.status = "verified" if all(r.verified for r in reports) else "open"
         src_node, tgt_node = NODE_BY_ID[source], NODE_BY_ID[target]
@@ -370,9 +337,7 @@ def hasse(edge_list=None) -> HasseReport:
     closure = _transitive_closure(edges)
     lines = ["digraph degenerations {", "  rankdir=TB;"]
     for node in HASSE_NODES:
-        label = class_id(node.key, node.param).display() if node.param is not None \
-            else CLASSES[node.key].display
-        lines.append(f'  "{node.id}" [label="{label}"];')
+        lines.append(f'  "{node.id}" [label="{ClassId(node.key, node.param).display()}"];')
     for e in edges:
         style = "solid" if e.status == "verified" else "dashed"
         lines.append(f'  "{e.source}" -> "{e.target}" [style={style}];')

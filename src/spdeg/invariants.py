@@ -341,10 +341,14 @@ class ObstructionReport:
 
 
 @lru_cache(maxsize=None)
+def der_omega_dim(cid: ClassId) -> int:
+    return symplectic_derivations(make(cid)).dim
+
+
+@lru_cache(maxsize=None)
 def _class_profile(cid: ClassId):
     mu = make(cid)
-    return (symplectic_derivations(mu).dim, derivations(mu).dim,
-            unimodular(mu), derived_dim(mu))
+    return der_omega_dim(cid), derivations(mu).dim, unimodular(mu), derived_dim(mu)
 
 
 def obstruction_report(source: ClassId, target: ClassId) -> ObstructionReport:
