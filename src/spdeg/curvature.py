@@ -17,6 +17,7 @@ from .tensor import Bracket, bracket_to_table
 
 HALF = Fraction(1, 2)
 MAX_EXACT_HALVINGS = 1100  # see find_degenerate_ricci
+SCAN_SUBINTERVALS = 120  # binary64 sign scan of find_degenerate_ricci
 
 
 def _doubled_levi_civita(c):
@@ -219,8 +220,7 @@ def _det_exact(family: Callable, t: Fraction) -> Fraction:
     return linalg.det(ricci_form(family(t)).m)
 
 
-def find_degenerate_ricci(family: Callable, lo, hi, subintervals: int = 120,
-                          det_tol: float = 1e-12):
+def find_degenerate_ricci(family: Callable, lo, hi, det_tol: float = 1e-12):
     """All sign changes of det Ric(family(t)) on (lo, hi), bisected to roots.
 
     The scan and bisection driver run in binary64; each root is then refined
@@ -232,10 +232,10 @@ def find_degenerate_ricci(family: Callable, lo, hi, subintervals: int = 120,
     if not det_tol > 0:
         raise ValueError(f"det_tol must be positive, got {det_tol}")
     lo, hi = float(lo), float(hi)
-    grid = [lo + (hi - lo) * k / subintervals for k in range(subintervals + 1)]
+    grid = [lo + (hi - lo) * k / SCAN_SUBINTERVALS for k in range(SCAN_SUBINTERVALS + 1)]
     vals = [_det_float(family, t) for t in grid]
     roots = []
-    for k in range(subintervals):
+    for k in range(SCAN_SUBINTERVALS):
         a, b = grid[k], grid[k + 1]
         fa, fb = vals[k], vals[k + 1]
         if fa == 0.0:

@@ -70,9 +70,11 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
     if wrong:
         return CurveReport(inst.label, True, "wrong target", moved, tuple(wrong))
     target_f = inst.target_bracket.map_scalars(float)
-    dists = []
-    for t in T_GRID:
-        dists.append((t, float(bracket_distance(moved.eval_at(t), target_f))))
+    try:
+        dists = [(t, float(bracket_distance(moved.eval_at(t), target_f))) for t in T_GRID]
+    except OverflowError as e:  # a usage limit, not a failed check: no exit 1
+        raise ValueError(f"curve {inst.label} is beyond the binary64 distance "
+                         f"cross-check: {e}") from None
     # strict decrease, except a curve already sitting on its target (all zeros)
     decreasing = all(b < a or a == b == 0.0
                      for (_, a), (_, b) in zip(dists, dists[1:]))

@@ -111,14 +111,19 @@ def is_derivation(mu: Bracket, d) -> bool:
     return True
 
 
+def group_dim(group: str, n: int) -> int:
+    """dim Sp(n) or dim GL(n), acting on brackets of R^n."""
+    if group == "symplectic":
+        return n * (n + 1) // 2
+    if group == "general-linear":
+        return n * n
+    raise ValueError(f"unknown group {group!r}")
+
+
 def orbit_dim(mu: Bracket, group: str = "symplectic") -> int:
     """Orbit dimension as dim(G) - dim(stabilizer Lie algebra)."""
-    n = mu.dim // 2
-    if group == "symplectic":
-        return n * (2 * n + 1) - symplectic_derivations(mu).dim
-    if group == "general-linear":
-        return (2 * n) ** 2 - derivations(mu).dim
-    raise ValueError(f"unknown group {group!r}")
+    stabilizer = symplectic_derivations if group == "symplectic" else derivations
+    return group_dim(group, mu.dim) - stabilizer(mu).dim
 
 
 # -- symmetric forms -------------------------------------------------------------
@@ -370,8 +375,7 @@ def obstruction_report(source: ClassId, target: ClassId) -> ObstructionReport:
 def invariants_summary(cid: ClassId) -> dict:
     """All invariants of one class, with the tabulated expectation."""
     mu = make(cid)
-    dw = symplectic_derivations(mu).dim
-    d = derivations(mu).dim
+    dw, d, uni, dd = _class_profile(cid)
     exp_dw, exp_d = expected_invariants(cid)
     return {
         "class": str(cid),
@@ -381,9 +385,9 @@ def invariants_summary(cid: ClassId) -> dict:
         "expected_dim_der_omega": exp_dw,
         "expected_dim_der": exp_d,
         "matches_expected": (dw, d) == (exp_dw, exp_d),
-        "orbit_dim_symplectic": orbit_dim(mu, "symplectic"),
-        "orbit_dim_general_linear": orbit_dim(mu, "general-linear"),
-        "unimodular": unimodular(mu),
-        "derived_dim": derived_dim(mu),
+        "orbit_dim_symplectic": group_dim("symplectic", mu.dim) - dw,
+        "orbit_dim_general_linear": group_dim("general-linear", mu.dim) - d,
+        "unimodular": uni,
+        "derived_dim": dd,
         "nilpotent": nilpotent(mu),
     }

@@ -112,6 +112,13 @@ def test_curve_matrix_pole_is_usage_error(capsys):
         assert curve.split(":")[1] in err and "pole" in err, err
 
 
+def test_curve_parameter_beyond_binary64_is_usage_error(capsys):
+    curve = f"appendix:r2r2-d411:lambda={10 ** 400}"
+    code, out, err = run(capsys, "degenerate", "--curve", curve)
+    assert code == 2 and out == ""
+    assert curve in err and "binary64" in err and "Traceback" not in err
+
+
 def test_unknown_verb_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

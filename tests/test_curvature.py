@@ -144,7 +144,7 @@ def test_find_degenerate_ricci_on_shear_family():
 
 def test_find_degenerate_ricci_reports_no_root():
     # no sign change of det Ric on (0, 1): negative definite throughout
-    assert find_degenerate_ricci(rho_family, 0, 1, subintervals=20) == []
+    assert find_degenerate_ricci(rho_family, 0, 1) == []
 
 
 def test_exact_bisection_is_capped(monkeypatch):
