@@ -352,9 +352,10 @@ def hasse() -> HasseReport:
 def classify_pairs(report: HasseReport, checks):
     """Status of every ordered node pair: reachable, obstructed, or open.
 
-    'obstructed' means the invariant battery or one of the worked
-    non-degeneration arguments excludes the degeneration; remaining pairs
-    are reported open, with no claim of completeness either way.  A pair
+    'obstructed' means the invariant battery excludes the degeneration for
+    every sampled member pair, or one of the worked non-degeneration
+    arguments excludes it; remaining pairs are reported open, with no claim
+    of completeness either way.  A pair
     covered by one of ``checks`` (the non_degeneration_suite result) is
     obstructed exactly when that check passed.
     """
@@ -370,14 +371,8 @@ def classify_pairs(report: HasseReport, checks):
             if (a.id, b.id) in worked:
                 out.append((a.id, b.id, "obstructed" if worked[(a.id, b.id)] else "open"))
                 continue
-            excluded = False
-            for s in a.class_ids():
-                for t in b.class_ids():
-                    if obstruction_report(s, t).excluded():
-                        excluded = True
-                        break
-                if excluded:
-                    break
+            excluded = all(obstruction_report(s, t).excluded()
+                           for s in a.class_ids() for t in b.class_ids())
             out.append((a.id, b.id, "obstructed" if excluded else "open"))
     return out
 

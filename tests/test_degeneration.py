@@ -255,6 +255,17 @@ def test_pair_classification_is_exhaustive(hasse_report, nondeg_checks):
         assert status[check.pair] == "obstructed", check.name
 
 
+def test_family_pair_is_obstructed_only_when_every_member_is(hasse_report, nondeg_checks):
+    # beta = 0 is unimodular and these targets are not, so that member alone is
+    # excluded; beta = -1/2 and 1/2 pass the battery, so the family pair stays open
+    status = {(a, b): s for a, b, s in classify_pairs(hasse_report, nondeg_checks)}
+    for target in ("rr3_0", "r4_m1_beta:beta=-1", "d4_lambda:lambda=1/2"):
+        assert status[("r4_m1_beta", target)] == "open", target
+        members = NODE_BY_ID[target].class_ids()
+        assert all(obstruction_report(class_id("r4_m1_beta", F(0)), t).excluded()
+                   for t in members), target
+
+
 def test_worked_pairs_follow_their_checks(hasse_report):
     worked = [("d4_2:w2", "d4_2:w1"), ("r2r2", "n4"), ("r2p", "n4")]
     checks = [SuiteCheck("failed", False, {}, worked[0]),
