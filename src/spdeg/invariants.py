@@ -111,7 +111,7 @@ def is_derivation(mu: Bracket, d) -> bool:
     return True
 
 
-def group_dim(group: str, n: int) -> int:
+def _group_dim(group: str, n: int) -> int:
     """dim Sp(n) or dim GL(n), acting on brackets of R^n."""
     if group == "symplectic":
         return n * (n + 1) // 2
@@ -123,7 +123,7 @@ def group_dim(group: str, n: int) -> int:
 def orbit_dim(mu: Bracket, group: str = "symplectic") -> int:
     """Orbit dimension as dim(G) - dim(stabilizer Lie algebra)."""
     stabilizer = symplectic_derivations if group == "symplectic" else derivations
-    return group_dim(group, mu.dim) - stabilizer(mu).dim
+    return _group_dim(group, mu.dim) - stabilizer(mu).dim
 
 
 # -- symmetric forms -------------------------------------------------------------
@@ -347,6 +347,7 @@ class ObstructionReport:
 
 @lru_cache(maxsize=None)
 def der_omega_dim(cid: ClassId) -> int:
+    """dim Der_w of a catalog class, computed once per class."""
     return symplectic_derivations(make(cid)).dim
 
 
@@ -385,8 +386,8 @@ def invariants_summary(cid: ClassId) -> dict:
         "expected_dim_der_omega": exp_dw,
         "expected_dim_der": exp_d,
         "matches_expected": (dw, d) == (exp_dw, exp_d),
-        "orbit_dim_symplectic": group_dim("symplectic", mu.dim) - dw,
-        "orbit_dim_general_linear": group_dim("general-linear", mu.dim) - d,
+        "orbit_dim_symplectic": _group_dim("symplectic", mu.dim) - dw,
+        "orbit_dim_general_linear": _group_dim("general-linear", mu.dim) - d,
         "unimodular": uni,
         "derived_dim": dd,
         "nilpotent": nilpotent(mu),
