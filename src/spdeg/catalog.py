@@ -233,21 +233,6 @@ def expected_invariants(cid: ClassId):
     return CLASSES[cid.key].derdims(cid.param)
 
 
-def expected_invariants_table():
-    """Every class at its sample parameters with the tabulated dimensions."""
-    out = []
-    for spec in CLASS_DEFS:
-        if spec.param_name is None:
-            out.append((ClassId(spec.key), spec.derdims(None)))
-        else:
-            for p in spec.samples:
-                out.append((ClassId(spec.key, p), spec.derdims(p)))
-    # parameter values that land on their own tabulated rows
-    out.append((ClassId("r4_m1_beta", F(-1)), (3, 8)))
-    out.append((ClassId("d4_lambda", F(1, 2)), (4, 7)))
-    return out
-
-
 def tau6():
     """The 6-dimensional validation law, closed for the canonical two-form on R^6."""
     rules = {(1, 3): {3: F(1)}, (1, 6): {6: F(-1)},

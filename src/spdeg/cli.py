@@ -172,8 +172,7 @@ def cmd_theorem_a(args) -> int:
 
 
 def cmd_theorem_b(args) -> int:
-    records = degeneration.theorem_b_search(seed=args.seed, samples=args.samples,
-                                            tmax=args.tmax)
+    records = degeneration.theorem_b_search(seed=args.seed, samples=args.samples)
     ok = all((r.status == "witness") or (r.status == "exceptional" and r.all_det_zero)
              for r in records)
     payload = {"edges": [], "non_degenerations": [],
@@ -286,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                                           "exceptional-class degeneracy")
     sp.add_argument("--samples", type=positive_int, default=500,
                     help="random exact samples per exceptional class")
-    sp.add_argument("--tmax", type=float, default=25.0,
-                    help="largest curve time used in the witness search")
     sp.set_defaults(func=cmd_theorem_b)
 
     sp = sub.add_parser("remark-check", help="degenerate-Ricci root scan for the "

@@ -78,8 +78,10 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
     # strict decrease, except a curve already sitting on its target (all zeros)
     decreasing = all(b < a or a == b == 0.0
                      for (_, a), (_, b) in zip(dists, dists[1:]))
+    # relative to d(5) once that exceeds 1: a large exact parameter scales the grid
+    small = dists[-1][1] < dist_tol * max(1.0, dists[0][1])
     return CurveReport(inst.label, True, "verified", moved, (),
-                       tuple(dists), decreasing, dists[-1][1] < dist_tol)
+                       tuple(dists), decreasing, small)
 
 
 # -- B = A.N orbit parametrization ------------------------------------------------
@@ -228,6 +230,9 @@ HASSE_NODES = [HasseNode(str(ClassId(spec.key, p)), spec.key, p)
 
 NODE_BY_ID = {n.id: n for n in HASSE_NODES}
 
+# every class instance of the diagram, once, in node order
+DIAGRAM_CLASSES = list(dict.fromkeys(c for n in HASSE_NODES for c in n.class_ids()))
+
 # (source node, target node, curve id)
 HASSE_EDGES = [
     ("r2r2", "d4_1:w1", "appendix:r2r2-d411"),
@@ -306,21 +311,15 @@ class HasseReport:
                 "strict_der_omega": self.strict_der_omega}
 
 
-def _transitive_closure(edges):
-    succ = {n.id: set() for n in HASSE_NODES}
-    for e in edges:
-        succ[e.source].add(e.target)
-    changed = True
-    while changed:
-        changed = False
-        for a in succ:
-            new = set()
-            for b in succ[a]:
-                new |= succ[b]
-            if not new <= succ[a]:
-                succ[a] |= new
-                changed = True
-    return succ
+def _paths(node):
+    """{reachable node: first shortest chain of curve ids}, breadth first from node."""
+    paths, queue = {node: ()}, [node]
+    for a in queue:
+        for source, target, curve_id in HASSE_EDGES:
+            if source == a and target not in paths:
+                paths[target] = paths[a] + (curve_id,)
+                queue.append(target)
+    return paths
 
 
 def hasse() -> HasseReport:
@@ -336,7 +335,7 @@ def hasse() -> HasseReport:
             der_omega_dim(s) < der_omega_dim(t)
             for s in src_node.class_ids() for t in tgt_node.class_ids())
         edges.append(edge)
-    closure = _transitive_closure(edges)
+    closure = {n.id: set(_paths(n.id)) - {n.id} for n in HASSE_NODES}
     lines = ["digraph degenerations {", "  rankdir=TB;"]
     for node in HASSE_NODES:
         lines.append(f'  "{node.id}" [label="{ClassId(node.key, node.param).display()}"];')
@@ -434,6 +433,15 @@ def quadratics_agree(f, g, nvars) -> bool:
     return all(f(p) == g(p) for p in _quadratic_grid(nvars))
 
 
+def _borbit_samples(rng: random.Random, mu: Bracket, n: int):
+    """n points of the B-orbit of mu at random rational A- and N-parameters."""
+    for _ in range(n):
+        t1 = abs(random_rational(rng)) + Fraction(1, 3)
+        t2 = abs(random_rational(rng)) + Fraction(1, 3)
+        nparams = [random_rational(rng) for _ in range(4)]
+        yield borbit_element(mu, (t1, t2), nparams)
+
+
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     """The three worked non-degeneration arguments as exact machine checks."""
     rng = random.Random(seed)
@@ -455,12 +463,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     residual_ok = True
     count = 0
     for lam in (Fraction(0), Fraction(1), Fraction(7, 3)):
-        mu5 = make(class_id("r2r2", lam))
-        for _ in range(samples):
-            t1 = abs(random_rational(rng)) + Fraction(1, 3)
-            t2 = abs(random_rational(rng)) + Fraction(1, 3)
-            nparams = [random_rational(rng) for _ in range(4)]
-            xi = borbit_element(mu5, (t1, t2), nparams)
+        for xi in _borbit_samples(rng, make(class_id("r2r2", lam)), samples):
             if r2r2_trap_residual(xi, lam) != 0:
                 residual_ok = False
                 break
@@ -513,13 +516,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                              ("r2r2", "n4")))
 
     # (3) trapping subspace for r2p plus the derived-dimension bound
-    mu6 = make(class_id("r2p"))
     contained = 0
-    for _ in range(samples):
-        t1 = abs(random_rational(rng)) + Fraction(1, 3)
-        t2 = abs(random_rational(rng)) + Fraction(1, 3)
-        nparams = [random_rational(rng) for _ in range(4)]
-        xi = borbit_element(mu6, (t1, t2), nparams)
+    for xi in _borbit_samples(rng, make(class_id("r2p")), samples):
         try:
             R2P_TRAP.coords(xi)
         except TrapError:
@@ -547,53 +545,28 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
 TARGET_SIGNATURE = (1, 3, 0)
 EXCEPTIONAL_KEYS = ("a4", "rh3", "rr3_0")
 
-_SCALING2 = "scaling:t=2"
-_SHEAR2 = "shear:t=2"
-_SHEAR12 = "shear:t=12"
-
-_REFERENCE_TRANSFORMS = {
-    _SCALING2: lambda: scaling_transform(Fraction(2)),
-    _SHEAR2: lambda: shear_transform(Fraction(2)),
-    _SHEAR12: lambda: shear_transform(Fraction(12)),
-    "identity": lambda: linalg.identity(4),
+# reference node -> (transform label, transform) whose image of the node's
+# bracket has Ricci signature (1,3,0); a class's witness chain is its diagram
+# path to the first reference it reaches
+_REFERENCES = {
+    "n4": ("scaling:t=2", scaling_transform(Fraction(2))),
+    "d4_1:w1": ("shear:t=2", shear_transform(Fraction(2))),
+    "d4_lambda:lambda=1/2": ("shear:t=12", shear_transform(Fraction(12))),
+    "r4_m1_beta:beta=-1": ("identity", linalg.identity(4)),
 }
 
-# class key -> (curve chain toward a reference bracket, final transform)
-_WITNESS_PLANS = {
-    "n4": ((), _SCALING2),
-    "d4_1:w1": ((), _SHEAR2),
-    "rr3_m1": (("appendix:rr3m1-n4",), _SCALING2),
-    "rr3p_0": (("appendix:rr3p0-n4",), _SCALING2),
-    "r2r2": (("appendix:r2r2-d411",), _SHEAR2),
-    "r2p": (("appendix:r2p-d411",), _SHEAR2),
-    "r4_0:plus": (("appendix:r40p-n4",), _SCALING2),
-    "r4_0:minus": (("appendix:r40m-n4",), _SCALING2),
-    "r4_m1": (("appendix:r4m1-n4",), _SCALING2),
-    "r4_m1_beta": (("appendix:r4m1beta-n4",), _SCALING2),
-    "r4_alpha": (("appendix:r4alpha-n4",), _SCALING2),
-    "r4p_0:plus": (("appendix:r4p0p-n4",), _SCALING2),
-    "r4p_0:minus": (("appendix:r4p0m-n4",), _SCALING2),
-    "d4_1:w2": (("appendix:d412-n4",), _SCALING2),
-    "d4_2:w1": (("appendix:d421-n4",), _SCALING2),
-    "d4_2:w2": (("appendix:d422-r4a", "appendix:r4alpha-n4"), _SCALING2),
-    "d4_2:w3": (("appendix:d423-r4a", "appendix:r4alpha-n4"), _SCALING2),
-    "d4_lambda": (("appendix:d4lambda-n4",), _SCALING2),
-    "d4p:plus": (("appendix:d4pp-n4",), _SCALING2),
-    "d4p:minus": (("appendix:d4pm-n4",), _SCALING2),
-    "h4:plus": (("appendix:h4p-n4",), _SCALING2),
-    "h4:minus": (("appendix:h4m-n4",), _SCALING2),
-}
 
-# special parameter values whose witnesses come straight from the reference set
-_WITNESS_PLANS_SPECIAL = {
-    ("d4_lambda", Fraction(1, 2)): ((), _SHEAR12),
-    ("r4_m1_beta", Fraction(-1)): ((), "identity"),
-}
+def _witness_route(node: str):
+    """(curve chain, reference node) along the diagram from node, or None."""
+    paths = _paths(node)
+    ref = next((r for r in _REFERENCES if r in paths), None)
+    return None if ref is None else (paths[ref], ref)
+
 
 _RATE = 16  # rate separation between chained curves
 
 
-def _witness_matrix_symbolic(cid: ClassId, chain, transform_key):
+def _witness_matrix_symbolic(cid: ClassId, chain, ref_node):
     """ExpPoly matrix L . g_k(t) . ... . g_1(RATE^{k-1} t) plus its reference limit.
 
     Earlier curves in a chain run on faster clocks so the errors they leave
@@ -613,9 +586,10 @@ def _witness_matrix_symbolic(cid: ClassId, chain, transform_key):
     for depth, g in enumerate(mats):
         g = rescale_time(g, _RATE ** (len(mats) - 1 - depth))
         total = g if total is None else linalg.mat_mul(g, total)
-    ref = [[ExpPoly.coerce(x) for x in row] for row in _REFERENCE_TRANSFORMS[transform_key]()]
+    transform = _REFERENCES[ref_node][1]
+    ref = [[ExpPoly.coerce(x) for x in row] for row in transform]
     total = ref if total is None else linalg.mat_mul(ref, total)
-    reference = act(_REFERENCE_TRANSFORMS[transform_key](), make(source))
+    reference = act(transform, make(source))
     return total, reference
 
 
@@ -653,14 +627,19 @@ def _float_min_eig(m) -> float:
     return float(abs(np.linalg.eigvalsh(a / scale)).min())
 
 
-DEFAULT_K_GRID = (4, 8, 12, 16, 20, 24, 28, 32, 36)  # k*log(2) stays below 25
+K_GRID = (4, 8, 12, 16, 20, 24, 28, 32, 36)  # k*log(2) stays below 25
 
 
-def witness_for_class(cid: ClassId, k_grid=DEFAULT_K_GRID):
+def witness_for_class(cid: ClassId):
     """Exact symplectic witness with curvature signature (1,3,0), exhaustion, or failure."""
-    plan = _WITNESS_PLANS_SPECIAL.get((cid.key, cid.param)) or _WITNESS_PLANS[cid.key]
-    chain, transform_key = plan
-    sym, reference = _witness_matrix_symbolic(cid, chain, transform_key)
+    # the pinned node of cid if there is one, else its family's node
+    node = str(cid) if str(cid) in NODE_BY_ID else str(ClassId(cid.key))
+    route = _witness_route(node)
+    if route is None:
+        return WitnessRecord(str(cid), "failed",
+                             reason=f"no diagram path from {node} to a reference bracket")
+    chain, ref_node = route
+    sym, reference = _witness_matrix_symbolic(cid, chain, ref_node)
     if ricci_form(reference).signature() != TARGET_SIGNATURE:
         return WitnessRecord(str(cid), "failed", reason="reference lacks the target signature")
     # the chained matrix must itself converge after the action: certified by
@@ -672,47 +651,40 @@ def witness_for_class(cid: ClassId, k_grid=DEFAULT_K_GRID):
         return WitnessRecord(str(cid), "failed", reason=f"symbolic chain diverges at {divergent}")
     if moved_sym.limit() != reference:
         return WitnessRecord(str(cid), "failed", reason="symbolic chain misses its reference")
-    for k in k_grid:
+    for k in K_GRID:
         s = [[ExpPoly.coerce(x).eval_base(k) for x in row] for row in sym]
         if not is_symplectic(s):
             return WitnessRecord(str(cid), "failed", reason=f"not symplectic at exp(t) = 2**{k}")
         moved = act(s, mu, symplectic_inverse(s))
         form = ricci_form(moved)
         if form.signature() == TARGET_SIGNATURE:
-            prov = tuple(chain) + (transform_key, f"exp(t) := 2**{k}")
+            prov = chain + (_REFERENCES[ref_node][0], f"exp(t) := 2**{k}")
             return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k,
                                  k * 0.6931471805599453, prov,
                                  _float_min_eig(form.m))
     return WitnessRecord(str(cid), "exhausted")
 
 
-def theorem_b_search(seed: int = 20240801, samples: int = 500, tmax: float = 25.0):
+def theorem_b_search(seed: int = 20240801, samples: int = 500):
     """Witnesses for every class instance; exact degeneracy for the exceptions."""
     rng = random.Random(seed)
-    k_grid = tuple(k for k in DEFAULT_K_GRID if k * 0.6931471805599453 <= tmax)
-    if not k_grid:
-        raise ValueError("tmax admits no witness evaluation time")
     records = []
-    for spec in sorted(CLASSES.values(), key=lambda s: s.mu):
-        if spec.key in EXCEPTIONAL_KEYS:
-            # The samples run in ints.  act is linear in mu, g and g^{-1}, and
-            # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
-            # = d*g^{-1}, act gives m*d^3*(g.mu), whose Ricci form is
-            # m^2*d^6*Ric(g.mu).  det = 0 and the signature are unchanged.
-            _, mu = make(class_id(spec.key)).integer_multiple()
-            all_zero = True
-            for _ in range(samples):
-                _, g = linalg.clear_denominators(random_symplectic(rng))
-                moved = act(g, mu, symplectic_inverse(g))
-                if linalg.det(ricci_form(moved).m) != 0:
-                    all_zero = False
-                    break
-            records.append(WitnessRecord(str(ClassId(spec.key)), "exceptional",
-                                         samples=samples, all_det_zero=all_zero))
+    for cid in DIAGRAM_CLASSES:
+        if cid.key not in EXCEPTIONAL_KEYS:
+            records.append(witness_for_class(cid))
             continue
-        params = spec.samples or (None,)
-        for p in params:
-            records.append(witness_for_class(class_id(spec.key, p), k_grid))
-    for (key, param) in _WITNESS_PLANS_SPECIAL:
-        records.append(witness_for_class(class_id(key, param), k_grid))
+        # The samples run in ints.  act is linear in mu, g and g^{-1}, and
+        # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
+        # = d*g^{-1}, act gives m*d^3*(g.mu), whose Ricci form is
+        # m^2*d^6*Ric(g.mu).  det = 0 and the signature are unchanged.
+        _, mu = make(cid).integer_multiple()
+        all_zero = True
+        for _ in range(samples):
+            _, g = linalg.clear_denominators(random_symplectic(rng))
+            moved = act(g, mu, symplectic_inverse(g))
+            if linalg.det(ricci_form(moved).m) != 0:
+                all_zero = False
+                break
+        records.append(WitnessRecord(str(cid), "exceptional",
+                                     samples=samples, all_det_zero=all_zero))
     return records

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -117,6 +118,27 @@ def test_curve_parameter_beyond_binary64_is_usage_error(capsys):
     code, out, err = run(capsys, "degenerate", "--curve", curve)
     assert code == 2 and out == ""
     assert curve in err and "binary64" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("curve", ["appendix:r2r2-d411", "appendix:r2r2-rr30"])
+@pytest.mark.parametrize("lam", ["1000", str(10 ** 20)])
+def test_large_curve_parameter_verifies(capsys, curve, lam):
+    # the float distances scale with lambda, so d(25) is judged relative to d(5)
+    code, out, err = run(capsys, "degenerate", "--curve", f"{curve}:lambda={lam}")
+    assert code == 0 and "verified: True" in out and err == ""
+
+
+def test_slowed_curve_still_fails_the_distance_check():
+    # the negative control: rh3 -> a4 on the clock t/8 is still far from a4 at t = 25
+    from dataclasses import replace
+
+    from spdeg import degeneration
+
+    inst = catalog.parse_curve("appendix:rh3-a4")
+    slow = replace(inst, g=catalog.rescale_time(inst.g, F(1, 8)))
+    report = degeneration.verify_curve(slow)
+    assert report.status == "verified" and report.float_decreasing
+    assert not report.float_final_small and not report.verified
 
 
 def test_unknown_verb_is_usage_error(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
-from spdeg.degeneration import (HASSE_EDGES, NODE_BY_ID, R2P_TRAP, R2R2_TRAP,
-                                SuiteCheck, _edge_instances, TrapError, borbit_element,
+from spdeg.degeneration import (EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES, NODE_BY_ID,
+                                R2P_TRAP, R2R2_TRAP, SuiteCheck, _edge_instances,
+                                _witness_route, TrapError, borbit_element,
                                 classify_pairs, n_element,
                                 r2r2_trap_residual, random_symplectic,
                                 verify_curve, witness_for_class)
@@ -318,3 +319,19 @@ def test_witness_special_parameters_use_pinned_plans():
     assert rec.status == "witness" and "shear:t=12" in rec.provenance
     rec = witness_for_class(class_id("r4_m1_beta", F(-1)))
     assert rec.status == "witness" and "identity" in rec.provenance
+
+
+def test_witness_routes_follow_the_diagram():
+    # the Theorem B dichotomy: exactly the exceptional nodes reach no reference
+    unrouted = {n.id for n in HASSE_NODES if _witness_route(n.id) is None}
+    assert unrouted == set(EXCEPTIONAL_KEYS)
+    for node in ("d4_lambda:lambda=1/2", "r4_m1_beta:beta=-1", "n4", "d4_1:w1"):
+        assert _witness_route(node) == ((), node)
+    assert _witness_route("d4_2:w3") == (("appendix:d423-r4a", "appendix:r4alpha-n4"), "n4")
+    rec = witness_for_class(class_id("a4"))
+    assert rec.status == "failed"
+    assert rec.reason == "no diagram path from a4 to a reference bracket"
+    # a member off the sampled set takes its family's chain
+    rec = witness_for_class(class_id("d4_lambda", F(4)))
+    assert rec.status == "witness"
+    assert rec.provenance[:2] == ("appendix:d4lambda-n4", "scaling:t=2")

@@ -13,7 +13,8 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
-from spdeg.degeneration import EXCEPTIONAL_KEYS, random_rational, random_symplectic
+from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, random_rational,
+                                random_symplectic)
 from spdeg.tensor import act, canonical_form, symplectic_inverse, transvection
 
 HALF = F(1, 2)
@@ -98,7 +99,7 @@ def conjugators():
 @pytest.fixture(scope="module")
 def brackets(conjugators):
     """The 43 tabulated instances and three random conjugates of each."""
-    base = [catalog.make(cid) for cid, _ in catalog.expected_invariants_table()]
+    base = [catalog.make(cid) for cid in DIAGRAM_CLASSES]
     return base + [act(g, base[i // 3]) for i, g in enumerate(conjugators)]
 
 
