@@ -106,12 +106,17 @@ def n_element(a, x, y, z):
 
 
 def borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
-    """(g.h)^{-1} . mu with g diagonal and h unipotent."""
-    g = a_element(*a_params)
-    h = n_element(*n_params)
-    gh = linalg.mat_mul(g, h)
-    k = symplectic_inverse(gh)
-    return act(k, mu, gh)
+    """(g.h)^{-1} . mu with g diagonal and h unipotent, exact.
+
+    It runs in ints: with m*mu, G = d*(g.h) and symplectic_inverse(G) =
+    d*(g.h)^{-1}, act is linear in all three and gives m*d^3 times the bracket.
+    """
+    dg, g = linalg.clear_denominators(a_element(*a_params))
+    dh, h = linalg.clear_denominators(n_element(*n_params))
+    gh = [[g[i][i] * x for x in row] for i, row in enumerate(h)]  # g is diagonal
+    m, mu = mu.integer_multiple()
+    c = m * (dg * dh) ** 3
+    return act(symplectic_inverse(gh), mu, gh).map_scalars(lambda x: Fraction(x, c))
 
 
 class TrapError(ValueError):
@@ -180,11 +185,12 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
 
-def random_symplectic(rng: random.Random) -> list:
-    """Product of 6 to 12 symplectic transvections of R^4 with small random rational data.
+def random_symplectic(rng: random.Random) -> tuple:
+    """(d, d*g) for g a product of 6 to 12 random symplectic transvections of R^4.
 
-    It runs in ints, drawing what random_rational draws but unreduced: for u = U/e
-    and c = p/q the transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and
+    d is the least positive int that makes d*g integral.  It runs in ints,
+    drawing what random_rational draws but unreduced: for u = U/e and c = p/q
+    the transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and
     T = s*I + p*U*(J^T U)^T, applied as the rank-one update s*out + p*U*((J^T U)^T out).
     """
     out, d = [[int(i == j) for j in range(4)] for i in range(4)], 1
@@ -200,7 +206,8 @@ def random_symplectic(rng: random.Random) -> list:
         s = q * e * e
         out = [[s * x + p * ui * r for x, r in zip(row, ju_out)] for ui, row in zip(num, out)]
         d *= s
-    return [[Fraction(x, d) for x in row] for row in out]
+    g = math.gcd(d, *(x for row in out for x in row))
+    return d // g, [[x // g for x in row] for row in out]
 
 
 # -- the degeneration diagram ------------------------------------------------------
@@ -680,7 +687,7 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500):
         _, mu = make(cid).integer_multiple()
         all_zero = True
         for _ in range(samples):
-            _, g = linalg.clear_denominators(random_symplectic(rng))
+            _, g = random_symplectic(rng)
             moved = act(g, mu, symplectic_inverse(g))
             if linalg.det(ricci_form(moved).m) != 0:
                 all_zero = False

@@ -1,11 +1,13 @@
 """Every span that bench/launch.py places must name a live spdeg function.
 
 A renamed or deleted function would otherwise surface only as an
-AttributeError in a traced benchmark run.
+AttributeError in a traced benchmark run.  The spans behind the exact-sample
+count must also stay one call per sample, or the count would drift silently.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 LAUNCH = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
@@ -23,3 +25,28 @@ def test_every_benchmark_span_resolves():
         if not callable(obj):
             missing.append((name, modname, attr))
     assert launch.SPANS and not missing
+
+
+def test_each_exact_sample_is_one_spanned_call(monkeypatch):
+    # degeneration.exact_samples counts the borbit_element and
+    # random_symplectic spans under the suites: one call per sample each
+    from spdeg import degeneration
+
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(degeneration, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in ("borbit_element", "random_symplectic"):
+        monkeypatch.setattr(degeneration, name, counting(name))
+    samples = 5
+    assert all(c.passed for c in degeneration.non_degeneration_suite(samples=samples))
+    assert calls == {"borbit_element": 4 * samples}
+    records = degeneration.theorem_b_search(samples=samples)
+    assert sum(r.status == "exceptional" for r in records) == 3
+    assert calls == {"borbit_element": 4 * samples, "random_symplectic": 3 * samples}

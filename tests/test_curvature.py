@@ -13,6 +13,8 @@ from spdeg.curvature import (RICCI_SIGN, einstein_check, find_degenerate_ricci,
 from spdeg.degeneration import DIAGRAM_CLASSES
 from spdeg.tensor import act, is_symplectic
 
+from helpers import rational_symplectic
+
 
 def _diag(*xs):
     return [[F(x) if i == j else F(0) for j in range(len(xs))] for i, x in enumerate(xs)]
@@ -47,11 +49,9 @@ def test_riemann_antisymmetric_in_first_two_slots():
 def test_riemann_traces_to_the_ricci_form():
     # sum_b R(e_b, e_a)e_c . e_b: the full tensor as an oracle for the
     # traced contraction, on every tabulated class and a few conjugates
-    from spdeg.degeneration import random_symplectic
-
     brackets = [catalog.make(cid) for cid in DIAGRAM_CLASSES]
     rng = random.Random(17)
-    brackets += [act(random_symplectic(rng), mu) for mu in brackets[::8]]
+    brackets += [act(rational_symplectic(rng), mu) for mu in brackets[::8]]
     for mu in brackets:
         r = riemann(mu)
         traced = [[sum(r[b][a][c][b] for b in range(4)) for c in range(4)] for a in range(4)]

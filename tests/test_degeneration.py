@@ -8,12 +8,14 @@ from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES, NODE_BY_ID,
                                 R2P_TRAP, R2R2_TRAP, SuiteCheck, _edge_instances,
                                 _witness_route, TrapError, borbit_element,
-                                classify_pairs, n_element,
-                                r2r2_trap_residual, random_symplectic,
+                                a_element, classify_pairs, n_element, random_rational,
+                                r2r2_trap_residual,
                                 verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
+
+from helpers import rational_symplectic
 
 
 # -- curve verification -----------------------------------------------------------
@@ -120,6 +122,62 @@ def test_borbit_rejects_nonpositive_diagonal():
 def test_n_element_is_symplectic():
     h = n_element(F(1, 3), F(-2), F(5, 2), F(7))
     assert is_symplectic(h)
+
+
+# the root subgroups of N in factor order: {(row, col): sign} of the
+# off-diagonal entries, and the root in (eps1, eps2) coordinates
+ROOT_SUBGROUPS = [({(1, 2): -1, (4, 3): 1}, (1, -1)),
+                  ({(3, 1): 1}, (-2, 0)),
+                  ({(3, 2): 1, (4, 1): 1}, (-1, -1)),
+                  ({(4, 2): 1}, (0, -2))]
+
+
+def _root_element(entries, s):
+    u = linalg.identity(4)
+    for (i, j), sign in entries.items():
+        u[i - 1][j - 1] = sign * s
+    return u
+
+
+def test_n_element_is_the_ordered_root_subgroup_product():
+    rng = random.Random(59)
+    for _ in range(25):
+        params = [random_rational(rng) for _ in range(4)]
+        factors = [_root_element(e, s) for (e, _), s in zip(ROOT_SUBGROUPS, params)]
+        assert all(is_symplectic(u) for u in factors)
+        prod = factors[0]
+        for u in factors[1:]:
+            prod = linalg.mat_mul(prod, u)
+        assert prod == n_element(*params)
+
+
+def test_n_is_the_whole_unipotent_radical():
+    # a = diag(t1, t2, 1/t1, 1/t2) scales the root subgroup of alpha by
+    # t1^alpha1 * t2^alpha2; at the primes t = (2, 3) that factor names alpha
+    t1, t2, s = F(2), F(3), F(5, 7)
+    a, a_inv = a_element(t1, t2), a_element(1 / t1, 1 / t2)
+    c2_roots = [(x, y) for x in range(-2, 3) for y in range(-2, 3)
+                if (abs(x), abs(y)) in {(1, 1), (2, 0), (0, 2)}]
+    assert len(c2_roots) == 8
+    found = []
+    for entries, root in ROOT_SUBGROUPS:
+        conj = linalg.mat_mul(linalg.mat_mul(a, _root_element(entries, s)), a_inv)
+        found += [r for r in c2_roots
+                  if conj == _root_element(entries, s * t1 ** r[0] * t2 ** r[1])]
+    assert found == [root for _, root in ROOT_SUBGROUPS]
+    # they are exactly the roots of C2 positive on phi = (-1, -2): N is the
+    # unipotent radical of that positive system, not a subgroup of it
+    assert sorted(found) == sorted(r for r in c2_roots if -r[0] - 2 * r[1] > 0)
+
+
+def test_a_element_covers_the_positive_diagonal():
+    for t1, t2 in ((1, 1), (F(2, 3), F(7)), (F(1, 100), 5)):
+        g = a_element(t1, t2)
+        assert is_symplectic(g)
+        assert [g[i][i] for i in range(4)] == [t1, t2, 1 / F(t1), 1 / F(t2)]
+    for bad in ((0, 1), (1, 0), (F(-1, 2), 1), (1, -3)):
+        with pytest.raises(ValueError):
+            a_element(*bad)
 
 
 # -- trapping subspaces ---------------------------------------------------------------
@@ -291,7 +349,7 @@ def test_worked_nondegenerations_not_reachable(hasse_report):
 def test_random_symplectic_products_exact():
     rng = random.Random(37)
     for _ in range(50):
-        assert is_symplectic(random_symplectic(rng))
+        assert is_symplectic(rational_symplectic(rng))
 
 
 # -- witness search ------------------------------------------------------------------------

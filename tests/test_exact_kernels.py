@@ -2,8 +2,9 @@
 
 The oracles are the implementations that the integer kernels replaced:
 the Levi-Civita contraction with its 1/2 factor, Gaussian elimination over
-Fraction for the determinant, and -J g^T J as matrix products for the
-symplectic inverse.  All must agree exactly.
+Fraction for the determinant, -J g^T J as matrix products for the
+symplectic inverse, and the B-orbit element and the random symplectic
+element as Fraction matrix products.  All must agree exactly.
 """
 
 import random
@@ -13,9 +14,12 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
-from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, random_rational,
+from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
+                                a_element, borbit_element, n_element, random_rational,
                                 random_symplectic)
 from spdeg.tensor import act, canonical_form, symplectic_inverse, transvection
+
+from helpers import rational_symplectic
 
 HALF = F(1, 2)
 
@@ -83,6 +87,23 @@ def old_random_symplectic(rng, factors=(6, 12)):
     return out
 
 
+def old_borbit_element(mu, a_params, n_params):
+    """(g.h)^{-1} . mu with the product g.h and act over Fraction."""
+    gh = linalg.mat_mul(a_element(*a_params), n_element(*n_params))
+    return act(symplectic_inverse(gh), mu, gh)
+
+
+def old_borbit_samples(rng, mu, n):
+    """The draws of _borbit_samples, each acted on by old_borbit_element."""
+    out = []
+    for _ in range(n):
+        t1 = abs(random_rational(rng)) + F(1, 3)
+        t2 = abs(random_rational(rng)) + F(1, 3)
+        nparams = [random_rational(rng) for _ in range(4)]
+        out.append(old_borbit_element(mu, (t1, t2), nparams))
+    return out
+
+
 def mat_mul_symplectic_inverse(g):
     """-J g^T J as two linalg.mat_mul products with the canonical J."""
     j = canonical_form(len(g))
@@ -93,7 +114,7 @@ def mat_mul_symplectic_inverse(g):
 def conjugators():
     """129 seeded random_symplectic elements, three per tabulated instance."""
     rng = random.Random(23)
-    return [random_symplectic(rng) for _ in range(3 * 43)]
+    return [rational_symplectic(rng) for _ in range(3 * 43)]
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +161,50 @@ def test_det_matches_fraction_elimination(brackets):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_symplectic_keeps_its_draw_stream(seed):
     new, old = random.Random(seed), random.Random(seed)
-    assert random_symplectic(new) == old_random_symplectic(old)
+    d, g = random_symplectic(new)
+    # the least common denominator, as clearing the Fraction matrix gives it
+    assert (d, g) == linalg.clear_denominators(old_random_symplectic(old))
+    assert all(type(x) is int for row in g for x in row)
+    assert new.getstate() == old.getstate()
+
+
+# r2r2 at three lambdas and r2p are the suite's B-orbits and n4 its target;
+# d4_lambda:1/2 and h4:plus have constants 1/2, and a4 has none
+BORBIT_KEYS = ["r2r2:lambda=0", "r2r2:lambda=1", "r2r2:lambda=7/3", "r2p", "n4",
+               "d4_lambda:lambda=1/2", "h4:plus", "a4"]
+
+
+@pytest.mark.parametrize("key", BORBIT_KEYS)
+def test_borbit_element_matches_fraction_oracle(key):
+    mu = catalog.make(catalog.parse_class(key))
+    rng = random.Random(61)
+    for _ in range(40):
+        a_params = (abs(random_rational(rng)) + F(1, 3), abs(random_rational(rng)) + F(1, 3))
+        n_params = [random_rational(rng) for _ in range(4)]
+        xi = borbit_element(mu, a_params, n_params)
+        assert xi == old_borbit_element(mu, a_params, n_params)
+        assert all(type(c) is F for vec in xi.rules.values() for c in vec.values())
+
+
+@pytest.mark.parametrize("a_params,n_params", [
+    ((1, 1), (0, 0, 0, 0)),
+    ((F(2), F(1, 3)), (0, 0, 0, 0)),
+    ((3, F(5, 2)), (0, F(1, 2), 0, -1)),
+    ((F(7, 4), 2), (F(-2, 3), 0, 1, 0)),
+])
+def test_borbit_element_takes_int_parameters(a_params, n_params):
+    for key in ("r2r2:lambda=7/3", "r2p", "h4:plus"):
+        mu = catalog.make(catalog.parse_class(key))
+        xi = borbit_element(mu, a_params, n_params)
+        assert xi == old_borbit_element(mu, a_params, n_params)
+        assert all(type(c) is F for vec in xi.rules.values() for c in vec.values())
+
+
+@pytest.mark.parametrize("key", ["r2r2:lambda=7/3", "r2p"])
+def test_borbit_samples_keep_their_draw_stream(key):
+    mu = catalog.make(catalog.parse_class(key))
+    new, old = random.Random(67), random.Random(67)
+    assert list(_borbit_samples(new, mu, 30)) == old_borbit_samples(old, mu, 30)
     assert new.getstate() == old.getstate()
 
 
@@ -152,7 +216,7 @@ def test_integer_conjugate_scales_ricci_by_d6():
         mu = catalog.make(catalog.parse_class(key))
         m, imu = mu.integer_multiple()
         for _ in range(3):
-            g = random_symplectic(rng)
+            g = rational_symplectic(rng)
             d, big_g = linalg.clear_denominators(g)
             ginv = symplectic_inverse(big_g)
             assert ginv == [[d * x for x in row] for row in symplectic_inverse(g)]
