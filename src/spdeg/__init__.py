@@ -3,19 +3,19 @@
 Exact structure-constant algebra over the rationals and over exponential
 polynomials, the four-dimensional classification catalog with its explicit
 degeneration curves, derivation-dimension and trace-form obstructions,
-left-invariant curvature with signature analysis, and the assembled
-degeneration diagram with its curvature applications.
+left-invariant Ricci curvature with signature analysis, and the assembled
+degeneration diagram with its curvature applications.  This package holds
+what the command-line verbs run; the independent reference implementations
+the tests compare against are in tests/oracles.py.
 """
 
-from .catalog import ClassId, class_id, curves, expected_invariants, make, parse_class, tau6
-from .curvature import einstein_check, find_degenerate_ricci, levi_civita, ricci, ricci_nilpotent
+from .catalog import ClassId, class_id, curves, expected_invariants, make, parse_class
+from .curvature import einstein_check, find_degenerate_ricci, levi_civita, ricci
 from .degeneration import (borbit_element, hasse, non_degeneration_suite,
                            r2r2_trap_residual, theorem_b_search, verify_curve)
 from .invariants import (DerivationAlgebra, SymForm, composition_trace_form,
-                         derivations, derived_dim, equivariant_product,
-                         killing_form, modified_killing_form, nilpotent,
-                         obstruction_report, orbit_dim, symplectic_derivations,
-                         unimodular)
+                         derivations, derived_dim, equivariant_product, nilpotent,
+                         obstruction_report, symplectic_derivations, unimodular)
 from .scalars import ExpPoly
 from .tensor import (Bracket, act, bracket_distance, canonical_form, d_omega,
                      is_closed, is_lie, is_symplectic, jacobiator,
@@ -27,10 +27,10 @@ __all__ = [
     "class_id", "composition_trace_form", "curves", "d_omega", "derivations",
     "derived_dim", "einstein_check", "equivariant_product",
     "expected_invariants", "find_degenerate_ricci", "hasse",
-    "is_closed", "is_lie", "is_symplectic", "jacobiator", "killing_form",
-    "levi_civita", "make", "modified_killing_form", "nilpotent",
-    "non_degeneration_suite", "obstruction_report", "orbit_dim",
-    "parse_class", "r2r2_trap_residual", "ricci", "ricci_nilpotent",
-    "symplectic_derivations", "symplectic_inverse", "tau6", "theorem_b_search",
+    "is_closed", "is_lie", "is_symplectic", "jacobiator",
+    "levi_civita", "make", "nilpotent",
+    "non_degeneration_suite", "obstruction_report",
+    "parse_class", "r2r2_trap_residual", "ricci",
+    "symplectic_derivations", "symplectic_inverse", "theorem_b_search",
     "transvection", "verify_curve",
 ]

@@ -2,8 +2,8 @@
 
 Twenty-five 4-dimensional symplectic Lie algebra classes (five of them
 parametrized), the expected derivation dimensions for each, the full list of
-explicit degeneration curves, the named rational families used by the
-curvature checks, and one 6-dimensional validation law.
+explicit degeneration curves, and the transforms and shear family behind the
+curvature witnesses.
 """
 
 from __future__ import annotations
@@ -231,13 +231,6 @@ def expected_invariants(cid: ClassId):
     """(dim Der_w, dim Der) as tabulated, parameter splits included."""
     cid = class_id(cid.key, cid.param)
     return CLASSES[cid.key].derdims(cid.param)
-
-
-def tau6():
-    """The 6-dimensional validation law, closed for the canonical two-form on R^6."""
-    rules = {(1, 3): {3: F(1)}, (1, 6): {6: F(-1)},
-             (2, 4): {5: F(1)}, (4, 5): {2: F(1)}}
-    return Bracket(6, rules)
 
 
 # -- degeneration curves -------------------------------------------------------
@@ -570,16 +563,7 @@ def shear_transform(t: Fraction):
     return g
 
 
-def xi_family(t: Fraction) -> Bracket:
-    """scaling_transform(t) acting on the nilpotent class n4."""
-    return act(scaling_transform(t), bracket_of("n4"))
-
-
 def rho_family(t: Fraction) -> Bracket:
     """shear_transform(t) acting on d4_lambda at lambda = 1/2."""
     return act(shear_transform(t), bracket_of("d4_lambda", F(1, 2)))
 
-
-def varrho_family(t: Fraction) -> Bracket:
-    """shear_transform(t) acting on d4_1:w1."""
-    return act(shear_transform(t), bracket_of("d4_1:w1"))

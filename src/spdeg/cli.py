@@ -32,6 +32,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _write_dot(path: str, dot: str) -> int:
+    """Write the DOT graph to path: 0, or 3 with the reason on stderr."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dot + "\n")
+    except OSError as e:
+        return _fail(3, f"cannot write {path}: {e}")
+    return 0
+
+
 def cmd_catalog(args) -> int:
     if args.cls:
         cid = catalog.parse_class(args.cls)
@@ -127,12 +137,8 @@ def cmd_degenerate(args) -> int:
 
 def cmd_hasse(args) -> int:
     report = degeneration.hasse()
-    if args.dot:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(report.dot + "\n")
-        except OSError as e:
-            return _fail(3, f"cannot write {args.dot}: {e}")
+    if args.dot and _write_dot(args.dot, report.dot):
+        return 3
     payload = report.to_json_dict()
     lines = []
     for e in sorted(report.edges, key=lambda e: (e.source, e.target)):
@@ -155,12 +161,8 @@ def cmd_theorem_a(args) -> int:
         payload["pair_status"] = [
             {"source": a, "target": b, "status": s}
             for a, b, s in degeneration.classify_pairs(report, suite)]
-    if args.dot:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(report.dot + "\n")
-        except OSError as e:
-            return _fail(3, f"cannot write {args.dot}: {e}")
+    if args.dot and _write_dot(args.dot, report.dot):
+        return 3
     lines = [f"edges verified: {sum(e.status == 'verified' for e in report.edges)}"
              f"/{len(report.edges)}",
              f"der_w strictly increases along all edges: {report.strict_der_omega}"]

@@ -1,8 +1,10 @@
 """Metric geometry of a bracket with the canonical inner product.
 
-Levi-Civita product, Riemann and Ricci tensors, the reduced nilpotent Ricci
-formula, Einstein checks, and the degenerate-Ricci root finder.  The exact
-path runs on ints over one denominator; floats serve the bisection driver.
+Levi-Civita product, Ricci form, Einstein checks, and the degenerate-Ricci
+root finder.  The exact path runs on ints over one denominator; floats serve
+the bisection driver.  The Riemann tensor and the reduced nilpotent Ricci
+formula, which the tests compare the Ricci form against, are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg
-from .invariants import SymForm, nilpotent
+from .invariants import SymForm
 from .tensor import Bracket, bracket_to_table
 
 HALF = Fraction(1, 2)
@@ -35,64 +37,10 @@ def levi_civita(mu: Bracket):
     return [[[x * HALF for x in v] for v in row] for row in _doubled_levi_civita(bracket_to_table(mu))]
 
 
-def torsion_free(mu: Bracket, lc=None) -> bool:
-    """LC(x,y) - LC(y,x) = mu(x,y) on all basis pairs."""
-    lc = lc if lc is not None else levi_civita(mu)
-    n = mu.dim
-    for i in range(n):
-        for j in range(n):
-            mij = mu.pair(i + 1, j + 1)
-            if any(a - b != m for a, b, m in zip(lc[i][j], lc[j][i], mij)):
-                return False
-    return True
-
-
-def metric_compatible(lc) -> bool:
-    """<LC(x,y), z> + <y, LC(x,z)> = 0 on all basis triples (dot metric)."""
-    n = len(lc)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if lc[i][j][k] + lc[i][k][j] != 0:
-                    return False
-    return True
-
-
-def _lc_apply(lc, u, w):
-    """LC(u, w) for coordinate vectors, bilinear extension of the table."""
-    n = len(lc)
-    out = [0 * lc[0][0][0]] * n
-    for p in range(n):
-        if not u[p]:
-            continue
-        for q in range(n):
-            coef = u[p] * w[q]
-            if not coef:
-                continue
-            out = [x + coef * y for x, y in zip(out, lc[p][q])]
-    return out
-
-
-def riemann(mu: Bracket, lc=None):
-    """Dense R[i][j][k] -> vector with R(x,y)z = LC(x,LC(y,z)) - LC(y,LC(x,z)) - LC(mu(x,y),z)."""
-    lc = lc if lc is not None else levi_civita(mu)
-    n = mu.dim
-    basis = linalg.identity(n)
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mij = mu.pair(i + 1, j + 1)
-            for k in range(n):
-                a = _lc_apply(lc, basis[i], lc[j][k])
-                b = _lc_apply(lc, basis[j], lc[i][k])
-                c = _lc_apply(lc, mij, basis[k])
-                out[i][j][k] = [x - y - z for x, y, z in zip(a, b, c)]
-    return out
-
-
 # Trace-slot sign of the curvature contraction in _ricci_matrix.  The tests
-# pin it against the reduced nilpotent formula on xi_family(2) and the
-# tabulated diag(-3, -1, -1, 1) of r4_m1_beta at beta = -1.
+# pin it against the reduced nilpotent formula on xi_family(2) (both in
+# tests/oracles.py) and the tabulated diag(-3, -1, -1, 1) of r4_m1_beta at
+# beta = -1.
 RICCI_SIGN = -1
 
 
@@ -145,31 +93,6 @@ def ricci_matrix_float(mu: Bracket):
     """Binary64 Ricci matrix; the bisection driver path."""
     fmu = mu.map_scalars(float)
     return [[float(x) / 4 for x in row] for row in _ricci_matrix(fmu)]
-
-
-def ricci_nilpotent(mu: Bracket) -> SymForm:
-    """Reduced Ricci formula for nilpotent metric Lie algebras, polarized.
-
-    B(u,v) = -1/2 sum_{i,j} <mu(u,e_i),e_j><mu(v,e_i),e_j>
-             +1/2 sum_{i<j} <mu(e_i,e_j),u><mu(e_i,e_j),v>.
-    """
-    if not nilpotent(mu):
-        raise ValueError("input is not nilpotent")
-    n = mu.dim
-    rows = [[mu.pair(a + 1, i + 1) for i in range(n)] for a in range(n)]
-    m = linalg.zeros(n)
-    for a in range(n):
-        for b in range(a, n):
-            total = Fraction(0)
-            for i in range(n):
-                for j in range(n):
-                    total -= rows[a][i][j] * rows[b][i][j] * HALF
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total += rows[i][j][a] * rows[i][j][b] * HALF
-            m[a][b] = total
-            m[b][a] = total
-    return SymForm(m)
 
 
 def einstein_constant(form: SymForm) -> Optional[Fraction]:

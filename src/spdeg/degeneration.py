@@ -20,7 +20,7 @@ from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class
                       rescale_time, scaling_transform, shear_transform, make)
 from .curvature import ricci_form
 from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
-                         equivariant_product, obstruction_report)
+                         equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly
 from .tensor import (Bracket, act, bracket_distance, is_symplectic, jacobiator,
                      symplectic_inverse)
@@ -399,14 +399,7 @@ class SuiteCheck:
 
 def _unimodular_locus(pattern_dim, embed):
     """Exact basis of the linear unimodularity conditions on a trap subspace."""
-    rows = []
-    for idx in range(pattern_dim):
-        coords = [Fraction(0)] * pattern_dim
-        coords[idx] = Fraction(1)
-        xi = embed(coords)
-        traces = [linalg.sum_entries([xi.entry(i, p, p) for p in range(1, 5)])
-                  for i in range(1, 5)]
-        rows.append(traces)
+    rows = [second_trace(embed(unit)) for unit in linalg.identity(pattern_dim)]
     return linalg.nullspace(linalg.transpose(rows))
 
 
@@ -420,19 +413,12 @@ def _forced_zero(basis, pattern_dim):
 
 
 def _quadratic_grid(nvars):
-    """Evaluation points that pin down any quadratic polynomial exactly."""
-    pts = [[Fraction(0)] * nvars]
-    for i in range(nvars):
-        p = [Fraction(0)] * nvars
-        p[i] = Fraction(1)
-        pts.append(p)
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            p = [Fraction(0)] * nvars
-            p[i] = Fraction(1)
-            p[j] = Fraction(1)
-            pts.append(p)
-    return pts
+    """The points 0, +-e_i and e_i + e_j (i < j): unisolvent for polynomials of
+    degree <= 2, so they pin down any quadratic polynomial exactly."""
+    e = linalg.identity(nvars)
+    return ([[Fraction(0)] * nvars] + [[s * x for x in v] for v in e for s in (1, -1)]
+            + [[x + y for x, y in zip(e[i], e[j])]
+               for i in range(nvars) for j in range(i + 1, nvars)])
 
 
 def quadratics_agree(f, g, nvars) -> bool:

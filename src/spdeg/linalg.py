@@ -3,7 +3,7 @@
 Matrices are plain nested lists.  Generic helpers (mat_mul, transpose, ...)
 work over any commutative ring of entries (Fraction, int, float, ExpPoly);
 the elimination routines require rational (Fraction or int) entries.
-Nothing here touches floats except :func:`signature_float`.
+Nothing here computes in floats.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ def sum_entries(xs):
     for x in it:
         s = s + x
     return s
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # -- Gaussian elimination over the rationals --------------------------------
@@ -122,11 +114,7 @@ def rank_bareiss(m) -> int:
     cols = len(m[0]) if rows else 0
     if rows == 0 or cols == 0:
         return 0
-    scale = 1
-    for row in m:
-        for x in row:
-            scale = math.lcm(scale, Fraction(x).denominator)
-    a = [[int(Fraction(x) * scale) for x in row] for row in m]
+    a = clear_denominators(m)[1]
     r = 0
     prev = 1
     for c in range(cols):
@@ -246,13 +234,3 @@ def signature_exact(m):
                 for k in range(n):
                     a[k][i] = a[k][i] - f * a[k][pivot]
     return np_, nm, nz
-
-
-def signature_float(m, tol: float = 1e-9):
-    """Signature by eigenvalue sign counts; the binary64 cross-check path."""
-    import numpy as np
-
-    w = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m]))
-    np_ = int((w > tol).sum())
-    nm = int((w < -tol).sum())
-    return np_, nm, len(w) - np_ - nm

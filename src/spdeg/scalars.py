@@ -120,9 +120,6 @@ class ExpPoly:
 
     # -- limits and evaluation ----------------------------------------------
 
-    def is_constant(self) -> bool:
-        return all(r == 0 for r in self.terms)
-
     def has_limit(self) -> bool:
         """True iff the limit as t -> +inf is finite (every exponent <= 0)."""
         return all(r <= 0 for r in self.terms)

@@ -85,7 +85,7 @@ class Bracket:
         sign = 1
         if i > j:
             i, j, sign = j, i, -1
-        return sign * self.rules.get((i, j), {}).get(k, Fraction(0))
+        return sign * self.rules.get((i, j), {}).get(k, 0)
 
     def pair(self, i: int, j: int):
         """The vector [e_i, e_j] as a 0-based coordinate list."""
@@ -115,9 +115,6 @@ class Bracket:
         for (i, j), vec in sorted(self.rules.items()):
             for k in sorted(vec):
                 yield i, j, k, vec[k]
-
-    def is_zero(self) -> bool:
-        return not self.rules
 
     def __eq__(self, other):
         if not isinstance(other, Bracket):
@@ -269,9 +266,7 @@ def validate_symplectic(mu: Bracket) -> bool:
 def is_symplectic(g) -> bool:
     """Whether g^T J g == J, term-wise exactly."""
     j = canonical_form(len(g))
-    gt = linalg.transpose(g)
-    resid = linalg.mat_sub(linalg.mat_mul(gt, linalg.mat_mul(j, g)), j)
-    return not any(x for row in resid for x in row)
+    return linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(j, g)) == j
 
 
 def symplectic_inverse(g):
@@ -311,30 +306,6 @@ def act(g, mu: Bracket, ginv=None) -> Bracket:
     return Bracket(mu.dim, rules)
 
 
-def act_bilinear(g, table, ginv=None):
-    """Same action on a dense bilinear product table[i][j] -> vector."""
-    dim = len(table)
-    if ginv is None:
-        ginv = group_inverse(g)
-    cols = [[ginv[r][c] for r in range(dim)] for c in range(dim)]
-    out = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            w = [Fraction(0)] * dim
-            for a in range(dim):
-                ca = cols[i][a]
-                if not ca:
-                    continue
-                for b in range(dim):
-                    coef = ca * cols[j][b]
-                    if not coef:
-                        continue
-                    tab = table[a][b]
-                    w = [x + coef * y for x, y in zip(w, tab)]
-            out[i][j] = linalg.mat_vec(g, w)
-    return out
-
-
 def transvection(u, c):
     """Matrix of v -> v + c*w(u, v)*u; exactly symplectic for rational inputs."""
     dim = len(u)
@@ -352,21 +323,6 @@ def transvection(u, c):
 def bracket_to_table(mu: Bracket):
     """Dense bilinear table: table[i][j] = mu(e_{i+1}, e_{j+1}) (0-based)."""
     return [[mu.pair(i + 1, j + 1) for j in range(mu.dim)] for i in range(mu.dim)]
-
-
-def table_to_bracket(table) -> Bracket:
-    dim = len(table)
-    rules = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            anti = [(a - b) for a, b in zip(table[i][j], table[j][i])]
-            sym = [(a + b) for a, b in zip(table[i][j], table[j][i])]
-            if any(sym):
-                raise ValueError("table is not antisymmetric")
-            vec = {k + 1: anti[k] / 2 for k in range(dim) if anti[k]}
-            if vec:
-                rules[(i + 1, j + 1)] = vec
-    return Bracket(dim, rules)
 
 
 # -- distances -------------------------------------------------------------------

@@ -1,0 +1,198 @@
+"""Reference implementations and fixed brackets that only the tests use.
+
+Each oracle is written apart from the production path it checks.
+"""
+
+from fractions import Fraction
+
+from spdeg import linalg
+from spdeg.catalog import bracket_of, scaling_transform, shear_transform
+from spdeg.curvature import HALF, levi_civita
+from spdeg.invariants import (SymForm, _derivation_rows, _skew_adjoint_rows,
+                              composition_trace_form, nilpotent, second_trace)
+from spdeg.tensor import Bracket, act, bracket_to_table, group_inverse, is_lie
+
+
+def tau6():
+    """The 6-dimensional validation law, closed for the canonical two-form on R^6."""
+    return Bracket(6, {(1, 3): {3: 1}, (1, 6): {6: -1}, (2, 4): {5: 1}, (4, 5): {2: 1}})
+
+
+def xi_family(t: Fraction) -> Bracket:
+    """scaling_transform(t) acting on the nilpotent class n4."""
+    return act(scaling_transform(t), bracket_of("n4"))
+
+
+def varrho_family(t: Fraction) -> Bracket:
+    """shear_transform(t) acting on d4_1:w1."""
+    return act(shear_transform(t), bracket_of("d4_1:w1"))
+
+
+def table_to_bracket(table) -> Bracket:
+    """The bracket of an antisymmetric dense table; ValueError otherwise."""
+    dim = len(table)
+    rules = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            anti = [(a - b) for a, b in zip(table[i][j], table[j][i])]
+            sym = [(a + b) for a, b in zip(table[i][j], table[j][i])]
+            if any(sym):
+                raise ValueError("table is not antisymmetric")
+            vec = {k + 1: anti[k] / 2 for k in range(dim) if anti[k]}
+            if vec:
+                rules[(i + 1, j + 1)] = vec
+    return Bracket(dim, rules)
+
+
+def act_bilinear(g, table, ginv=None):
+    """The change of basis action of ``act`` on a dense bilinear table[i][j] -> vector."""
+    dim = len(table)
+    if ginv is None:
+        ginv = group_inverse(g)
+    cols = [[ginv[r][c] for r in range(dim)] for c in range(dim)]
+    out = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            w = [Fraction(0)] * dim
+            for a in range(dim):
+                ca = cols[i][a]
+                if not ca:
+                    continue
+                for b in range(dim):
+                    coef = ca * cols[j][b]
+                    if not coef:
+                        continue
+                    tab = table[a][b]
+                    w = [x + coef * y for x, y in zip(w, tab)]
+            out[i][j] = linalg.mat_vec(g, w)
+    return out
+
+
+def derivation_kernel_rank_oracle(mu: Bracket, symplectic: bool = False) -> int:
+    """Kernel dimension via the independent fraction-free rank routine."""
+    rows = _derivation_rows(mu)
+    if symplectic:
+        rows += _skew_adjoint_rows(mu.dim)
+    return mu.dim * mu.dim - linalg.rank_bareiss(rows)
+
+
+def is_derivation(mu: Bracket, d) -> bool:
+    """D[e_i, e_j] = [De_i, e_j] + [e_i, De_j] for all i < j, exactly."""
+    n = mu.dim
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            lhs = linalg.mat_vec(d, mu.pair(i, j))
+            di = [d[p][i - 1] for p in range(n)]
+            dj = [d[p][j - 1] for p in range(n)]
+            ei = [Fraction(1) if p == i - 1 else Fraction(0) for p in range(n)]
+            ej = [Fraction(1) if p == j - 1 else Fraction(0) for p in range(n)]
+            rhs = [a + b for a, b in zip(mu.apply(di, ej), mu.apply(ei, dj))]
+            if any(x != y for x, y in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def killing_form(mu: Bracket) -> SymForm:
+    """trace(ad_x ad_y): the composition trace form of the bracket itself."""
+    if not is_lie(mu):
+        raise ValueError("input is not a Lie bracket")
+    return composition_trace_form(bracket_to_table(mu))
+
+
+def modified_killing_form(mu: Bracket, c) -> SymForm:
+    """Killing form plus c * (tr ad) (x) (tr ad)."""
+    k = killing_form(mu)
+    tr2 = second_trace(mu)
+    c = Fraction(c)
+    n = mu.dim
+    return SymForm([[k.m[i][j] + c * tr2[i] * tr2[j] for j in range(n)] for i in range(n)])
+
+
+def torsion_free(mu: Bracket) -> bool:
+    """LC(x,y) - LC(y,x) = mu(x,y) on all basis pairs."""
+    lc = levi_civita(mu)
+    n = mu.dim
+    for i in range(n):
+        for j in range(n):
+            mij = mu.pair(i + 1, j + 1)
+            if any(a - b != m for a, b, m in zip(lc[i][j], lc[j][i], mij)):
+                return False
+    return True
+
+
+def metric_compatible(lc) -> bool:
+    """<LC(x,y), z> + <y, LC(x,z)> = 0 on all basis triples (dot metric)."""
+    n = len(lc)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if lc[i][j][k] + lc[i][k][j] != 0:
+                    return False
+    return True
+
+
+def _lc_apply(lc, u, w):
+    """LC(u, w) for coordinate vectors, bilinear extension of the table."""
+    n = len(lc)
+    out = [0 * lc[0][0][0]] * n
+    for p in range(n):
+        if not u[p]:
+            continue
+        for q in range(n):
+            coef = u[p] * w[q]
+            if not coef:
+                continue
+            out = [x + coef * y for x, y in zip(out, lc[p][q])]
+    return out
+
+
+def riemann(mu: Bracket):
+    """Dense R[i][j][k] -> vector with R(x,y)z = LC(x,LC(y,z)) - LC(y,LC(x,z)) - LC(mu(x,y),z)."""
+    lc = levi_civita(mu)
+    n = mu.dim
+    basis = linalg.identity(n)
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            mij = mu.pair(i + 1, j + 1)
+            for k in range(n):
+                a = _lc_apply(lc, basis[i], lc[j][k])
+                b = _lc_apply(lc, basis[j], lc[i][k])
+                c = _lc_apply(lc, mij, basis[k])
+                out[i][j][k] = [x - y - z for x, y, z in zip(a, b, c)]
+    return out
+
+
+def ricci_nilpotent(mu: Bracket) -> SymForm:
+    """Reduced Ricci formula for nilpotent metric Lie algebras, polarized.
+
+    B(u,v) = -1/2 sum_{i,j} <mu(u,e_i),e_j><mu(v,e_i),e_j>
+             +1/2 sum_{i<j} <mu(e_i,e_j),u><mu(e_i,e_j),v>.
+    """
+    if not nilpotent(mu):
+        raise ValueError("input is not nilpotent")
+    n = mu.dim
+    rows = [[mu.pair(a + 1, i + 1) for i in range(n)] for a in range(n)]
+    m = linalg.zeros(n)
+    for a in range(n):
+        for b in range(a, n):
+            total = Fraction(0)
+            for i in range(n):
+                for j in range(n):
+                    total -= rows[a][i][j] * rows[b][i][j] * HALF
+            for i in range(n):
+                for j in range(i + 1, n):
+                    total += rows[i][j][a] * rows[i][j][b] * HALF
+            m[a][b] = total
+            m[b][a] = total
+    return SymForm(m)
+
+
+def signature_float(m, tol: float = 1e-9):
+    """Signature by eigenvalue sign counts; the binary64 cross-check path."""
+    import numpy as np
+
+    w = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in m]))
+    np_ = int((w > tol).sum())
+    nm = int((w < -tol).sum())
+    return np_, nm, len(w) - np_ - nm

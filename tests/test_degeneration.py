@@ -8,8 +8,8 @@ from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES, NODE_BY_ID,
                                 R2P_TRAP, R2R2_TRAP, SuiteCheck, _edge_instances,
                                 _witness_route, TrapError, borbit_element,
-                                a_element, classify_pairs, n_element, random_rational,
-                                r2r2_trap_residual,
+                                a_element, classify_pairs, n_element, quadratics_agree,
+                                random_rational, r2r2_trap_residual,
                                 verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
@@ -35,7 +35,7 @@ def test_verify_curve_worked_example_structure():
     r = verify_curve(inst)
     assert r.verified
     nonconst = [(i, j, k, c) for (i, j), vec in r.moved.rules.items()
-                for k, c in vec.items() if not ExpPoly.coerce(c).is_constant()]
+                for k, c in vec.items() if any(ExpPoly.coerce(c).terms)]  # an exponent != 0
     assert nonconst == [(2, 3, 4, ExpPoly.exp(-2))]
     assert r.moved.limit() == catalog.bracket_of("r4_alpha", F(-1, 2))
 
@@ -252,6 +252,13 @@ def test_r2p_orbit_lands_in_trap():
                             tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
         coords = R2P_TRAP.coords(xi)
         assert len(coords) == 4
+
+
+def test_quadratics_agree_tells_every_quadratic_from_zero():
+    # x^2 - x vanishes at 0, e_i and e_1 + e_2; only -e_1 tells it from zero
+    assert not quadratics_agree(lambda p: p[0] * p[0] - p[0], lambda p: 0, 2)
+    assert quadratics_agree(lambda p: (p[0] - p[2]) ** 2,
+                            lambda p: p[0] ** 2 - 2 * p[0] * p[2] + p[2] ** 2, 3)
 
 
 # -- the assembled diagram --------------------------------------------------------------

@@ -1,0 +1,36 @@
+"""Every top-level function in src/spdeg is used by other code in src/ (not
+counting the re-exports of __init__.py), is a bench/launch.py span, or is in
+the README's Library block.  Test-only references belong in tests/oracles.py.
+"""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+from test_readme import library_block
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _span_attrs():
+    spec = importlib.util.spec_from_file_location("bench_launch", ROOT / "bench" / "launch.py")
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    return {attr for _, _, attr in launch.SPANS}
+
+
+def test_every_src_function_has_a_use_outside_the_tests():
+    used = _span_attrs() | set(re.findall(r"\w+", library_block()))
+    defs, names = [], []  # names: the identifiers of each top-level statement
+    for path in sorted((ROOT / "src" / "spdeg").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names.append({n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                          if isinstance(n, (ast.Name, ast.Attribute))})
+            if isinstance(stmt, ast.FunctionDef):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, len(names) - 1))
+    unused = [label for label, name, own in defs
+              if name not in used and not any(name in n for i, n in enumerate(names) if i != own)]
+    assert unused == []

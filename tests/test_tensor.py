@@ -8,9 +8,10 @@ from spdeg.scalars import ExpPoly
 from spdeg.tensor import (Bracket, act, bracket_distance, bracket_to_table,
                           canonical_form, d_omega, is_closed, is_lie,
                           is_symplectic, jacobiator, omega, symplectic_inverse,
-                          table_to_bracket, transvection)
+                          transvection)
 
 from helpers import rational_symplectic
+from oracles import table_to_bracket
 
 
 def _mu(key, param=None):
