@@ -3,7 +3,7 @@
 Matrices are plain nested lists.  Generic helpers (mat_mul, transpose, ...)
 work over any commutative ring of entries (Fraction, int, float, ExpPoly);
 the elimination routines require rational (Fraction or int) entries.
-Nothing here computes in floats.
+Nothing here is specific to floats.
 """
 
 from __future__ import annotations
