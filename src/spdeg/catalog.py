@@ -8,9 +8,8 @@ curvature witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import linalg
 from .scalars import ExpPoly, format_rational, parse_rational
@@ -23,8 +22,7 @@ class DomainError(ValueError):
     """A class or curve parameter outside its printed domain."""
 
 
-@dataclass(frozen=True)
-class ClassId:
+class ClassId(NamedTuple):
     """A catalog class: registry key plus optional rational parameter."""
 
     key: str
@@ -48,8 +46,7 @@ class ClassId:
         return out.replace(spec.param_name, format_rational(self.param))
 
 
-@dataclass
-class ClassSpec:
+class ClassSpec(NamedTuple):
     key: str
     mu: int                      # index in the classification tables
     display: str
@@ -257,8 +254,7 @@ def rescale_time(g, m: int):
              for x in row] for row in g]
 
 
-@dataclass
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """One explicit degeneration curve g_t from the curve list.
 
     ``matrix(param)`` yields the 4x4 matrix as printed; ``orientation``
@@ -316,8 +312,7 @@ class CurveSpec:
         return [self.instantiate(p) for p in CLASSES[self.source_key].samples]
 
 
-@dataclass
-class CurveInstance:
+class CurveInstance(NamedTuple):
     label: str
     spec: CurveSpec
     source: ClassId
@@ -565,5 +560,6 @@ def shear_transform(t: Fraction):
 
 def rho_family(t: Fraction) -> Bracket:
     """shear_transform(t) acting on d4_lambda at lambda = 1/2."""
-    return act(shear_transform(t), bracket_of("d4_lambda", F(1, 2)))
+    g = shear_transform(t)
+    return act(g, bracket_of("d4_lambda", F(1, 2)), symplectic_inverse(g))
 

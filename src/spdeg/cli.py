@@ -308,7 +308,9 @@ def main(argv=None) -> int:
         if args.verb in ("validate",) and not (args.cls or args.file):
             return _fail(2, "validate needs --class or --file")
         return args.func(args)
-    except (KeyError, ValueError) as e:
+    except KeyError as e:  # str() of a KeyError is the repr of its message
+        return _fail(2, f"{e.args[0]}")
+    except ValueError as e:
         return _fail(2, f"{e}")
     except OSError as e:
         return _fail(3, f"{e}")

@@ -9,9 +9,8 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import linalg
 from .invariants import SymForm
@@ -71,8 +70,7 @@ def _ricci_matrix(mu: Bracket):
     return out
 
 
-@dataclass
-class CurvatureTensors:
+class CurvatureTensors(NamedTuple):
     ricci: SymForm
     scalar_curv: Fraction
 
@@ -116,8 +114,7 @@ def einstein_check(mu: Bracket) -> Optional[Fraction]:
 # -- degenerate-Ricci root finder ------------------------------------------------
 
 
-@dataclass
-class RootRecord:
+class RootRecord(NamedTuple):
     low: Fraction
     high: Fraction
     t_hat: Fraction

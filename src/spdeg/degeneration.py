@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
@@ -31,8 +30,7 @@ T_GRID = (5.0, 10.0, 15.0, 20.0, 25.0)
 # -- curve verification ----------------------------------------------------------
 
 
-@dataclass
-class CurveReport:
+class CurveReport(NamedTuple):
     label: str
     symplectic_exact: bool
     status: str                   # verified | no limit | wrong target | not symplectic
@@ -123,8 +121,7 @@ class TrapError(ValueError):
     """A bracket does not fit the trapping-subspace pattern."""
 
 
-@dataclass(frozen=True)
-class TrapPattern:
+class TrapPattern(NamedTuple):
     """A linear subspace of 4-dimensional brackets that traps a B-orbit.
 
     Coordinate b_n is groups[n-1]: the (i, j, k) slots, i < j, whose
@@ -213,8 +210,7 @@ def random_symplectic(rng: random.Random) -> tuple:
 # -- the degeneration diagram ------------------------------------------------------
 
 
-@dataclass
-class HasseNode:
+class HasseNode(NamedTuple):
     id: str
     key: str
     param: Optional[Fraction]      # pinned parameter, None for generic families
@@ -280,14 +276,13 @@ HASSE_EDGES = [
 ]
 
 
-@dataclass
-class HasseEdge:
+class HasseEdge(NamedTuple):
     source: str
     target: str
     curve_id: str
-    status: str = "open"                  # verified | obstructed | open
-    reports: list = field(default_factory=list)
-    der_omega_increases: bool = False
+    status: str                   # verified | open
+    reports: list
+    der_omega_increases: bool
 
     def to_json_dict(self):
         return {"source": self.source, "target": self.target,
@@ -304,8 +299,7 @@ def _edge_instances(source_node, curve_id):
     return [spec.instantiate(c.param) for c in NODE_BY_ID[source_node].class_ids()]
 
 
-@dataclass
-class HasseReport:
+class HasseReport(NamedTuple):
     edges: list
     dot: str
     closure: dict
@@ -333,15 +327,13 @@ def hasse() -> HasseReport:
     """Verify every diagram edge by its curve and emit the DOT graph."""
     edges = []
     for source, target, curve_id in HASSE_EDGES:
-        edge = HasseEdge(source, target, curve_id)
         reports = [verify_curve(inst) for inst in _edge_instances(source, curve_id)]
-        edge.reports = reports
-        edge.status = "verified" if all(r.verified for r in reports) else "open"
-        src_node, tgt_node = NODE_BY_ID[source], NODE_BY_ID[target]
-        edge.der_omega_increases = all(
-            der_omega_dim(s) < der_omega_dim(t)
-            for s in src_node.class_ids() for t in tgt_node.class_ids())
-        edges.append(edge)
+        edges.append(HasseEdge(
+            source, target, curve_id,
+            "verified" if all(r.verified for r in reports) else "open", reports,
+            all(der_omega_dim(s) < der_omega_dim(t)
+                for s in NODE_BY_ID[source].class_ids()
+                for t in NODE_BY_ID[target].class_ids())))
     closure = {n.id: set(_paths(n.id)) - {n.id} for n in HASSE_NODES}
     lines = ["digraph degenerations {", "  rankdir=TB;"]
     for node in HASSE_NODES:
@@ -386,8 +378,7 @@ def classify_pairs(report: HasseReport, checks):
 # -- the three worked non-degeneration arguments -----------------------------------
 
 
-@dataclass
-class SuiteCheck:
+class SuiteCheck(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -586,8 +577,7 @@ def _witness_matrix_symbolic(cid: ClassId, chain, ref_node):
     return total, reference
 
 
-@dataclass
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     class_id: str
     status: str            # witness | exceptional | exhausted | failed
     signature: Optional[tuple] = None

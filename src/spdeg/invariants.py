@@ -8,17 +8,16 @@ the tests compare against are in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
 from .catalog import ClassId, expected_invariants, make
 from .tensor import Bracket, canonical_form, is_lie, omega, validate_symplectic
 
 
-@dataclass
-class DerivationAlgebra:
+class DerivationAlgebra(NamedTuple):
     basis: list  # square rational matrices
     dim: int
 
@@ -91,18 +90,16 @@ def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
 # -- symmetric forms -------------------------------------------------------------
 
 
-@dataclass
 class SymForm:
     """Symmetric bilinear form with exact signature bookkeeping."""
 
-    m: list
-
-    def __post_init__(self):
-        n = len(self.m)
+    def __init__(self, m: list):
+        n = len(m)
         for i in range(n):
             for j in range(n):
-                if self.m[i][j] != self.m[j][i]:
+                if m[i][j] != m[j][i]:
                     raise ValueError("matrix is not symmetric")
+        self.m = m
 
     def signature(self):
         return linalg.signature_exact(self.m)
@@ -231,8 +228,7 @@ def nilpotent(mu: Bracket) -> bool:
 # -- the obstruction battery -------------------------------------------------------
 
 
-@dataclass
-class ObstructionCheck:
+class ObstructionCheck(NamedTuple):
     name: str
     passed: bool
     source_value: object
@@ -244,8 +240,7 @@ class ObstructionCheck:
                 "target_value": str(self.target_value)}
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     source: ClassId
     target: ClassId
     checks: list

@@ -89,6 +89,15 @@ def test_unknown_class_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("ricci", "--class", "nope"), "unknown class key: 'nope'"),
+    (("degenerate", "--curve", "appendix:nope"), "unknown curve id: 'appendix:nope'"),
+])
+def test_unknown_key_message_is_printed_unquoted(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_bad_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "catalog", "--class", "d4_lambda:lambda=1")
     assert code == 2 and "lambda" in err
@@ -130,12 +139,10 @@ def test_large_curve_parameter_verifies(capsys, curve, lam):
 
 def test_slowed_curve_still_fails_the_distance_check():
     # the negative control: rh3 -> a4 on the clock t/8 is still far from a4 at t = 25
-    from dataclasses import replace
-
     from spdeg import degeneration
 
     inst = catalog.parse_curve("appendix:rh3-a4")
-    slow = replace(inst, g=catalog.rescale_time(inst.g, F(1, 8)))
+    slow = inst._replace(g=catalog.rescale_time(inst.g, F(1, 8)))
     report = degeneration.verify_curve(slow)
     assert report.status == "verified" and report.float_decreasing
     assert not report.float_final_small and not report.verified

@@ -124,7 +124,8 @@ def test_scalar_curvature_is_trace():
 def test_lemma_transforms_are_symplectic():
     assert is_symplectic(scaling_transform(F(2)))
     assert is_symplectic(scaling_transform(F(1, 2)))
-    assert is_symplectic(shear_transform(F(12)))
+    for t in (F(0), F(-7, 3), F(1, 2), F(12)):
+        assert is_symplectic(shear_transform(t))
     with pytest.raises(ValueError):
         scaling_transform(F(0))
 

@@ -1,11 +1,15 @@
 """Every top-level function in src/spdeg is used by other code in src/ (not
 counting the re-exports of __init__.py), is a bench/launch.py span, or is in
 the README's Library block.  Test-only references belong in tests/oracles.py.
+Importing the CLI stays cheap: no module with a large import cost at start-up.
 """
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from test_readme import library_block
@@ -34,3 +38,13 @@ def test_every_src_function_has_a_use_outside_the_tests():
     unused = [label for label, name, own in defs
               if name not in used and not any(name in n for i, n in enumerate(names) if i != own)]
     assert unused == []
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize; numpy is only for the
+    # float fields, imported where they are computed
+    code = "import sys, spdeg.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
