@@ -17,10 +17,10 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
-from .curvature import ricci_form
-from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
+from .curvature import _ricci_matrix, ricci_form
+from .invariants import (SymForm, composition_trace_form, der_omega_dim, derived_dim,
                          equivariant_product, obstruction_report, second_trace)
-from .scalars import ExpPoly
+from .scalars import ExpPoly, format_rational
 from .tensor import (Bracket, act, bracket_distance, is_symplectic, jacobiator,
                      symplectic_inverse)
 
@@ -573,7 +573,7 @@ def _witness_matrix_symbolic(cid: ClassId, chain, ref_node):
     transform = _REFERENCES[ref_node][1]
     ref = [[ExpPoly.coerce(x) for x in row] for row in transform]
     total = ref if total is None else linalg.mat_mul(ref, total)
-    reference = act(transform, make(source))
+    reference = act(transform, make(source), symplectic_inverse(transform))
     return total, reference
 
 
@@ -584,7 +584,8 @@ class WitnessRecord(NamedTuple):
     k: Optional[int] = None
     t: Optional[float] = None
     provenance: tuple = ()
-    float_min_eig: Optional[float] = None
+    char_poly: tuple = ()  # det(x*I - A) for A = Ric / max|Ric_ij|, leading 1
+    min_eig_lower_bound: Optional[Fraction] = None   # <= every |eigenvalue of A|
     samples: Optional[int] = None
     all_det_zero: Optional[bool] = None
     reason: Optional[str] = None   # the internal check a failed record broke
@@ -594,20 +595,13 @@ class WitnessRecord(NamedTuple):
         if self.status == "witness":
             d.update({"signature": list(self.signature), "k": self.k, "t": self.t,
                       "provenance": list(self.provenance),
-                      "float_min_eig_normalized": self.float_min_eig})
+                      "char_poly": [format_rational(a) for a in self.char_poly],
+                      "min_eig_lower_bound": format_rational(self.min_eig_lower_bound)})
         if self.status == "exceptional":
             d.update({"samples": self.samples, "all_det_zero": self.all_det_zero})
         if self.status == "failed":
             d["reason"] = self.reason
         return d
-
-
-def _float_min_eig(m) -> float:
-    import numpy as np
-
-    a = np.array([[float(x) for x in row] for row in m])
-    scale = max(abs(a).max(), 1e-300)
-    return float(abs(np.linalg.eigvalsh(a / scale)).min())
 
 
 K_GRID = (4, 8, 12, 16, 20, 24, 28, 32, 36)  # k*log(2) stays below 25
@@ -641,10 +635,13 @@ def witness_for_class(cid: ClassId):
         moved = act(s, mu, symplectic_inverse(s))
         form = ricci_form(moved)
         if form.signature() == TARGET_SIGNATURE:
+            poly, descartes, beta = linalg.eigen_certificate(form.m)
+            if descartes != TARGET_SIGNATURE:
+                return WitnessRecord(str(cid), "failed", reason=f"the characteristic polynomial "
+                                     f"of Ric at {cid} has Descartes signature {descartes}")
             prov = chain + (_REFERENCES[ref_node][0], f"exp(t) := 2**{k}")
             return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k,
-                                 k * 0.6931471805599453, prov,
-                                 _float_min_eig(form.m))
+                                 k * 0.6931471805599453, prov, tuple(poly), beta)
     return WitnessRecord(str(cid), "exhausted")
 
 
@@ -658,14 +655,14 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500):
             continue
         # The samples run in ints.  act is linear in mu, g and g^{-1}, and
         # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
-        # = d*g^{-1}, act gives m*d^3*(g.mu), whose Ricci form is
-        # m^2*d^6*Ric(g.mu).  det = 0 and the signature are unchanged.
+        # = d*g^{-1}, act gives m*d^3*(g.mu), whose _ricci_matrix is the int
+        # matrix 4*m^2*d^6*Ric(g.mu).  det = 0 and the signature are unchanged.
         _, mu = make(cid).integer_multiple()
         all_zero = True
         for _ in range(samples):
             _, g = random_symplectic(rng)
             moved = act(g, mu, symplectic_inverse(g))
-            if linalg.det(ricci_form(moved).m) != 0:
+            if linalg.det(SymForm(_ricci_matrix(moved)).m) != 0:
                 all_zero = False
                 break
         records.append(WitnessRecord(str(cid), "exceptional",

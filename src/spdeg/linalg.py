@@ -9,6 +9,7 @@ Nothing here is specific to floats.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -40,7 +41,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum_entries([a[i][j] * v[j] for j in range(len(v))]) for i in range(len(a))]
+    return [sum_entries(map(operator.mul, row, v)) for row in a]
 
 
 def sum_entries(xs):
@@ -234,3 +235,35 @@ def signature_exact(m):
                 for k in range(n):
                     a[k][i] = a[k][i] - f * a[k][pivot]
     return np_, nm, nz
+
+
+def eigen_certificate(m):
+    """(p, signature, beta) for a symmetric rational m and A = m / max|m_ij|.
+
+    p = [1, a1, ..., an] is det(x*I - A), by Faddeev-LeVerrier on the int
+    matrix clear_denominators(m) with every division by k exact.  A has only
+    real eigenvalues, so Descartes' rule on p(x) and p(-x) gives the exact
+    signature.  beta = |an| / (|an| + max(1, |a1|, ..., |a(n-1)|)) bounds
+    every |eigenvalue of A| from below (Cauchy's bound on the reciprocal).
+    """
+    n = len(m)
+    a = clear_denominators(m)[1]
+    scale = max(abs(x) for row in a for x in row) or 1
+    p, c = [Fraction(1)], a  # c = a * M_k, where M_1 = I and M_(k+1) = c + q_k * I
+    for k in range(1, n + 1):
+        q, r = divmod(-sum(c[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError(f"Faddeev-LeVerrier step {k}: trace not divisible by {k}")
+        p.append(Fraction(q, scale ** k))
+        if k < n:
+            c = mat_mul(a, [[x + q if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(c)])
+    zero = n - max(k for k, x in enumerate(p) if x)
+
+    def changes(cs):
+        signs = [x > 0 for x in cs if x]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    beta = abs(p[n]) / (abs(p[n]) + max([1, *map(abs, p[1:n])]))
+    neg = changes(x if k % 2 == 0 else -x for k, x in enumerate(p))  # p(-x)
+    return p, (changes(p), neg, zero), beta

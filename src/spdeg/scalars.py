@@ -13,6 +13,7 @@ from fractions import Fraction
 # eval_at refuses exp arguments above this (exp(230) ~ 1e100), well below
 # the binary64 overflow of exp near 709.
 EXP_GUARD = 230.0
+_ZERO = Fraction(0)
 
 
 def parse_rational(s: str) -> Fraction:
@@ -51,22 +52,29 @@ class ExpPoly:
                 r = Fraction(r)
                 c = Fraction(c)
                 if c != 0:
-                    clean[r] = clean.get(r, Fraction(0)) + c
+                    clean[r] = clean[r] + c if r in clean else c
                     if clean[r] == 0:
                         del clean[r]
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_clean(cls, terms) -> "ExpPoly":
+        """The instance for Fraction keys and values: only drops zero coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", {r: c for r, c in terms.items() if c})
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("ExpPoly is immutable")
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        return cls({Fraction(0): Fraction(c)})
+        return cls._from_clean({_ZERO: Fraction(c)})
 
     @classmethod
     def exp(cls, r, c=1) -> "ExpPoly":
         """The single term c * exp(r*t)."""
-        return cls({Fraction(r): Fraction(c)})
+        return cls._from_clean({Fraction(r): Fraction(c)})
 
     @staticmethod
     def coerce(x) -> "ExpPoly":
@@ -80,13 +88,13 @@ class ExpPoly:
         other = ExpPoly.coerce(other)
         out = dict(self.terms)
         for r, c in other.terms.items():
-            out[r] = out.get(r, Fraction(0)) + c
-        return ExpPoly(out)
+            out[r] = out[r] + c if r in out else c
+        return ExpPoly._from_clean(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpPoly({r: -c for r, c in self.terms.items()})
+        return ExpPoly._from_clean({r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-ExpPoly.coerce(other))
@@ -100,8 +108,8 @@ class ExpPoly:
         for r1, c1 in self.terms.items():
             for r2, c2 in other.terms.items():
                 r = r1 + r2
-                out[r] = out.get(r, Fraction(0)) + c1 * c2
-        return ExpPoly(out)
+                out[r] = out[r] + c1 * c2 if r in out else c1 * c2
+        return ExpPoly._from_clean(out)
 
     __rmul__ = __mul__
 
@@ -128,7 +136,7 @@ class ExpPoly:
         """Exact limit as t -> +inf; None when a positive exponent survives."""
         if not self.has_limit():
             return None
-        return self.terms.get(Fraction(0), Fraction(0))
+        return self.terms.get(_ZERO, _ZERO)
 
     def eval_at(self, t: float) -> float:
         """Binary64 value at time t; raises on exp arguments beyond EXP_GUARD."""

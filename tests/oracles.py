@@ -196,3 +196,12 @@ def signature_float(m, tol: float = 1e-9):
     np_ = int((w > tol).sum())
     nm = int((w < -tol).sum())
     return np_, nm, len(w) - np_ - nm
+
+
+def min_abs_eig_float(m) -> float:
+    """min |eigenvalue| of m / max|m_ij| in binary64: the cross-check of the
+    exact lower bound linalg.eigen_certificate gives."""
+    import numpy as np
+
+    a = np.array([[float(x) for x in row] for row in m])
+    return float(abs(np.linalg.eigvalsh(a / abs(a).max())).min())

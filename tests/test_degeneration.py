@@ -5,9 +5,9 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
-from spdeg.degeneration import (EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES, NODE_BY_ID,
-                                R2P_TRAP, R2R2_TRAP, SuiteCheck, _edge_instances,
-                                _witness_route, TrapError, borbit_element,
+from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES,
+                                NODE_BY_ID, R2P_TRAP, R2R2_TRAP, SuiteCheck, _REFERENCES,
+                                _edge_instances, _witness_route, TrapError, borbit_element,
                                 a_element, classify_pairs, n_element, quadratics_agree,
                                 random_rational, r2r2_trap_residual,
                                 verify_curve, witness_for_class)
@@ -16,6 +16,7 @@ from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
 
 from helpers import rational_symplectic
+from oracles import min_abs_eig_float
 
 
 # -- curve verification -----------------------------------------------------------
@@ -366,7 +367,7 @@ def test_witness_for_single_class():
     rec = witness_for_class(class_id("n4"))
     assert rec.status == "witness"
     assert rec.signature == (1, 3, 0)
-    assert rec.float_min_eig > 1e-6
+    assert rec.min_eig_lower_bound > 1e-6
     assert rec.t <= 25.0
 
 
@@ -384,6 +385,55 @@ def test_witness_special_parameters_use_pinned_plans():
     assert rec.status == "witness" and "shear:t=12" in rec.provenance
     rec = witness_for_class(class_id("r4_m1_beta", F(-1)))
     assert rec.status == "witness" and "identity" in rec.provenance
+
+
+def _sign_changes(cs):
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_witness_certificates_hold(monkeypatch):
+    # the Ricci matrix each witness certifies, caught on its way into linalg
+    seen = []
+    real = linalg.eigen_certificate
+    monkeypatch.setattr(linalg, "eigen_certificate", lambda m: seen.append(m) or real(m))
+    checked = 0
+    for cid in DIAGRAM_CLASSES:
+        if cid.key in EXCEPTIONAL_KEYS:
+            continue
+        rec = witness_for_class(cid)
+        assert rec.status == "witness", str(cid)
+        ric = seen.pop()
+        scale = max(abs(x) for row in ric for x in row)
+        a = [[x / scale for x in row] for row in ric]
+        # Cayley-Hamilton: p_A(A) = 0 exactly, by Horner's scheme
+        p = rec.char_poly
+        assert p[0] == 1 and p[1] == -sum(a[i][i] for i in range(4)) and p[4] == linalg.det(a)
+        value = linalg.zeros(4)
+        for c in p:
+            value = [[x + c * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(linalg.mat_mul(value, a))]
+        assert value == linalg.zeros(4), str(cid)
+        # Descartes on p(x) and p(-x): one positive and three negative eigenvalues
+        assert _sign_changes(p) == 1, str(cid)
+        assert _sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(p)]) == 3, str(cid)
+        assert 1e-6 < rec.min_eig_lower_bound <= min_abs_eig_float(ric), str(cid)
+        checked += 1
+    assert checked == 40 and not seen
+
+
+def test_witness_fails_on_a_wrong_descartes_signature(monkeypatch):
+    real = linalg.eigen_certificate
+    monkeypatch.setattr(linalg, "eigen_certificate", lambda m: (real(m)[0], (2, 2, 0), F(1)))
+    rec = witness_for_class(class_id("n4"))
+    assert rec.status == "failed"
+    assert rec.reason == "the characteristic polynomial of Ric at n4 has Descartes signature (2, 2, 0)"
+
+
+def test_reference_transforms_are_symplectic():
+    # the witness search acts by them through symplectic_inverse, unchecked
+    assert len(_REFERENCES) == 4
+    assert all(is_symplectic(g) for _, g in _REFERENCES.values())
 
 
 def test_witness_routes_follow_the_diagram():

@@ -5,7 +5,7 @@ import pytest
 
 from spdeg import linalg
 
-from oracles import signature_float
+from oracles import min_abs_eig_float, signature_float
 
 
 def _random_matrix(rng, n, m):
@@ -103,3 +103,32 @@ def test_signature_float_agrees_on_rationals():
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         linalg.signature_exact([[F(0), F(1)], [F(2), F(0)]])
+
+
+def test_eigen_certificate_known_spectrum():
+    # A = diag(-3, -1, -1, 1) / 3, so p = (x + 1)(x + 1/3)^2 (x - 1/3)
+    m = [[F(x) if i == j else F(0) for j in range(4)] for i, x in enumerate((-3, -1, -1, 1))]
+    p, sig, beta = linalg.eigen_certificate(m)
+    assert p == [1, F(4, 3), F(2, 9), F(-4, 27), F(-1, 27)]
+    assert sig == (1, 3, 0)
+    assert beta == F(1, 27) / (F(1, 27) + F(4, 3))
+
+
+def test_eigen_certificate_on_random_symmetric_matrices():
+    rng = random.Random(29)
+    for n in (1, 2, 3, 4, 4, 5):
+        for rank in range(n + 1):
+            a = _random_matrix(rng, rank, n) if rank else [[F(0)] * n]
+            d = [F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in a]
+            m = linalg.mat_mul(linalg.transpose(a), [[x * y for y in row] for x, row in zip(d, a)])
+            p, sig, beta = linalg.eigen_certificate(m)
+            assert sig == linalg.signature_exact(m)
+            # p is det(x*I - A), checked at n + 1 points by elimination
+            scale = max(abs(x) for row in m for x in row) or 1
+            for x in range(-n, 1):
+                xa = [[x * (i == j) - y / scale for j, y in enumerate(row)]
+                      for i, row in enumerate(m)]
+                assert linalg.det(xa) == sum(c * x ** (n - k) for k, c in enumerate(p))
+            assert (beta == 0) == (sig[2] > 0)
+            if beta:
+                assert float(beta) <= min_abs_eig_float(m) * (1 + 1e-12)

@@ -40,11 +40,23 @@ def test_every_src_function_has_a_use_outside_the_tests():
     assert unused == []
 
 
+def _fresh_stdout(code):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_cli_import_leaves_heavy_modules_out():
     # dataclasses pulls in inspect, ast, dis and tokenize; numpy is only for the
     # float fields, imported where they are computed
     code = "import sys, spdeg.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert _fresh_stdout(code) == "[]\n"
+
+
+def test_theorem_b_runs_without_numpy():
+    # the witness certificates are exact: no eigenvalue comes from numpy
+    code = ("import contextlib, io, sys\nfrom spdeg.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['--json', 'theorem-b', '--samples', '1'])\n"
+            "print(code, 'numpy' in sys.modules)")
+    assert _fresh_stdout(code) == "0 False\n"
