@@ -1,15 +1,16 @@
 """Metric geometry of a bracket with the canonical inner product.
 
 Levi-Civita product, Ricci form, Einstein checks, and the degenerate-Ricci
-root finder.  The exact path runs on ints over one denominator; floats serve
-the bisection driver.  The Riemann tensor and the reduced nilpotent Ricci
-formula, which the tests compare the Ricci form against, are in
-tests/oracles.py.
+root finder.  The Ricci form runs on ints over one denominator; its binary64
+rounding serves the root finder's scan.  The Riemann tensor, the Levi-Civita
+contraction and the reduced nilpotent Ricci formula, which the tests compare
+the Ricci form against, are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from . import linalg
@@ -21,52 +22,46 @@ MAX_EXACT_HALVINGS = 1100  # see find_degenerate_ricci
 SCAN_SUBINTERVALS = 120  # binary64 sign scan of find_degenerate_ricci
 
 
-def _doubled_levi_civita(c):
-    """2*LC from the bracket table c: c_{ij}^k - c_{jk}^i + c_{ki}^j, no 1/2."""
-    r = range(len(c))
-    return [[[c[i][j][k] - c[j][k][i] + c[k][i][j] for k in r] for j in r] for i in r]
-
-
 def levi_civita(mu: Bracket):
     """Dense table LC[i][j] -> vector of the Levi-Civita product.
 
     With the dot product as metric the three-term formula reduces to
     LC_{ij}^k = (c_{ij}^k - c_{jk}^i + c_{ki}^j) / 2.
     """
-    return [[[x * HALF for x in v] for v in row] for row in _doubled_levi_civita(bracket_to_table(mu))]
-
-
-# Trace-slot sign of the curvature contraction in _ricci_matrix.  The tests
-# pin it against the reduced nilpotent formula on xi_family(2) (both in
-# tests/oracles.py) and the tabulated diag(-3, -1, -1, 1) of r4_m1_beta at
-# beta = -1.
-RICCI_SIGN = -1
+    c = bracket_to_table(mu)
+    r = range(mu.dim)
+    return [[[(c[i][j][k] - c[j][k][i] + c[k][i][j]) * HALF for k in r] for j in r] for i in r]
 
 
 def _ricci_matrix(mu: Bracket):
-    """4*Ric: the traced curvature contraction of 2*LC and 2*mu, with no 1/2, so
-    int brackets give ints and binary64 ones exactly 4x the binary64 result."""
-    table = bracket_to_table(mu)
-    lc = _doubled_levi_civita(table)
+    """4*Ric of a Lie bracket, Ric = M - B/2 - S(ad_H) (Besse, Einstein Manifolds,
+    7.38) with <H, x> = tr ad_x; symmetric term by term, int for int brackets:
+    4*Ric_ij = 2(sum_{k<l} c_kl^i c_kl^j - <ad_i, ad_j>_F - tr(ad_i ad_j)
+                 - <[H,e_i],e_j> - <[H,e_j],e_i>).
+    Off the Lie variety it differs from the Levi-Civita contraction by a
+    constant linear image of the Jacobiator."""
     n = mu.dim
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            tr = 0
-            for b in range(n):
-                w = lc[b][c]
-                for m in range(n):
-                    if w[m]:
-                        tr = tr + w[m] * lc[a][m][b]
-                v = lc[a][c]
-                for m in range(n):
-                    if v[m]:
-                        tr = tr - v[m] * lc[b][m][b]
-                u = table[a][b]
-                for p in range(n):
-                    if u[p]:
-                        tr = tr - 2 * u[p] * lc[p][c][b]
-            out[a][c] = RICCI_SIGN * tr
+    r = range(n)
+    ad = [[0] * (n * n) for _ in r]  # ad[i][m*n + k] = c_ik^m, ad_i row-major
+    adt = [[0] * (n * n) for _ in r]  # adt[i][k*n + m] = c_ik^m, its transpose
+    up = [[0] * len(mu.rules) for _ in r]  # up[m][p] = c_kl^m, (k, l) the p-th stored pair
+    for p, ((i, j), vec) in enumerate(mu.rules.items()):
+        i, j = i - 1, j - 1
+        for k, c in vec.items():
+            k -= 1
+            ad[i][k * n + j] = c
+            ad[j][k * n + i] = -c
+            adt[i][j * n + k] = c
+            adt[j][i * n + k] = -c
+            up[k][p] = c
+    h = [sum(a[::n + 1]) for a in ad]  # H = sum_k (tr ad_k) e_k
+    adh = [sum(map(mul, h, col)) for col in zip(*ad)]  # ad_H, row-major
+    out = [[0] * n for _ in r]
+    for i in r:
+        for j in range(i, n):
+            out[i][j] = out[j][i] = 2 * (
+                sum(map(mul, up[i], up[j])) - sum(map(mul, ad[i], ad[j]))
+                - sum(map(mul, ad[i], adt[j])) - adh[i * n + j] - adh[j * n + i])
     return out
 
 
@@ -88,9 +83,8 @@ def ricci(mu: Bracket) -> CurvatureTensors:
 
 
 def ricci_matrix_float(mu: Bracket):
-    """Binary64 Ricci matrix; the bisection driver path."""
-    fmu = mu.map_scalars(float)
-    return [[float(x) / 4 for x in row] for row in _ricci_matrix(fmu)]
+    """The exact Ricci form, correctly rounded to binary64; the root finder's scan."""
+    return [[float(x) for x in row] for row in ricci_form(mu).m]
 
 
 def einstein_constant(form: SymForm) -> Optional[Fraction]:

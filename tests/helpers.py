@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 from spdeg.degeneration import random_symplectic
 
@@ -9,3 +11,12 @@ def rational_symplectic(rng):
     """The symplectic matrix g of random_symplectic's (d, d*g), over Fraction."""
     d, g = random_symplectic(rng)
     return [[Fraction(x, d) for x in row] for row in g]
+
+
+def bench_launch():
+    """The module bench/launch.py, loaded from the checkout (bench/ is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+    spec = importlib.util.spec_from_file_location("bench_launch", path)
+    launch = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(launch)
+    return launch

@@ -146,6 +146,38 @@ def _lc_apply(lc, u, w):
     return out
 
 
+# Trace-slot sign of the curvature contraction in fraction_ricci_matrix.  The
+# tests pin it against the reduced nilpotent formula on xi_family(2) and the
+# tabulated diag(-3, -1, -1, 1) of r4_m1_beta at beta = -1.
+RICCI_SIGN = -1
+
+
+def fraction_ricci_matrix(mu: Bracket):
+    """Ric as the traced curvature contraction of LC = (c - c + c)/2 and mu:
+    the Levi-Civita path that the structure-constant formula replaced."""
+    lc = levi_civita(mu)
+    n = mu.dim
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for c in range(n):
+            tr = Fraction(0)
+            for b in range(n):
+                w = lc[b][c]
+                for m in range(n):
+                    if w[m]:
+                        tr = tr + w[m] * lc[a][m][b]
+                v = lc[a][c]
+                for m in range(n):
+                    if v[m]:
+                        tr = tr - v[m] * lc[b][m][b]
+                u = mu.pair(a + 1, b + 1)
+                for p in range(n):
+                    if u[p]:
+                        tr = tr - u[p] * lc[p][c][b]
+            out[a][c] = RICCI_SIGN * tr
+    return out
+
+
 def riemann(mu: Bracket):
     """Dense R[i][j][k] -> vector with R(x,y)z = LC(x,LC(y,z)) - LC(y,LC(x,z)) - LC(mu(x,y),z)."""
     lc = levi_civita(mu)

@@ -6,17 +6,13 @@ count must also stay one call per sample, or the count would drift silently.
 """
 
 import importlib
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
-LAUNCH = Path(__file__).resolve().parents[1] / "bench" / "launch.py"
+from helpers import bench_launch
 
 
 def test_every_benchmark_span_resolves():
-    spec = importlib.util.spec_from_file_location("bench_launch", LAUNCH)
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
+    launch = bench_launch()
     missing = []
     for name, modname, attr in launch.SPANS:
         obj = importlib.import_module(modname)

@@ -5,14 +5,14 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import scaling_transform, shear_transform, rho_family
-from spdeg.curvature import (RICCI_SIGN, einstein_check, find_degenerate_ricci,
-                             levi_civita, ricci, ricci_form, ricci_matrix_float)
+from spdeg.curvature import (einstein_check, find_degenerate_ricci, levi_civita, ricci,
+                             ricci_form, ricci_matrix_float)
 from spdeg.degeneration import DIAGRAM_CLASSES
 from spdeg.tensor import act, is_symplectic
 
 from helpers import rational_symplectic
-from oracles import (metric_compatible, ricci_nilpotent, riemann, signature_float,
-                     torsion_free, varrho_family, xi_family)
+from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_nilpotent,
+                     riemann, signature_float, torsion_free, varrho_family, xi_family)
 
 
 def _diag(*xs):
@@ -61,8 +61,9 @@ def test_ricci_sign_matches_both_fixtures():
     # (reduced nilpotent formula, tabulated diag(-3,-1,-1,1)) pin it
     assert RICCI_SIGN == -1
     xi2 = xi_family(F(2))
-    assert ricci_form(xi2).m == ricci_nilpotent(xi2).m
-    assert ricci_form(_mu("r4_m1_beta", F(-1))).m == _diag(-3, -1, -1, 1)
+    r4 = _mu("r4_m1_beta", F(-1))
+    assert ricci_form(xi2).m == fraction_ricci_matrix(xi2) == ricci_nilpotent(xi2).m
+    assert ricci_form(r4).m == fraction_ricci_matrix(r4) == _diag(-3, -1, -1, 1)
 
 
 def test_ricci_reference_values():

@@ -1,59 +1,31 @@
 """Differential tests of the integer exact kernels against Fraction oracles.
 
 The oracles are the implementations that the integer kernels replaced:
-the Levi-Civita contraction with its 1/2 factor, Gaussian elimination over
-Fraction for the determinant, -J g^T J as matrix products for the
-symplectic inverse, and the B-orbit element and the random symplectic
-element as Fraction matrix products.  All must agree exactly.
+the Levi-Civita contraction with its 1/2 factor (tests/oracles.py), Gaussian
+elimination over Fraction for the determinant, -J g^T J as matrix products
+for the symplectic inverse, and the B-orbit element and the random
+symplectic element as Fraction matrix products.  All must agree exactly.
+The structure-constant Ricci formula differs from the contraction off the
+Lie variety; one polarization check proves that the difference is a fixed
+linear image of the Jacobiator, so the two agree on every Lie bracket.
 """
 
+import cProfile
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from spdeg import catalog, linalg
-from spdeg.curvature import RICCI_SIGN, ricci_form, ricci_matrix_float
+from spdeg import catalog, degeneration, linalg
+from spdeg.curvature import _ricci_matrix, ricci_form, ricci_matrix_float
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
-                                a_element, borbit_element, n_element, random_rational,
-                                random_symplectic)
-from spdeg.tensor import act, canonical_form, symplectic_inverse, transvection
+                                _quadratic_grid, a_element, borbit_element, n_element,
+                                quadratics_agree, random_rational, random_symplectic)
+from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
+                          symplectic_inverse, transvection)
 
-from helpers import rational_symplectic
-
-HALF = F(1, 2)
-
-
-def fraction_levi_civita(mu):
-    n = mu.dim
-    c = [[mu.pair(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    return [[[(c[i][j][k] - c[j][k][i] + c[k][i][j]) * HALF for k in range(n)]
-             for j in range(n)] for i in range(n)]
-
-
-def fraction_ricci_matrix(mu):
-    """The traced curvature contraction of LC = (c - c + c)/2 and mu."""
-    lc = fraction_levi_civita(mu)
-    n = mu.dim
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for c in range(n):
-            tr = F(0)
-            for b in range(n):
-                w = lc[b][c]
-                for m in range(n):
-                    if w[m]:
-                        tr = tr + w[m] * lc[a][m][b]
-                v = lc[a][c]
-                for m in range(n):
-                    if v[m]:
-                        tr = tr - v[m] * lc[b][m][b]
-                u = mu.pair(a + 1, b + 1)
-                for p in range(n):
-                    if u[p]:
-                        tr = tr - u[p] * lc[p][c][b]
-            out[a][c] = RICCI_SIGN * tr
-    return out
+from helpers import bench_launch, rational_symplectic
+from oracles import fraction_ricci_matrix
 
 
 def fraction_det(m):
@@ -132,12 +104,78 @@ def test_ricci_form_matches_fraction_contraction(brackets):
         assert all(type(x) is F for row in form for x in row)
 
 
-def test_ricci_matrix_float_is_bit_identical(brackets):
-    # 2*LC and 2*mu scale every binary64 rounding by 4, and /4 is exact
+def test_ricci_matrix_float_is_correctly_rounded(brackets):
     for mu in brackets:
-        fmu = mu.map_scalars(float)
         assert ricci_matrix_float(mu) == [[float(x) for x in row]
-                                          for row in fraction_ricci_matrix(fmu)]
+                                          for row in fraction_ricci_matrix(mu)]
+
+
+# the 24 structure constants c_ij^k (i < j) of a 4-dimensional bracket
+PAIRS = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+
+
+def _bracket(point):
+    return Bracket(4, {(i, j): {k: point[4 * p + k - 1] for k in range(1, 5)}
+                       for p, (i, j) in enumerate(PAIRS)})
+
+
+def _difference(point):
+    """The 16 entries of _ricci_matrix - 4 * the Levi-Civita contraction."""
+    mu = _bracket(point)
+    return [x - 4 * y for a, b in zip(_ricci_matrix(mu), fraction_ricci_matrix(mu))
+            for x, y in zip(a, b)]
+
+
+def _jacobiator(point):
+    return [x for v in jacobiator(_bracket(point)).values() for x in v]
+
+
+def _jacobiator_map():
+    """The constant L with difference = L . Jac, by least squares over the
+    polarization grid, where both are known exactly."""
+    grid = _quadratic_grid(24)
+    jac = [_jacobiator(p) for p in grid]
+    diff = [_difference(p) for p in grid]
+    gram = [[sum(r[a] * r[b] for r in jac) for b in range(16)] for a in range(16)]
+    rhs = [[sum(r[a] * d[e] for r, d in zip(jac, diff)) for e in range(16)] for a in range(16)]
+    return linalg.transpose(linalg.mat_mul(linalg.inverse(gram), rhs))
+
+
+def test_ricci_formula_is_the_contraction_on_every_lie_bracket():
+    # both sides are quadratic in the 24 constants, so agreement on the 325
+    # grid points is an identity; on a Lie bracket Jac = 0, so the formula
+    # equals the contraction
+    lmap = _jacobiator_map()
+    assert quadratics_agree(_difference, lambda p: linalg.mat_vec(lmap, _jacobiator(p)), 24)
+    # control: the difference is not zero off the Lie variety, so L = 0 fails
+    assert any(any(row) for row in lmap)
+    assert not quadratics_agree(_difference, lambda p: [0] * 16, 24)
+    mu = Bracket(4, {(1, 2): {3: 1}, (1, 3): {1: 1}})  # Jac(e1, e2, e3) = -e3
+    assert not is_lie(mu)
+    assert fraction_ricci_matrix(mu)[0][1] != fraction_ricci_matrix(mu)[1][0]
+    assert _ricci_matrix(mu) != [[4 * x for x in row] for row in fraction_ricci_matrix(mu)]
+
+
+def test_integer_ricci_makes_no_fraction_operation(monkeypatch):
+    # ints in, ints out; and one exceptional sample of theorem-b, counted as
+    # bench/launch.py --mode count counts Fraction arithmetic, makes none
+    rng = random.Random(31)
+    for key in EXCEPTIONAL_KEYS + ("n4", "d4_1:w1", "r2r2:lambda=7/3"):
+        _, mu = catalog.make(catalog.parse_class(key)).integer_multiple()
+        _, g = random_symplectic(rng)
+        for nu in (mu, act(g, mu, symplectic_inverse(g))):
+            assert all(type(x) is int for row in _ricci_matrix(nu) for x in row)
+    launch = bench_launch()
+    exceptional = [cid for cid in DIAGRAM_CLASSES if cid.key in EXCEPTIONAL_KEYS]
+    monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES", exceptional)
+
+    def fraction_ops(samples):
+        profile = cProfile.Profile(subcalls=False)
+        records = profile.runcall(degeneration.theorem_b_search, 5, samples)
+        assert [r.all_det_zero for r in records] == [True] * len(exceptional)
+        return launch.fraction_counts(profile)[0]
+
+    assert fraction_ops(2) == fraction_ops(1)
 
 
 def test_det_matches_fraction_elimination(brackets):

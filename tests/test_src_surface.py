@@ -5,23 +5,20 @@ Importing the CLI stays cheap: no module with a large import cost at start-up.
 """
 
 import ast
-import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from helpers import bench_launch
 from test_readme import library_block
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _span_attrs():
-    spec = importlib.util.spec_from_file_location("bench_launch", ROOT / "bench" / "launch.py")
-    launch = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(launch)
-    return {attr for _, _, attr in launch.SPANS}
+    return {attr for _, _, attr in bench_launch().SPANS}
 
 
 def test_every_src_function_has_a_use_outside_the_tests():
