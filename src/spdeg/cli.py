@@ -199,23 +199,25 @@ def cmd_theorem_b(args) -> int:
 def cmd_remark_check(args) -> int:
     rho0 = catalog.rho_family(Fraction(0))
     sig0 = curvature.ricci_form(rho0).signature()
-    try:
-        roots = curvature.find_degenerate_ricci(
-            catalog.rho_family, 0, 12, det_tol=1e-12 if args.tol is None else args.tol)
-    except RuntimeError as e:  # the exact bisection hit its cap: nothing certified
-        return _fail(1, f"remark-check: FAIL: {e}")
-    certified = [r for r in roots
+    scan = curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)
+    v0, v12 = scan.variations
+    count = v0 - v12
+    certified = [r for r in scan.roots
                  if r.signature_below == (0, 4, 0) and r.signature_above == (1, 3, 0)]
-    ok = sig0 == (0, 4, 0) and len(certified) >= 1
+    ok = sig0 == (0, 4, 0) and count == 1 and len(certified) == 1
     payload = {"signature_at_zero": list(sig0),
-               "roots": [r.to_json_dict() for r in roots],
+               "det_poly": [format_rational(c) for c in scan.det_poly],
+               "sturm_variations": list(scan.variations),
+               "roots": [r.to_json_dict() for r in scan.roots],
                "certified_roots": len(certified)}
-    lines = [f"signature at t=0: {sig0}"]
-    for r in roots:
+    lines = [f"signature at t=0: {sig0}",
+             f"Sturm variations {v0} at 0, {v12} at 12: {count} root(s) of det Ric on (0, 12]"]
+    for r in scan.roots:
         lines.append(f"  root t^ = {float(r.t_hat):.12f} in [{float(r.low):.12f}, {float(r.high):.12f}]"
                      f" |det| = {abs(r.det_at_t_hat):.2e}"
                      f" signatures {r.signature_below} -> {r.signature_above}")
-    lines.append(f"remark-check: {'PASS' if ok else 'FAIL'}")
+    lines.append(f"remark-check: {'PASS' if ok else 'FAIL'}"
+                 + ("" if count == 1 else f": {count} roots of det Ric, expected 1"))
     _emit(args, payload, "\n".join(lines))
     return 0 if ok else 1
 
@@ -244,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for randomized exact sampling")
     p.add_argument("--tol", type=positive_float, default=None,
-                   help="float tolerance (default: 1e-8 curve distances, "
-                        "1e-12 determinant roots)")
+                   help="float tolerance of the degenerate distance grid (default 1e-8)")
     sub = p.add_subparsers(dest="verb")
 
     sp = sub.add_parser("catalog", help="list classes and curves, or show one class")
@@ -289,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="random exact samples per exceptional class")
     sp.set_defaults(func=cmd_theorem_b)
 
-    sp = sub.add_parser("remark-check", help="degenerate-Ricci root scan for the "
-                                             "shear family")
+    sp = sub.add_parser("remark-check", help="exact degenerate-Ricci root count for "
+                                             "the shear family")
     sp.set_defaults(func=cmd_remark_check)
     return p
 

@@ -1,10 +1,12 @@
 """Metric geometry of a bracket with the canonical inner product.
 
 Levi-Civita product, Ricci form, Einstein checks, and the degenerate-Ricci
-root finder.  The Ricci form runs on ints over one denominator; its binary64
-rounding serves the root finder's scan.  The Riemann tensor, the Levi-Civita
-contraction and the reduced nilpotent Ricci formula, which the tests compare
-the Ricci form against, are in tests/oracles.py.
+root finder.  The Ricci form runs on ints over one denominator; the root
+finder takes det Ric of a one-parameter family as an exact polynomial and
+counts and isolates its roots with a Sturm chain, with no binary64 step.
+The Riemann tensor, the Levi-Civita contraction and the reduced nilpotent
+Ricci formula, which the tests compare the Ricci form against, are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from .invariants import SymForm
 from .tensor import Bracket, bracket_to_table
 
 HALF = Fraction(1, 2)
-MAX_EXACT_HALVINGS = 1100  # see find_degenerate_ricci
-SCAN_SUBINTERVALS = 120  # binary64 sign scan of find_degenerate_ricci
 
 
 def levi_civita(mu: Bracket):
@@ -82,11 +82,6 @@ def ricci(mu: Bracket) -> CurvatureTensors:
     return CurvatureTensors(form, form.trace())
 
 
-def ricci_matrix_float(mu: Bracket):
-    """The exact Ricci form, correctly rounded to binary64; the root finder's scan."""
-    return [[float(x) for x in row] for row in ricci_form(mu).m]
-
-
 def einstein_constant(form: SymForm) -> Optional[Fraction]:
     """c with form = c * <,> exactly, or None."""
     m = form.m
@@ -107,6 +102,10 @@ def einstein_check(mu: Bracket) -> Optional[Fraction]:
 
 # -- degenerate-Ricci root finder ------------------------------------------------
 
+# family(t) is g(t) . mu with g(t) and g(t)^-1 linear in t, so its structure
+# constants are cubic in t, Ric is quadratic in them and det Ric quartic in Ric.
+DET_DEGREE = 24
+
 
 class RootRecord(NamedTuple):
     low: Fraction
@@ -123,76 +122,75 @@ class RootRecord(NamedTuple):
                 "signature_above": list(self.signature_above)}
 
 
-def _det_float(family: Callable, t: float) -> float:
-    import numpy as np
-
-    m = ricci_matrix_float(family(Fraction(t)))
-    return float(np.linalg.det(np.array(m)))
+class RootScan(NamedTuple):
+    det_poly: list  # det Ric(family(t)), exact coefficients, lowest degree first
+    variations: tuple  # Sturm sign variations at lo and at hi
+    roots: list  # one RootRecord per distinct root on (lo, hi], left to right
 
 
 def _det_exact(family: Callable, t: Fraction) -> Fraction:
     return linalg.det(ricci_form(family(t)).m)
 
 
-def find_degenerate_ricci(family: Callable, lo, hi, det_tol: float = 1e-12):
-    """All sign changes of det Ric(family(t)) on (lo, hi), bisected to roots.
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
 
-    The scan and bisection driver run in binary64; each root is then refined
-    and certified with exact determinant signs at dyadic rationals until
-    |det| < det_tol at the reported t_hat, and the flanking signatures are
-    recomputed exactly.  Returns a (possibly empty) list of RootRecord.
-    RuntimeError names the bracket whose bisection exceeds MAX_EXACT_HALVINGS.
+
+def _divmod(a, b):
+    """(q, r) with a = q*b + r and deg r < deg b, for a trimmed nonzero b."""
+    r, n = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(a) - n, 0)
+    for k in reversed(range(len(q))):
+        q[k] = f = r[k + n] / b[n]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+    return q, _trim(r[:n])
+
+
+def _sturm_chain(p):
+    """The Sturm chain of p divided by its last member, gcd(p, p'): its sign
+    variations drop by one at each distinct root of p and nowhere else, so
+    _variations(chain, a) - _variations(chain, b) counts the roots on (a, b]."""
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while chain[-1]:
+        chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
+    chain.pop()
+    return [_divmod(q, chain[-1])[0] for q in chain]
+
+
+def _variations(chain, x) -> int:
+    signs = [v > 0 for v in (sum(c * x ** k for k, c in enumerate(p)) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def find_degenerate_ricci(family: Callable, lo, hi) -> RootScan:
+    """The distinct roots of det Ric(family(t)) on (lo, hi] for a family cubic in t, all exact.
+
+    det Ric is interpolated as a polynomial by solving the Vandermonde system
+    at t = 0..DET_DEGREE, its Sturm chain counts the roots, and bisection on
+    the counts isolates each root to width 2^-50, with the Ricci signatures at
+    both ends.  ValueError when det Ric vanishes identically.
     """
-    if not det_tol > 0:
-        raise ValueError(f"det_tol must be positive, got {det_tol}")
-    lo, hi = float(lo), float(hi)
-    grid = [lo + (hi - lo) * k / SCAN_SUBINTERVALS for k in range(SCAN_SUBINTERVALS + 1)]
-    vals = [_det_float(family, t) for t in grid]
-    roots = []
-    for k in range(SCAN_SUBINTERVALS):
-        a, b = grid[k], grid[k + 1]
-        fa, fb = vals[k], vals[k + 1]
-        if fa == 0.0:
-            fa = _det_float(family, a + (b - a) * 1e-9)
-        if fa * fb >= 0:
-            continue
-        # binary64 bisection, keeping the sign bracket
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b or (b - a) < 1e-9:
-                break
-            fm = _det_float(family, mid)
-            if fa * fm <= 0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        # exact refinement at dyadic rationals
-        ra, rb = Fraction(a), Fraction(b)
-        da, db = _det_exact(family, ra), _det_exact(family, rb)
-        if da == 0 or db == 0:
-            root = ra if da == 0 else rb
-            eps = max(rb - ra, Fraction(1, 10 ** 9))
-            sig_lo = ricci_form(family(root - eps)).signature()
-            sig_hi = ricci_form(family(root + eps)).signature()
-            roots.append(RootRecord(root - eps, root + eps, root, 0.0, sig_lo, sig_hi))
-            continue
-        if (da > 0) == (db > 0):
-            continue  # binary64 noise crossing, not a true sign change
-        mid = (ra + rb) / 2
-        dm = _det_exact(family, mid)
-        halvings = 0
-        while dm != 0 and abs(float(dm)) >= det_tol:
-            if halvings == MAX_EXACT_HALVINGS:  # |det| ~halves per step: below any float now
-                raise RuntimeError(f"exact bisection on [{a!r}, {b!r}] did not reach "
-                                   f"|det Ric| < {det_tol} in {halvings} halvings")
-            halvings += 1
-            if (da > 0) != (dm > 0):
-                rb, db = mid, dm
-            else:
-                ra, da = mid, dm
-            mid = (ra + rb) / 2
-            dm = _det_exact(family, mid)
-        sig_lo = ricci_form(family(ra)).signature()
-        sig_hi = ricci_form(family(rb)).signature()
-        roots.append(RootRecord(ra, rb, mid, float(dm), sig_lo, sig_hi))
-    return roots
+    nodes = range(DET_DEGREE + 1)
+    rows = [[Fraction(t) ** k for k in nodes] + [_det_exact(family, Fraction(t))] for t in nodes]
+    poly = _trim([row[-1] for row in linalg.rref(rows)[0]])
+    if not poly:
+        raise ValueError("det Ric vanishes identically on the family")
+    chain = _sturm_chain(poly)
+    lo, hi = Fraction(lo), Fraction(hi)
+    ends = (_variations(chain, lo), _variations(chain, hi))
+    roots, todo = [], [(lo, hi, *ends)]
+    while todo:  # last in, first out: the left half first, so roots come out in order
+        a, b, va, vb = todo.pop()
+        if va - vb == 1 and b - a <= Fraction(1, 2 ** 50):
+            t_hat = (a + b) / 2
+            roots.append(RootRecord(a, b, t_hat, float(_det_exact(family, t_hat)),
+                                    ricci_form(family(a)).signature(),
+                                    ricci_form(family(b)).signature()))
+        elif va != vb:
+            m = (a + b) / 2
+            vm = _variations(chain, m)
+            todo += [(m, b, vm, vb), (a, m, va, vm)]
+    return RootScan(poly, ends, roots)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from spdeg import linalg
 from spdeg.catalog import bracket_of, scaling_transform, shear_transform
-from spdeg.curvature import HALF, levi_civita
+from spdeg.curvature import HALF, levi_civita, ricci_form
 from spdeg.invariants import (SymForm, _derivation_rows, _skew_adjoint_rows,
                               composition_trace_form, nilpotent, second_trace)
 from spdeg.tensor import Bracket, act, bracket_to_table, group_inverse, is_lie
@@ -218,6 +218,11 @@ def ricci_nilpotent(mu: Bracket) -> SymForm:
             m[a][b] = total
             m[b][a] = total
     return SymForm(m)
+
+
+def ricci_matrix_float(mu: Bracket):
+    """The exact Ricci form, correctly rounded to binary64; the float cross-checks."""
+    return [[float(x) for x in row] for row in ricci_form(mu).m]
 
 
 def signature_float(m, tol: float = 1e-9):

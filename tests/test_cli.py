@@ -260,13 +260,15 @@ def test_tol_must_be_positive_and_finite(capsys, verb, tol):
     assert "--tol" in err and "positive and finite" in err
 
 
-def test_remark_check_bisection_cap_exits_1(monkeypatch, capsys):
+def test_remark_check_exits_1_unless_one_root(monkeypatch, capsys):
     from spdeg import curvature
 
-    # an exact det whose sign changes at the root but never gets small
-    c = curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)[0].t_hat
-    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: 1 if t > c else -1)
+    # det Ric replaced by (t - 1)(t - 2): two roots on (0, 12]
+    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: (t - 1) * (t - 2))
     code, out, err = run(capsys, "remark-check")
-    assert code == 1 and out == ""
-    assert "remark-check: FAIL" in err and "1100 halvings" in err
-    assert re.search(r"on \[2\.19\d*, 2\.19\d*\]", err), err
+    assert code == 1 and err == ""
+    assert "remark-check: FAIL: 2 roots of det Ric, expected 1" in out
+    code, out, _ = run(capsys, "--json", "remark-check")
+    payload = json.loads(out)
+    assert code == 1 and payload["det_poly"] == ["2", "-3", "1"]
+    assert payload["sturm_variations"] == [2, 0] and len(payload["roots"]) == 2

@@ -6,13 +6,14 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import scaling_transform, shear_transform, rho_family
 from spdeg.curvature import (einstein_check, find_degenerate_ricci, levi_civita, ricci,
-                             ricci_form, ricci_matrix_float)
+                             ricci_form)
 from spdeg.degeneration import DIAGRAM_CLASSES
 from spdeg.tensor import act, is_symplectic
 
 from helpers import rational_symplectic
-from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_nilpotent,
-                     riemann, signature_float, torsion_free, varrho_family, xi_family)
+from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_matrix_float,
+                     ricci_nilpotent, riemann, signature_float, torsion_free, varrho_family,
+                     xi_family)
 
 
 def _diag(*xs):
@@ -131,32 +132,64 @@ def test_lemma_transforms_are_symplectic():
         scaling_transform(F(0))
 
 
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_at(p, t):
+    return sum(c * t ** k for k, c in enumerate(p))
+
+
 def test_find_degenerate_ricci_on_shear_family():
-    roots = find_degenerate_ricci(rho_family, 0, 12)
-    assert len(roots) == 1
-    r = roots[0]
+    scan = find_degenerate_ricci(rho_family, 0, 12)
+    assert scan.variations == (3, 2)
+    assert len(scan.roots) == 1
+    r = scan.roots[0]
     assert 0 < float(r.t_hat) < 12
     assert abs(r.det_at_t_hat) < 1e-12
     assert r.signature_below == (0, 4, 0)
     assert r.signature_above == (1, 3, 0)
     assert r.low <= r.t_hat <= r.high
+    # the root is t^2 = (sqrt(1201) - 25)/2, t = 2.19720810374517...
+    assert r.high - r.low <= F(1, 2 ** 50)
+    assert (2 * r.low ** 2 + 25) ** 2 < 1201 < (2 * r.high ** 2 + 25) ** 2
+
+
+def test_det_ricci_polynomial_is_exact_off_the_nodes():
+    # -(t^2 + 18)(t^4 + 25t^2 - 144)/512; the nodes are t = 0..24, so agreement at
+    # other points guards the degree bound
+    want = [c / -512 for c in _poly_mul([18, 0, 1], [-144, 0, 25, 0, 1])]
+    poly = find_degenerate_ricci(rho_family, 0, 12).det_poly
+    assert poly == want
+    for t in (F(25), F(1, 3), F(-7, 2)):
+        assert _poly_at(poly, t) == linalg.det(ricci_form(rho_family(t)).m)
+
+
+def test_sturm_count_sees_two_roots_in_one_scan_cell(monkeypatch):
+    from spdeg import curvature
+
+    # roots 1/3 and 1/3 + 1/1000 in the cell [0.3, 0.4]; positive at every point
+    # of the 120-cell grid on [0, 12], so a sign scan of that grid finds nothing
+    r1, r2 = F(1, 3), F(1003, 3000)
+    p = _poly_mul(_poly_mul([-r1, 1], [-r2, 1]), [1, 0, 1])
+    assert all(_poly_at(p, F(k, 10)) > 0 for k in range(121))
+    # t = 3 is a double root that the bisection of (0, 12] lands on: it counts once
+    for q, want in ((p, [r1, r2]), (_poly_mul(p, [9, -6, 1]), [r1, r2, F(3)])):
+        monkeypatch.setattr(curvature, "_det_exact", lambda family, t: _poly_at(q, t))
+        scan = find_degenerate_ricci(rho_family, 0, 12)
+        assert scan.det_poly == q
+        assert scan.variations[0] - scan.variations[1] == len(scan.roots) == len(want)
+        for r, t in zip(scan.roots, want):
+            assert r.low < t <= r.high and r.high - r.low <= F(1, 2 ** 50)
 
 
 def test_find_degenerate_ricci_reports_no_root():
     # no sign change of det Ric on (0, 1): negative definite throughout
-    assert find_degenerate_ricci(rho_family, 0, 1) == []
-
-
-def test_exact_bisection_is_capped(monkeypatch):
-    from spdeg import curvature
-
-    # an exact det whose sign changes at a point but never gets small
-    c = find_degenerate_ricci(rho_family, 0, 12)[0].t_hat
-    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: 1 if t > c else -1)
-    with pytest.raises(RuntimeError, match=r"on \[2\.19\d*, 2\.19\d*\].* 1100 halvings"):
-        find_degenerate_ricci(rho_family, 0, 12)
-    with pytest.raises(ValueError, match="det_tol"):
-        find_degenerate_ricci(rho_family, 0, 12, det_tol=-1.0)
+    assert find_degenerate_ricci(rho_family, 0, 1).roots == []
 
 
 def test_signature_locally_constant_where_nondegenerate():

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from spdeg import catalog, degeneration, linalg
-from spdeg.curvature import _ricci_matrix, ricci_form, ricci_matrix_float
+from spdeg.curvature import _ricci_matrix, ricci_form
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
                                 _quadratic_grid, a_element, borbit_element, n_element,
                                 quadratics_agree, random_rational, random_symplectic)
@@ -25,7 +25,7 @@ from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
                           symplectic_inverse, transvection)
 
 from helpers import bench_launch, rational_symplectic
-from oracles import fraction_ricci_matrix
+from oracles import fraction_ricci_matrix, ricci_matrix_float
 
 
 def fraction_det(m):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import bench_launch
 from test_readme import library_block
 
@@ -45,15 +47,17 @@ def _fresh_stdout(code):
 
 def test_cli_import_leaves_heavy_modules_out():
     # dataclasses pulls in inspect, ast, dis and tokenize; numpy is only for the
-    # float fields, imported where they are computed
+    # binary64 oracles of the tests
     code = "import sys, spdeg.cli; print(sorted({'dataclasses', 'numpy'} & set(sys.modules)))"
     assert _fresh_stdout(code) == "[]\n"
 
 
-def test_theorem_b_runs_without_numpy():
-    # the witness certificates are exact: no eigenvalue comes from numpy
+@pytest.mark.parametrize("argv", [["theorem-b", "--samples", "1"], ["remark-check"]],
+                         ids=["theorem-b", "remark-check"])
+def test_verb_runs_without_numpy(argv):
+    # the witness certificates and the root count are exact: no number comes from numpy
     code = ("import contextlib, io, sys\nfrom spdeg.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = main(['--json', 'theorem-b', '--samples', '1'])\n"
+            f"    code = main(['--json', *{argv!r}])\n"
             "print(code, 'numpy' in sys.modules)")
     assert _fresh_stdout(code) == "0 False\n"
