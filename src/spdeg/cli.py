@@ -124,7 +124,7 @@ def cmd_ricci(args) -> int:
 
 def cmd_degenerate(args) -> int:
     inst = catalog.parse_curve(args.curve)
-    report = degeneration.verify_curve(inst, dist_tol=1e-8 if args.tol is None else args.tol)
+    report = degeneration.verify_curve(inst, dist_tol=args.tol)
     payload = report.to_json_dict()
     lines = [f"{report.label}: {report.status}"
              + ("" if report.symplectic_exact else " (not symplectic)")]
@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed for randomized exact sampling")
-    p.add_argument("--tol", type=positive_float, default=None,
-                   help="float tolerance of the degenerate distance grid (default 1e-8)")
     sub = p.add_subparsers(dest="verb")
 
     sp = sub.add_parser("catalog", help="list classes and curves, or show one class")
@@ -269,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("degenerate", help="verify one degeneration curve")
     sp.add_argument("--curve", required=True,
                     help="curve id, e.g. appendix:rh3-a4 or appendix:d4lambda-n4:lambda=7/3")
+    sp.add_argument("--tol", type=positive_float, default=1e-8,
+                    help="float tolerance of the distance grid (default 1e-8)")
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("hasse", help="verify the degeneration diagram and emit DOT")

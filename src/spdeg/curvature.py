@@ -11,6 +11,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Optional
@@ -132,6 +133,21 @@ def _det_exact(family: Callable, t: Fraction) -> Fraction:
     return linalg.det(ricci_form(family(t)).m)
 
 
+def _interpolate(values):
+    """Coefficients, lowest degree first, of the polynomial of degree < len(values) that
+    takes values[t] at t = 0, 1, ...: Newton's form, whose coefficients on these nodes
+    are the forward differences D^k values[0] / k!, expanded by Horner."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    p = []
+    for k in reversed(range(len(diffs))):
+        p = [a - k * b for a, b in zip([0] + p, p + [0])]  # (t - k) * p
+        p[0] += Fraction(diffs[k], math.factorial(k))
+    return p
+
+
 def _trim(p):
     while p and not p[-1]:
         p.pop()
@@ -168,14 +184,12 @@ def _variations(chain, x) -> int:
 def find_degenerate_ricci(family: Callable, lo, hi) -> RootScan:
     """The distinct roots of det Ric(family(t)) on (lo, hi] for a family cubic in t, all exact.
 
-    det Ric is interpolated as a polynomial by solving the Vandermonde system
-    at t = 0..DET_DEGREE, its Sturm chain counts the roots, and bisection on
-    the counts isolates each root to width 2^-50, with the Ricci signatures at
-    both ends.  ValueError when det Ric vanishes identically.
+    det Ric is interpolated as a polynomial at t = 0..DET_DEGREE, its Sturm
+    chain counts the roots, and bisection on the counts isolates each root to
+    width 2^-50, with the Ricci signatures at both ends.  ValueError when det
+    Ric vanishes identically.
     """
-    nodes = range(DET_DEGREE + 1)
-    rows = [[Fraction(t) ** k for k in nodes] + [_det_exact(family, Fraction(t))] for t in nodes]
-    poly = _trim([row[-1] for row in linalg.rref(rows)[0]])
+    poly = _trim(_interpolate([_det_exact(family, Fraction(t)) for t in range(DET_DEGREE + 1)]))
     if not poly:
         raise ValueError("det Ric vanishes identically on the family")
     chain = _sturm_chain(poly)

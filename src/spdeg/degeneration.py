@@ -85,36 +85,26 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
 # -- B = A.N orbit parametrization ------------------------------------------------
 
 
-def a_element(t1, t2):
-    """diag(t1, t2, 1/t1, 1/t2) with positive rational t1, t2."""
-    t1, t2 = Fraction(t1), Fraction(t2)
-    if t1 <= 0 or t2 <= 0:
+def borbit_element(mu: Bracket, a_params, n_params) -> tuple:
+    """(c, C), c > 0 and C = c*xi an int bracket, for xi = (g.h)^{-1} . mu, g = diag(t1,
+    t2, 1/t1, 1/t2) with t1, t2 > 0 and h = [[1, -a, 0, 0], [0, 1, 0, 0], [x, y, 1, 0],
+    [ax + y, ay + z, a, 1]].  In ints, from the parameters' numerators and denominators
+    (ints or Fractions): G = D*(g.h), symplectic_inverse(G) = D*(g.h)^{-1}, and act,
+    linear in all three, gives C = m*D^3*xi from m*mu."""
+    (p1, q1), (p2, q2) = ((t.numerator, t.denominator) for t in a_params)
+    if p1 <= 0 or p2 <= 0:
         raise ValueError("diagonal parameters must be positive")
-    return [[t1, 0, 0, 0], [0, t2, 0, 0],
-            [0, 0, 1 / t1, 0], [0, 0, 0, 1 / t2]]
-
-
-def n_element(a, x, y, z):
-    """The unipotent factor: unit lower-triangular block paired with a shear."""
-    a, x, y, z = (Fraction(v) for v in (a, x, y, z))
-    return [[Fraction(1), -a, Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-            [x, y, Fraction(1), Fraction(0)],
-            [a * x + y, a * y + z, a, Fraction(1)]]
-
-
-def borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
-    """(g.h)^{-1} . mu with g diagonal and h unipotent, exact.
-
-    It runs in ints: with m*mu, G = d*(g.h) and symplectic_inverse(G) =
-    d*(g.h)^{-1}, act is linear in all three and gives m*d^3 times the bracket.
-    """
-    dg, g = linalg.clear_denominators(a_element(*a_params))
-    dh, h = linalg.clear_denominators(n_element(*n_params))
-    gh = [[g[i][i] * x for x in row] for i, row in enumerate(h)]  # g is diagonal
-    m, mu = mu.integer_multiple()
-    c = m * (dg * dh) ** 3
-    return act(symplectic_inverse(gh), mu, gh).map_scalars(lambda x: Fraction(x, c))
+    (na, da), (nx, dx), (ny, dy), (nz, dz) = ((v.numerator, v.denominator) for v in n_params)
+    e = math.lcm(dx, dy, dz)
+    x, y, z = nx * (e // dx), ny * (e // dy), nz * (e // dz)  # e*x, e*y, e*z
+    dh = da * e
+    h = [[dh, -na * e, 0, 0], [0, dh, 0, 0], [da * x, da * y, dh, 0],
+         [na * x + da * y, na * y + da * z, na * e, dh]]  # dh*h
+    dg = math.lcm(p1, q1, p2, q2)
+    g = (dg // q1 * p1, dg // q2 * p2, dg // p1 * q1, dg // p2 * q2)  # dg*g, g diagonal
+    big_g = [[gi * v for v in row] for gi, row in zip(g, h)]
+    m, imu = mu.integer_multiple()
+    return m * (dg * dh) ** 3, act(symplectic_inverse(big_g), imu, big_g)
 
 
 class TrapError(ValueError):
@@ -168,42 +158,46 @@ R2P_TRAP = TrapPattern("r2p", (((1, 2, 4),), ((1, 3, 3), (1, 4, 4), (2, 4, 3)),
                                ((2, 3, 4),), ((2, 4, 4),)))
 
 
-def r2r2_trap_residual(xi: Bracket, lam) -> Fraction:
-    """b1 b5 - b2 b4 - lam * b3 b4 b6^2; identically zero on the r2r2 B-orbit."""
+def r2r2_trap_residual(sample, lam) -> Fraction:
+    """b1 b5 - b2 b4 - lam * b3 b4 b6^2 of xi = C/c for sample = (c, C), c > 0;
+    identically zero on the r2r2 B-orbit.  Its terms have degrees 2 and 4, so
+    it is (c^2 (B1 B5 - B2 B4) den(lam) - num(lam) B3 B4 B6^2) / (c^4 den(lam)).
+    """
+    c, xi = sample
     b1, b2, b3, b4, b5, b6 = R2R2_TRAP.coords(xi)
     lam = Fraction(lam)
-    return b1 * b5 - b2 * b4 - lam * b3 * b4 * b6 * b6
+    den = lam.denominator
+    return Fraction(c * c * (b1 * b5 - b2 * b4) * den - lam.numerator * b3 * b4 * b6 * b6,
+                    c ** 4 * den)
 
 
 # -- random exact symplectic elements ---------------------------------------------
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+def _randint(bits, a, n, k):
+    """rng.randint(a, a + n - 1) bit for bit, for bits = rng.getrandbits and k = n.bit_length()."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return a + r
 
 
 def random_symplectic(rng: random.Random) -> tuple:
     """(d, d*g) for g a product of 6 to 12 random symplectic transvections of R^4.
 
     d is the least positive int that makes d*g integral.  It runs in ints,
-    drawing what random_rational draws but unreduced: for u = U/e and c = p/q
-    the transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and
-    T = s*I + p*U*(J^T U)^T, applied as the rank-one update s*out + p*U*((J^T U)^T out).
+    drawing each p/q as Fraction(rng.randint(-3, 3), rng.randint(1, 3)) would,
+    unreduced: for u = U/e and c = p/q the transvection v -> v + c*w(u,v)*u is
+    T/s with s = q*e^2 and T = s*I + p*U*(J^T U)^T, applied as the rank-one
+    update s*out + p*U*((J^T U)^T out).
     """
     bits = rng.getrandbits
-
-    def draw(a, n, k):  # rng.randint(a, a + n - 1) bit for bit, k = n.bit_length()
-        r = bits(k)
-        while r >= n:
-            r = bits(k)
-        return a + r
-
     out, d = [[int(i == j) for j in range(4)] for i in range(4)], 1
-    for _ in range(draw(6, 7, 3)):
+    for _ in range(_randint(bits, 6, 7, 3)):
         u = ()
         while not any(x for x, _ in u):
-            u = [(draw(-3, 7, 3), draw(1, 3, 2)) for _ in range(4)]
-        p, q = draw(-3, 7, 3), draw(1, 3, 2)
+            u = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(4)]
+        p, q = _randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)
         e = math.lcm(*(y for _, y in u))
         num = [x * (e // y) for x, y in u]
         ju = [-x for x in num[2:]] + num[:2]  # J^T U = (-U2, U1)
@@ -425,13 +419,18 @@ def quadratics_agree(f, g, nvars) -> bool:
     return all(f(p) == g(p) for p in _quadratic_grid(nvars))
 
 
+# p/q with q > 0, unreduced: read by borbit_element like a Fraction, made with no gcd
+_Ratio = NamedTuple("_Ratio", [("numerator", int), ("denominator", int)])
+
+
 def _borbit_samples(rng: random.Random, mu: Bracket, n: int):
-    """n points of the B-orbit of mu at random rational A- and N-parameters."""
+    """n points (c, C) of the B-orbit of mu at random rational A- and N-parameters."""
+    bits = rng.getrandbits
     for _ in range(n):
-        t1 = abs(random_rational(rng)) + Fraction(1, 3)
-        t2 = abs(random_rational(rng)) + Fraction(1, 3)
-        nparams = [random_rational(rng) for _ in range(4)]
-        yield borbit_element(mu, (t1, t2), nparams)
+        # six rationals p/q drawn as random_symplectic draws them; t = |p/q| + 1/3 = (3|p| + q)/3q
+        pq = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(6)]
+        ts = [_Ratio(3 * abs(p) + q, 3 * q) for p, q in pq[:2]]
+        yield borbit_element(mu, ts, [_Ratio(*r) for r in pq[2:]])
 
 
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
@@ -455,8 +454,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     residual_ok = True
     count = 0
     for lam in (Fraction(0), Fraction(1), Fraction(7, 3)):
-        for xi in _borbit_samples(rng, make(class_id("r2r2", lam)), samples):
-            if r2r2_trap_residual(xi, lam) != 0:
+        for sample in _borbit_samples(rng, make(class_id("r2r2", lam)), samples):
+            if r2r2_trap_residual(sample, lam) != 0:
                 residual_ok = False
                 break
             count += 1
@@ -494,7 +493,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     def reduced_residual(c):
         b1, b2, b5 = c
         xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
-        return r2r2_trap_residual(xi, Fraction(1))
+        return r2r2_trap_residual((1, xi), Fraction(1))
 
     det_is_residual = quadratics_agree(dependence_det, reduced_residual, 3)
     ok2 = (residual_ok and jacobi_kills_b6 and det_is_residual
@@ -509,9 +508,9 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
 
     # (3) trapping subspace for r2p plus the derived-dimension bound
     contained = 0
-    for xi in _borbit_samples(rng, make(class_id("r2p")), samples):
+    for _, xi in _borbit_samples(rng, make(class_id("r2p")), samples):
         try:
-            R2P_TRAP.coords(xi)
+            R2P_TRAP.coords(xi)  # membership is unchanged by the scale c > 0
         except TrapError:
             break
         contained += 1

@@ -63,11 +63,7 @@ def rref(m):
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
@@ -93,7 +89,7 @@ def nullspace(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)] for j in range(cols)]
+        return identity(cols)
     r, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -119,11 +115,7 @@ def rank_bareiss(m) -> int:
     r = 0
     prev = 1
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
@@ -195,20 +187,9 @@ def signature_exact(m):
     np_, nm, nz = 0, 0, 0
     live = list(range(n))
     while live:
-        pivot = None
-        for i in live:
-            if a[i][i] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in live if a[i][i] != 0), None)
         if pivot is None:
-            pair = None
-            for i in live:
-                for j in live:
-                    if i < j and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
             if pair is None:
                 nz += len(live)
                 break

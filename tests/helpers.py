@@ -4,13 +4,19 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from spdeg.degeneration import random_symplectic
+from spdeg.degeneration import borbit_element, random_symplectic
 
 
 def rational_symplectic(rng):
     """The symplectic matrix g of random_symplectic's (d, d*g), over Fraction."""
     d, g = random_symplectic(rng)
     return [[Fraction(x, d) for x in row] for row in g]
+
+
+def rational_borbit(mu, a_params, n_params):
+    """The B-orbit point C/c of borbit_element's (c, C), over Fraction."""
+    c, big = borbit_element(mu, a_params, n_params)
+    return big.map_scalars(lambda x: Fraction(x, c))
 
 
 def bench_launch():

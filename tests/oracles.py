@@ -3,6 +3,7 @@
 Each oracle is written apart from the production path it checks.
 """
 
+import random
 from fractions import Fraction
 
 from spdeg import linalg
@@ -10,7 +11,8 @@ from spdeg.catalog import bracket_of, scaling_transform, shear_transform
 from spdeg.curvature import HALF, levi_civita, ricci_form
 from spdeg.invariants import (SymForm, _derivation_rows, _skew_adjoint_rows,
                               composition_trace_form, nilpotent, second_trace)
-from spdeg.tensor import Bracket, act, bracket_to_table, group_inverse, is_lie
+from spdeg.tensor import (Bracket, act, bracket_to_table, group_inverse, is_lie,
+                          symplectic_inverse)
 
 
 def tau6():
@@ -26,6 +28,34 @@ def xi_family(t: Fraction) -> Bracket:
 def varrho_family(t: Fraction) -> Bracket:
     """shear_transform(t) acting on d4_1:w1."""
     return act(shear_transform(t), bracket_of("d4_1:w1"))
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    """The rational draw that degeneration's samplers make in ints, over Fraction."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def a_element(t1, t2):
+    """diag(t1, t2, 1/t1, 1/t2) with positive rational t1, t2."""
+    t1, t2 = Fraction(t1), Fraction(t2)
+    if t1 <= 0 or t2 <= 0:
+        raise ValueError("diagonal parameters must be positive")
+    return [[t1, 0, 0, 0], [0, t2, 0, 0],
+            [0, 0, 1 / t1, 0], [0, 0, 0, 1 / t2]]
+
+
+def n_element(a, x, y, z):
+    """The unipotent factor: unit lower-triangular block paired with a shear.
+
+    Only ring operations, so the entries may be polynomials as well as rationals.
+    """
+    return [[1, -a, 0, 0], [0, 1, 0, 0], [x, y, 1, 0], [a * x + y, a * y + z, a, 1]]
+
+
+def fraction_borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
+    """(g.h)^{-1} . mu with the product g.h and act over Fraction."""
+    gh = linalg.mat_mul(a_element(*a_params), n_element(*n_params))
+    return act(symplectic_inverse(gh), mu, gh)
 
 
 def table_to_bracket(table) -> Bracket:

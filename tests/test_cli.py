@@ -255,9 +255,16 @@ def test_remark_check(capsys):
                          ids=["degenerate", "remark-check"])
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tol_must_be_positive_and_finite(capsys, verb, tol):
-    code, out, err = run(capsys, "--tol", tol, *verb)
+    # --tol is an option of degenerate alone: any other verb refuses it
+    code, out, err = run(capsys, *verb, "--tol", tol)
     assert code == 2 and out == ""
-    assert "--tol" in err and "positive and finite" in err
+    if verb[0] == "degenerate":
+        assert "--tol" in err and "positive and finite" in err
+        assert run(capsys, *verb, "--tol", "5")[0] == 0
+    else:
+        assert f"unrecognized arguments: --tol {tol}" in err
+        for argv in (["--tol", "5", *verb], [*verb, "--tol", "5"]):
+            assert run(capsys, *argv)[:2] == (2, "")
 
 
 def test_remark_check_exits_1_unless_one_root(monkeypatch, capsys):

@@ -169,6 +169,26 @@ def test_det_ricci_polynomial_is_exact_off_the_nodes():
         assert _poly_at(poly, t) == linalg.det(ricci_form(rho_family(t)).m)
 
 
+def _vandermonde_solution(values):
+    """The interpolating coefficients by rref of [t^k | value] over Fraction."""
+    nodes = range(len(values))
+    rows = [[F(t) ** k for k in nodes] + [F(v)] for t, v in zip(nodes, values)]
+    return [row[-1] for row in linalg.rref(rows)[0]]
+
+
+def test_newton_interpolation_matches_the_vandermonde_solution():
+    from spdeg.curvature import DET_DEGREE, _det_exact, _interpolate
+
+    values = [_det_exact(rho_family, F(t)) for t in range(DET_DEGREE + 1)]
+    want = [c / -512 for c in _poly_mul([18, 0, 1], [-144, 0, 25, 0, 1])]
+    got = _interpolate(values)
+    assert got == _vandermonde_solution(values) == want + [0] * (DET_DEGREE + 1 - len(want))
+    rng = random.Random(37)
+    for n in (1, 2, 5, 13):
+        values = [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+        assert _interpolate(values) == _vandermonde_solution(values)
+
+
 def test_sturm_count_sees_two_roots_in_one_scan_cell(monkeypatch):
     from spdeg import curvature
 

@@ -7,16 +7,15 @@ from spdeg import catalog, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES,
                                 NODE_BY_ID, R2P_TRAP, R2R2_TRAP, SuiteCheck, _REFERENCES,
-                                _edge_instances, _witness_route, TrapError, borbit_element,
-                                a_element, classify_pairs, n_element, quadratics_agree,
-                                random_rational, r2r2_trap_residual,
-                                verify_curve, witness_for_class)
+                                _borbit_samples, _edge_instances, _witness_route, TrapError,
+                                borbit_element, classify_pairs, quadratics_agree,
+                                r2r2_trap_residual, verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
 
-from helpers import rational_symplectic
-from oracles import min_abs_eig_float
+from helpers import rational_borbit, rational_symplectic
+from oracles import a_element, min_abs_eig_float, n_element, random_rational
 
 
 # -- curve verification -----------------------------------------------------------
@@ -86,14 +85,15 @@ def test_verify_curve_flags_non_symplectic():
 
 def test_borbit_identity_parameters():
     mu = catalog.bracket_of("r2r2", F(7, 3))
-    assert borbit_element(mu, (F(1), F(1)), (0, 0, 0, 0)) == mu
+    c, big = borbit_element(mu, (F(1), F(1)), (0, 0, 0, 0))
+    assert c > 0 and big == mu.map_scalars(lambda x: c * x)
 
 
 def test_borbit_matches_printed_form():
     lam = F(7, 3)
     mu = catalog.bracket_of("r2r2", lam)
     t1, t2, a, x, y, z = F(2), F(3, 2), F(1, 3), F(-1, 2), F(2), F(1, 5)
-    xi = borbit_element(mu, (t1, t2), (a, x, y, z))
+    xi = rational_borbit(mu, (t1, t2), (a, x, y, z))
     assert xi.pair(1, 3)[2] == t1 and xi.pair(1, 3)[3] == -t1 * a
     assert xi.pair(2, 4)[3] == t2
     assert xi.pair(2, 3)[2] == -t1 * a and xi.pair(2, 3)[3] == a * (t2 + t1 * a)
@@ -107,8 +107,8 @@ def test_borbit_outputs_are_symplectic_lie_algebras():
         for _ in range(10):
             t1 = abs(F(rng.randint(1, 5), rng.randint(1, 3)))
             t2 = abs(F(rng.randint(1, 5), rng.randint(1, 3)))
-            xi = borbit_element(mu, (t1, t2),
-                                tuple(F(rng.randint(-3, 3), 2) for _ in range(4)))
+            xi = rational_borbit(mu, (t1, t2),
+                                 tuple(F(rng.randint(-3, 3), 2) for _ in range(4)))
             assert is_lie(xi) and is_closed(xi)
 
 
@@ -191,9 +191,21 @@ def test_trap_residual_on_orbit_samples():
         for _ in range(25):
             t1 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
             t2 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
-            xi = borbit_element(mu, (t1, t2),
-                                tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
-            assert r2r2_trap_residual(xi, lam) == 0
+            sample = borbit_element(mu, (t1, t2),
+                                    tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
+            assert r2r2_trap_residual(sample, lam) == 0
+
+
+def test_trap_residual_reads_the_scale_of_its_sample():
+    # b1 b5 - b2 b4 has degree 2 and lam b3 b4 b6^2 degree 4: C alone is not the
+    # point C/c.  Dropping the scale or a wrong lambda must show, or the zero
+    # check on the orbit samples would pass vacuously.
+    lam = F(7, 3)
+    samples = list(_borbit_samples(random.Random(71), catalog.bracket_of("r2r2", lam), 50))
+    assert all(r2r2_trap_residual(s, lam) == 0 for s in samples)
+    unscaled = sum(r2r2_trap_residual((1, big), lam) != 0 for _, big in samples)
+    wrong_lam = sum(r2r2_trap_residual(s, 2) != 0 for s in samples)
+    assert unscaled >= 40 and wrong_lam >= 40, (unscaled, wrong_lam)
 
 
 def test_trap_rejects_off_pattern_brackets():
@@ -207,7 +219,9 @@ def test_trap_residual_handcrafted():
     xi = Bracket(4, {(1, 2): {3: F(1)}, (2, 3): {4: F(1)}})
     assert R2R2_TRAP.coords(xi) == (F(1), F(0), F(0), F(0), F(1), F(0))
     assert R2R2_TRAP.embed(R2R2_TRAP.coords(xi)) == xi
-    assert r2r2_trap_residual(xi, F(1)) == 1
+    assert r2r2_trap_residual((1, xi), F(1)) == 1
+    # (2, 2*xi) names the same point xi
+    assert r2r2_trap_residual((2, xi.map_scalars(lambda x: 2 * x)), F(1)) == 1
 
 
 def test_trap_shared_coordinate_enforced():
@@ -233,7 +247,7 @@ def test_containment_samples_count_the_checked_ones(monkeypatch, k):
         if mu == r2p:
             calls.append(mu)
             if len(calls) == k:
-                return n4  # off the r2p pattern
+                return 1, n4  # off the r2p pattern
         return borbit_element(mu, a_params, n_params)
 
     monkeypatch.setattr(degeneration, "borbit_element", leaves_pattern_at_k)
@@ -249,10 +263,11 @@ def test_r2p_orbit_lands_in_trap():
     for _ in range(25):
         t1 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
         t2 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
-        xi = borbit_element(mu, (t1, t2),
-                            tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
-        coords = R2P_TRAP.coords(xi)
-        assert len(coords) == 4
+        c, big = borbit_element(mu, (t1, t2),
+                                tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
+        coords = R2P_TRAP.coords(big)
+        assert len(coords) == 4 and all(type(b) is int for b in coords)
+        assert R2P_TRAP.coords(big.map_scalars(lambda x: F(x, c))) == tuple(F(b, c) for b in coords)
 
 
 def test_quadratics_agree_tells_every_quadratic_from_zero():

@@ -19,13 +19,14 @@ import pytest
 from spdeg import catalog, degeneration, linalg
 from spdeg.curvature import _ricci_matrix, ricci_form
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
-                                _quadratic_grid, a_element, borbit_element, n_element,
-                                quadratics_agree, random_rational, random_symplectic)
+                                _quadratic_grid, borbit_element, quadratics_agree,
+                                random_symplectic)
 from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
                           symplectic_inverse, transvection)
 
 from helpers import bench_launch, rational_symplectic
-from oracles import fraction_ricci_matrix, ricci_matrix_float
+from oracles import (fraction_borbit_element, fraction_ricci_matrix, random_rational,
+                     ricci_matrix_float)
 
 
 def fraction_det(m):
@@ -59,20 +60,14 @@ def old_random_symplectic(rng, factors=(6, 12)):
     return out
 
 
-def old_borbit_element(mu, a_params, n_params):
-    """(g.h)^{-1} . mu with the product g.h and act over Fraction."""
-    gh = linalg.mat_mul(a_element(*a_params), n_element(*n_params))
-    return act(symplectic_inverse(gh), mu, gh)
-
-
 def old_borbit_samples(rng, mu, n):
-    """The draws of _borbit_samples, each acted on by old_borbit_element."""
+    """The draws of _borbit_samples, each acted on by fraction_borbit_element."""
     out = []
     for _ in range(n):
         t1 = abs(random_rational(rng)) + F(1, 3)
         t2 = abs(random_rational(rng)) + F(1, 3)
         nparams = [random_rational(rng) for _ in range(4)]
-        out.append(old_borbit_element(mu, (t1, t2), nparams))
+        out.append(fraction_borbit_element(mu, (t1, t2), nparams))
     return out
 
 
@@ -212,6 +207,14 @@ BORBIT_KEYS = ["r2r2:lambda=0", "r2r2:lambda=1", "r2r2:lambda=7/3", "r2p", "n4",
                "d4_lambda:lambda=1/2", "h4:plus", "a4"]
 
 
+def assert_borbit_matches_oracle(mu, a_params, n_params):
+    """borbit_element's (c, C) is a positive int scale and an int bracket of the oracle's point."""
+    c, big = borbit_element(mu, a_params, n_params)
+    assert type(c) is int and c > 0
+    assert all(type(x) is int for vec in big.rules.values() for x in vec.values())
+    assert big.map_scalars(lambda x: F(x, c)) == fraction_borbit_element(mu, a_params, n_params)
+
+
 @pytest.mark.parametrize("key", BORBIT_KEYS)
 def test_borbit_element_matches_fraction_oracle(key):
     mu = catalog.make(catalog.parse_class(key))
@@ -219,9 +222,7 @@ def test_borbit_element_matches_fraction_oracle(key):
     for _ in range(40):
         a_params = (abs(random_rational(rng)) + F(1, 3), abs(random_rational(rng)) + F(1, 3))
         n_params = [random_rational(rng) for _ in range(4)]
-        xi = borbit_element(mu, a_params, n_params)
-        assert xi == old_borbit_element(mu, a_params, n_params)
-        assert all(type(c) is F for vec in xi.rules.values() for c in vec.values())
+        assert_borbit_matches_oracle(mu, a_params, n_params)
 
 
 @pytest.mark.parametrize("a_params,n_params", [
@@ -233,16 +234,18 @@ def test_borbit_element_matches_fraction_oracle(key):
 def test_borbit_element_takes_int_parameters(a_params, n_params):
     for key in ("r2r2:lambda=7/3", "r2p", "h4:plus"):
         mu = catalog.make(catalog.parse_class(key))
-        xi = borbit_element(mu, a_params, n_params)
-        assert xi == old_borbit_element(mu, a_params, n_params)
-        assert all(type(c) is F for vec in xi.rules.values() for c in vec.values())
+        assert_borbit_matches_oracle(mu, a_params, n_params)
 
 
 @pytest.mark.parametrize("key", ["r2r2:lambda=7/3", "r2p"])
 def test_borbit_samples_keep_their_draw_stream(key):
     mu = catalog.make(catalog.parse_class(key))
     new, old = random.Random(67), random.Random(67)
-    assert list(_borbit_samples(new, mu, 30)) == old_borbit_samples(old, mu, 30)
+    samples = list(_borbit_samples(new, mu, 30))
+    assert all(type(c) is int and c > 0 and all(type(x) is int for vec in big.rules.values()
+                                                 for x in vec.values()) for c, big in samples)
+    got = [big.map_scalars(lambda x: F(x, c)) for c, big in samples]
+    assert got == old_borbit_samples(old, mu, 30)
     assert new.getstate() == old.getstate()
 
 
