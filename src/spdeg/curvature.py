@@ -177,8 +177,7 @@ def _sturm_chain(p):
 
 
 def _variations(chain, x) -> int:
-    signs = [v > 0 for v in (sum(c * x ** k for k, c in enumerate(p)) for p in chain) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+    return linalg.sign_variations(sum(c * x ** k for k, c in enumerate(p)) for p in chain)
 
 
 def find_degenerate_ricci(family: Callable, lo, hi) -> RootScan:

@@ -1,13 +1,14 @@
 """Degeneration obstructions: derivation algebras, equivariant products,
 trace forms, exact signatures, unimodularity, derived series.
 
-All kernels are computed exactly; dimension claims carry no tolerance.  The
-Killing forms, the derivation identity and the fraction-free kernel rank that
-the tests compare against are in tests/oracles.py.
+All kernels are computed exactly: a kernel dimension is columns minus the
+fraction-free (Bareiss) rank.  The Killing forms, the derivation identity and
+the RREF kernel rank that the tests compare against are in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -18,8 +19,15 @@ from .tensor import Bracket, canonical_form, is_lie, omega, validate_symplectic
 
 
 class DerivationAlgebra(NamedTuple):
-    basis: list  # square rational matrices
+    """The kernel of linear rows in the n*n entries of D, row-major: dim is n*n minus
+    their Bareiss rank, and the RREF basis is built only when read."""
+    rows: list
     dim: int
+
+    @property
+    def basis(self):  # square rational matrices
+        n = math.isqrt(len(self.rows[0]))
+        return [[v[p * n:(p + 1) * n] for p in range(n)] for v in linalg.nullspace(self.rows)]
 
 
 def _derivation_rows(mu: Bracket):
@@ -34,7 +42,7 @@ def _derivation_rows(mu: Bracket):
         for j in range(i + 1, n + 1):
             bij = mu.pair(i, j)
             for m in range(1, n + 1):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(1, n + 1):
                     if bij[k - 1] != 0:
                         row[(m - 1) * n + (k - 1)] += bij[k - 1]
@@ -55,7 +63,7 @@ def _skew_adjoint_rows(dim: int):
     rows = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            row = [Fraction(0)] * (dim * dim)
+            row = [0] * (dim * dim)
             for p in range(dim):
                 if jm[p][j] != 0:
                     row[p * dim + i] += jm[p][j]
@@ -65,26 +73,23 @@ def _skew_adjoint_rows(dim: int):
     return rows
 
 
-def _kernel_to_matrices(basis, dim):
-    return [[[v[p * dim + q] for q in range(dim)] for p in range(dim)] for v in basis]
-
-
 def derivations(mu: Bracket) -> DerivationAlgebra:
-    """Exact basis of the derivation algebra of mu."""
+    """The derivation algebra of mu, checked and solved on the int multiple m*mu:
+    the Jacobi identity, closedness of w and the rows are homogeneous in mu."""
+    mu = mu.integer_multiple()[1]
     if not is_lie(mu):
         raise ValueError("input is not a Lie bracket")
     rows = _derivation_rows(mu)
-    basis = linalg.nullspace(rows)
-    return DerivationAlgebra(_kernel_to_matrices(basis, mu.dim), len(basis))
+    return DerivationAlgebra(rows, len(rows[0]) - linalg.rank_bareiss(rows))
 
 
 def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
-    """Exact basis of the derivations that are also skew-adjoint for w."""
+    """The derivations of mu that are also skew-adjoint for w, as in :func:`derivations`."""
+    mu = mu.integer_multiple()[1]
     if not validate_symplectic(mu):
         raise ValueError("input is not a symplectic Lie algebra")
     rows = _derivation_rows(mu) + _skew_adjoint_rows(mu.dim)
-    basis = linalg.nullspace(rows)
-    return DerivationAlgebra(_kernel_to_matrices(basis, mu.dim), len(basis))
+    return DerivationAlgebra(rows, len(rows[0]) - linalg.rank_bareiss(rows))
 
 
 # -- symmetric forms -------------------------------------------------------------
@@ -206,8 +211,8 @@ def _span_rows(vectors):
 
 def derived_dim(mu: Bracket) -> int:
     """Dimension of the span of all bracket values."""
-    return len(_span_rows([mu.pair(i, j) for i in range(1, mu.dim + 1)
-                           for j in range(i + 1, mu.dim + 1)]))
+    return linalg.rank_bareiss([mu.pair(i, j) for i in range(1, mu.dim + 1)
+                                for j in range(i + 1, mu.dim + 1)])
 
 
 def nilpotent(mu: Bracket) -> bool:
@@ -219,7 +224,7 @@ def nilpotent(mu: Bracket) -> bool:
         nxt = _span_rows([mu.apply(b, c) for b in basis for c in current])
         if not nxt:
             return True
-        if len(nxt) == len(current) and linalg.rank(current + nxt) == len(current):
+        if len(nxt) == len(current) and linalg.rank_bareiss(current + nxt) == len(current):
             return False
         current = nxt
     return False

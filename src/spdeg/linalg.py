@@ -80,16 +80,10 @@ def rref(m):
     return a, pivots
 
 
-def rank(m) -> int:
-    return len(rref(m)[1])
-
-
 def nullspace(m):
     """Basis of the exact kernel, one vector per free column of the RREF."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return identity(cols)
     r, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
@@ -100,34 +94,6 @@ def nullspace(m):
             v[pc] = -r[i][fc]
         basis.append(v)
     return basis
-
-
-def rank_bareiss(m) -> int:
-    """Rank by fraction-free (Bareiss) elimination on an integer scaling of m.
-
-    Independent of :func:`rref`; used as an oracle for kernel dimensions.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return 0
-    a = clear_denominators(m)[1]
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def inverse(a):
@@ -146,25 +112,41 @@ def clear_denominators(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def det(m):
-    """Exact det(m) = det(d*m) / d^n, by fraction-free (Bareiss) elimination in ints."""
-    n = len(m)
-    d, a = clear_denominators(m)
-    sign, prev = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c]), None)
+def _bareiss(a):
+    """Fraction-free (Bareiss, Math. Comp. 22 (1968)) elimination of the int matrix a, in place.
+
+    Returns (rank, sign of the row swaps, last pivot).  Every division is exact, and a
+    column with no pivot is skipped; when a is square of full rank, det(a) = sign * pivot.
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
-        top, p = a[c], a[c][c]
-        for row in a[c + 1:]:
+        top, p = a[r], a[r][c]
+        for row in a[r + 1:]:
             f = row[c]
-            for j in range(c + 1, n):
+            for j in range(c + 1, cols):
                 row[j] = (p * row[j] - f * top[j]) // prev
         prev = p
-    return Fraction(sign * prev, d ** n)
+        r += 1
+    return r, sign, prev
+
+
+def rank_bareiss(m) -> int:
+    """Rank of a rational (Fraction or int) matrix, by :func:`_bareiss` on clear_denominators(m)."""
+    return _bareiss(clear_denominators(m)[1])[0]
+
+
+def det(m):
+    """Exact det(m) = det(d*m) / d^n, by :func:`_bareiss` on the int matrix d*m."""
+    d, a = clear_denominators(m)
+    r, sign, pivot = _bareiss(a)
+    return Fraction(sign * pivot, d ** r) if r == len(a) else Fraction(0)
 
 
 # -- signatures of symmetric forms -------------------------------------------
@@ -240,11 +222,12 @@ def eigen_certificate(m):
             c = mat_mul(a, [[x + q if i == j else x for j, x in enumerate(row)]
                             for i, row in enumerate(c)])
     zero = n - max(k for k, x in enumerate(p) if x)
-
-    def changes(cs):
-        signs = [x > 0 for x in cs if x]
-        return sum(s != t for s, t in zip(signs, signs[1:]))
-
     beta = abs(p[n]) / (abs(p[n]) + max([1, *map(abs, p[1:n])]))
-    neg = changes(x if k % 2 == 0 else -x for k, x in enumerate(p))  # p(-x)
-    return p, (changes(p), neg, zero), beta
+    neg = sign_variations(x if k % 2 == 0 else -x for k, x in enumerate(p))  # p(-x)
+    return p, (sign_variations(p), neg, zero), beta
+
+
+def sign_variations(xs) -> int:
+    """Sign changes along the sequence xs, zeros skipped: Descartes' and Sturm's count."""
+    signs = [x > 0 for x in xs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))

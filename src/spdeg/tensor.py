@@ -221,11 +221,11 @@ def jacobiator(mu: Bracket) -> dict:
     out = {}
     for a, b, c in itertools.combinations(range(1, mu.dim + 1), 3):
         basis = (a, b, c)
-        total = [Fraction(0)] * mu.dim
+        total = [0] * mu.dim
         for perm, sign in PERMS3:
             v = mu.pair(basis[perm[0]], basis[perm[1]])
-            ec = [Fraction(0)] * mu.dim
-            ec[basis[perm[2]] - 1] = Fraction(1)
+            ec = [0] * mu.dim
+            ec[basis[perm[2]] - 1] = 1
             w = mu.apply(v, ec)
             total = [x + sign * y for x, y in zip(total, w)]
         out[(a, b, c)] = total
@@ -239,14 +239,14 @@ def is_lie(mu: Bracket) -> bool:
 def d_omega(mu: Bracket) -> dict:
     """(d_mu w)(e_a, e_b, e_c) over all a < b < c (the signed sum over S3)."""
     out = {}
-    unit = [Fraction(0)] * mu.dim
+    unit = [0] * mu.dim
     for a, b, c in itertools.combinations(range(1, mu.dim + 1), 3):
         basis = (a, b, c)
-        total = Fraction(0)
+        total = 0
         for perm, sign in PERMS3:
             v = mu.pair(basis[perm[0]], basis[perm[1]])
             ec = list(unit)
-            ec[basis[perm[2]] - 1] = Fraction(1)
+            ec[basis[perm[2]] - 1] = 1
             total = total + sign * omega(v, ec)
         out[(a, b, c)] = total
     return out

@@ -3,6 +3,7 @@
 Each oracle is written apart from the production path it checks.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -99,11 +100,27 @@ def act_bilinear(g, table, ginv=None):
 
 
 def derivation_kernel_rank_oracle(mu: Bracket, symplectic: bool = False) -> int:
-    """Kernel dimension via the independent fraction-free rank routine."""
+    """Kernel dimension as columns minus the RREF pivots of the rows of mu itself.
+
+    Production takes columns minus the Bareiss rank of the rows of an integer
+    multiple of mu; this counts the pivots of the Fraction elimination instead.
+    """
     rows = _derivation_rows(mu)
     if symplectic:
         rows += _skew_adjoint_rows(mu.dim)
-    return mu.dim * mu.dim - linalg.rank_bareiss(rows)
+    return mu.dim * mu.dim - len(linalg.rref(rows)[1])
+
+
+def leibniz_det(m):
+    """det(m) as the signed sum over all permutations, with no elimination."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
 def is_derivation(mu: Bracket, d) -> bool:

@@ -5,8 +5,9 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import class_id
-from spdeg.degeneration import DIAGRAM_CLASSES
-from spdeg.invariants import (AsymmetryError, composition_trace_form, derivations,
+from spdeg.degeneration import DIAGRAM_CLASSES, hasse
+from spdeg.invariants import (AsymmetryError, _class_profile, composition_trace_form,
+                              der_omega_dim, derivations,
                               derived_dim, equivariant_product, invariants_summary,
                               nilpotent, obstruction_report, symplectic_derivations,
                               unimodular)
@@ -41,11 +42,26 @@ def test_symplectic_derivations_dims(key, param, dim):
 
 
 def test_derivation_basis_satisfies_identity_exactly():
-    for key in ("n4", "d4_2:w2", "h4:plus", "r2p"):
-        mu = _mu(key)
-        alg = derivations(mu)
-        assert all(is_derivation(mu, d) for d in alg.basis)
-        assert len(alg.basis) == alg.dim
+    # .dim comes from the Bareiss rank, .basis from the RREF nullspace
+    for cid in DIAGRAM_CLASSES:
+        mu = catalog.make(cid)
+        for alg in (derivations(mu), symplectic_derivations(mu)):
+            basis = alg.basis
+            assert all(is_derivation(mu, d) for d in basis), str(cid)
+            assert len(basis) == alg.dim, str(cid)
+
+
+def test_theorem_a_dimensions_build_no_rref(monkeypatch):
+    def no_rref(m):
+        raise AssertionError("the dimension path built an RREF")
+
+    der_omega_dim.cache_clear()
+    _class_profile.cache_clear()
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    reports = [obstruction_report(s, t) for s in DIAGRAM_CLASSES for t in DIAGRAM_CLASSES]
+    assert len(reports) == len(DIAGRAM_CLASSES) ** 2
+    report = hasse()
+    assert report.edges and report.all_verified and report.strict_der_omega
 
 
 def test_symplectic_derivations_are_skew_adjoint():

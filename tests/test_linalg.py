@@ -5,7 +5,7 @@ import pytest
 
 from spdeg import linalg
 
-from oracles import min_abs_eig_float, signature_float
+from oracles import leibniz_det, min_abs_eig_float, signature_float
 
 
 def _random_matrix(rng, n, m):
@@ -49,7 +49,43 @@ def test_bareiss_rank_agrees_with_rref_rank():
         a = _random_matrix(rng, n, m)
         if rng.random() < 0.4 and n > 1:  # force dependent rows sometimes
             a[n - 1] = [2 * x for x in a[0]]
-        assert linalg.rank_bareiss(a) == linalg.rank(a)
+        assert linalg.rank_bareiss(a) == len(linalg.rref(a)[1])
+
+
+def test_bareiss_rank_of_empty_and_zero_matrices():
+    assert linalg.rank_bareiss([]) == 0
+    assert linalg.rank_bareiss([[]]) == 0
+    assert linalg.rank_bareiss(linalg.zeros(3)) == 0
+    assert linalg.rank_bareiss([[0, 0, 0], [0, 0, 5]]) == 1
+
+
+def _random_of_rank(rng, n, r):
+    """An n x n Fraction matrix of rank r: a product of n x r and r x n factors."""
+    while True:
+        left, right = _random_matrix(rng, n, r), _random_matrix(rng, r, n)
+        a = [[sum((left[i][k] * right[k][j] for k in range(r)), F(0)) for j in range(n)]
+             for i in range(n)]
+        if len(linalg.rref(a)[1]) == r:
+            return a
+
+
+def test_det_and_rank_match_leibniz_on_every_rank():
+    # singular matrices run the elimination on past a column with no pivot
+    rng = random.Random(17)
+    for n in range(1, 6):
+        for r in range(n + 1):
+            for _ in range(4):
+                a = _random_of_rank(rng, n, r)
+                assert linalg.det(a) == leibniz_det(a)
+                assert linalg.rank_bareiss(a) == r
+                zero_col = [[F(0)] + row[1:] for row in a]
+                assert linalg.det(zero_col) == leibniz_det(zero_col) == 0
+                zero_row = a[:-1] + [[F(0)] * n]
+                assert linalg.det(zero_row) == leibniz_det(zero_row) == 0
+                assert linalg.rank_bareiss(zero_col) == len(linalg.rref(zero_col)[1])
+                assert linalg.rank_bareiss(zero_row) == len(linalg.rref(zero_row)[1])
+    assert (linalg.det([[F(0), F(1)], [F(1), F(0)]])
+            == leibniz_det([[F(0), F(1)], [F(1), F(0)]]) == -1)
 
 
 def test_inverse_and_det():
