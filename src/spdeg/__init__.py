@@ -17,13 +17,12 @@ from .invariants import (DerivationAlgebra, SymForm, composition_trace_form,
                          derivations, derived_dim, equivariant_product, nilpotent,
                          obstruction_report, symplectic_derivations, unimodular)
 from .scalars import ExpPoly
-from .tensor import (Bracket, act, bracket_distance, canonical_form, d_omega,
-                     is_closed, is_lie, is_symplectic, jacobiator,
-                     symplectic_inverse, transvection)
+from .tensor import (Bracket, act, canonical_form, d_omega, is_closed, is_lie,
+                     is_symplectic, jacobiator, symplectic_inverse, transvection)
 
 __all__ = [
     "Bracket", "ClassId", "DerivationAlgebra", "ExpPoly",
-    "SymForm", "act", "borbit_element", "bracket_distance", "canonical_form",
+    "SymForm", "act", "borbit_element", "canonical_form",
     "class_id", "composition_trace_form", "curves", "d_omega", "derivations",
     "derived_dim", "einstein_check", "equivariant_product",
     "expected_invariants", "find_degenerate_ricci", "hasse",

@@ -128,8 +128,8 @@ def cmd_degenerate(args) -> int:
     payload = report.to_json_dict()
     lines = [f"{report.label}: {report.status}"
              + ("" if report.symplectic_exact else " (not symplectic)")]
-    for t, d in report.float_distances:
-        lines.append(f"  d({t:g}) = {d:.3e}")
+    for k, d in report.distances:
+        lines.append(f"  d(2**{k}) = {format_rational(d)}")
     lines.append(f"  verified: {report.verified}")
     _emit(args, payload, "\n".join(lines))
     return 0 if report.verified else 1
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve", required=True,
                     help="curve id, e.g. appendix:rh3-a4 or appendix:d4lambda-n4:lambda=7/3")
     sp.add_argument("--tol", type=positive_float, default=1e-8,
-                    help="float tolerance of the distance grid (default 1e-8)")
+                    help="tolerance of the final exact grid distance (default 1e-8)")
     sp.set_defaults(func=cmd_degenerate)
 
     sp = sub.add_parser("hasse", help="verify the degeneration diagram and emit DOT")

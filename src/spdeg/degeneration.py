@@ -21,10 +21,10 @@ from .curvature import _ricci_matrix, ricci_form
 from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
                          equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
-from .tensor import (Bracket, act, bracket_distance, is_symplectic, jacobiator,
-                     symplectic_inverse)
+from .tensor import Bracket, act, is_symplectic, jacobiator, symplectic_inverse
 
-T_GRID = (5.0, 10.0, 15.0, 20.0, 25.0)
+# exp(t) := 2**k on the distance grid: t = k*log(2) is about 5, 10, 15, 20, 25
+K_STEPS = (7, 14, 22, 29, 36)
 
 
 # -- curve verification ----------------------------------------------------------
@@ -36,27 +36,27 @@ class CurveReport(NamedTuple):
     status: str                   # verified | no limit | wrong target | not symplectic
     moved: Optional[Bracket]      # the ExpPoly tensor g_t . mu_source
     bad_entries: tuple = ()
-    float_distances: tuple = ()
-    float_decreasing: bool = False
-    float_final_small: bool = False
+    distances: tuple = ()         # (k, exact distance to the target at exp(t) = 2**k)
+    decreasing: bool = False
+    final_small: bool = False
 
     @property
     def verified(self):
         return (self.status == "verified" and self.symplectic_exact
-                and self.float_decreasing and self.float_final_small)
+                and self.decreasing and self.final_small)
 
     def to_json_dict(self):
         return {"curve": self.label, "symplectic_exact": self.symplectic_exact,
                 "status": self.status,
                 "bad_entries": [list(e) for e in self.bad_entries],
-                "float_distances": [[t, d] for t, d in self.float_distances],
-                "float_decreasing": self.float_decreasing,
-                "float_final_small": self.float_final_small,
+                "distances": [[k, format_rational(d)] for k, d in self.distances],
+                "decreasing": self.decreasing,
+                "final_small": self.final_small,
                 "verified": self.verified}
 
 
 def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
-    """Symbolic symplecticity, exact limit, and the binary64 distance grid."""
+    """Symbolic symplecticity, exact limit, and the exact distance grid."""
     g = inst.g
     if not is_symplectic(g):
         return CurveReport(inst.label, False, "not symplectic", None)
@@ -67,17 +67,20 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
     wrong = moved.limit().differing_entries(inst.target_bracket)
     if wrong:
         return CurveReport(inst.label, True, "wrong target", moved, tuple(wrong))
-    target_f = inst.target_bracket.map_scalars(float)
-    try:
-        dists = [(t, float(bracket_distance(moved.eval_at(t), target_f))) for t in T_GRID]
-    except OverflowError as e:  # a usage limit, not a failed check: no exit 1
-        raise ValueError(f"curve {inst.label} is beyond the binary64 distance "
-                         f"cross-check: {e}") from None
+    # moved tends to the target entrywise, so the distance at exp(t) := 2**k is the
+    # max-norm of the entries' gaps to their limits; it is rational because each k
+    # is a multiple of every exponent denominator
+    entries = [ExpPoly.coerce(c) for vec in moved.rules.values() for c in vec.values()]
+    gaps = [e - e.limit() for e in entries]
+    n = math.lcm(*(r.denominator for gap in gaps for r in gap.terms))
+    # the multiple of n nearest each step, at least j*n so that the ks strictly increase
+    ks = [n * max(j, (2 * big_k + n) // (2 * n)) for j, big_k in enumerate(K_STEPS, 1)]
+    dists = [(k, max((abs(gap.eval_base(k)) for gap in gaps), default=Fraction(0)))
+             for k in ks]
     # strict decrease, except a curve already sitting on its target (all zeros)
-    decreasing = all(b < a or a == b == 0.0
-                     for (_, a), (_, b) in zip(dists, dists[1:]))
-    # relative to d(5) once that exceeds 1: a large exact parameter scales the grid
-    small = dists[-1][1] < dist_tol * max(1.0, dists[0][1])
+    decreasing = all(b < a or a == b == 0 for (_, a), (_, b) in zip(dists, dists[1:]))
+    # relative to the first distance once that exceeds 1: a large parameter scales the grid
+    small = dists[-1][1] < Fraction(dist_tol) * max(1, dists[0][1])
     return CurveReport(inst.label, True, "verified", moved, (),
                        tuple(dists), decreasing, small)
 

@@ -2,17 +2,15 @@
 
 Everything on the verification path is either a ``fractions.Fraction`` or an
 :class:`ExpPoly`, a finite sum ``sum_r c_r * exp(r*t)`` with rational
-exponents and coefficients.  Floats appear only in redundant cross-checks.
+exponents and coefficients.  An :class:`ExpPoly` is evaluated only exactly,
+at t = k*log(2).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from typing import Optional
 
-# eval_at refuses exp arguments above this (exp(230) ~ 1e100), well below
-# the binary64 overflow of exp near 709.
-EXP_GUARD = 230.0
 _ZERO = Fraction(0)
 
 
@@ -39,8 +37,8 @@ class ExpPoly:
     """Finite sum of terms c * exp(r*t), keyed by the rational exponent r.
 
     Supports exact ring arithmetic (exponents add under multiplication), the
-    exact limit t -> +inf, float evaluation, and exact evaluation at
-    t = K*log(2) where every r*K is an integer.  Instances are immutable.
+    exact limit t -> +inf, and exact evaluation at t = K*log(2) where every
+    r*K is an integer.  Instances are immutable.
     """
 
     __slots__ = ("terms",)
@@ -128,25 +126,11 @@ class ExpPoly:
 
     # -- limits and evaluation ----------------------------------------------
 
-    def has_limit(self) -> bool:
-        """True iff the limit as t -> +inf is finite (every exponent <= 0)."""
-        return all(r <= 0 for r in self.terms)
-
-    def limit(self) -> Fraction:
+    def limit(self) -> Optional[Fraction]:
         """Exact limit as t -> +inf; None when a positive exponent survives."""
-        if not self.has_limit():
+        if any(r > 0 for r in self.terms):
             return None
         return self.terms.get(_ZERO, _ZERO)
-
-    def eval_at(self, t: float) -> float:
-        """Binary64 value at time t; raises on exp arguments beyond EXP_GUARD."""
-        total = 0.0
-        for r, c in self.terms.items():
-            x = float(r) * t
-            if x > EXP_GUARD:
-                raise OverflowError(f"exp({x}) exceeds the overflow guard")
-            total += float(c) * math.exp(x)
-        return total
 
     def eval_base(self, k: int) -> Fraction:
         """Exact value at t = k*log(2), i.e. with exp(t) := 2**k.
@@ -154,12 +138,13 @@ class ExpPoly:
         Every exponent r must satisfy r*k integral so that 2**(r*k) is
         rational.
         """
-        total = Fraction(0)
+        total = _ZERO
         for r, c in self.terms.items():
             rk = r * k
             if rk.denominator != 1:
                 raise ValueError(f"exponent {r} * {k} is not an integer")
-            total += c * Fraction(2) ** int(rk)
+            e = rk.numerator
+            total += c * (1 << e) if e >= 0 else c / (1 << -e)
         return total
 
     def __repr__(self):

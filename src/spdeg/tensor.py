@@ -3,7 +3,7 @@ dense tables.
 
 Basis indices are 1-based in constructors, serialized forms and reports,
 matching the classification tables; dense internal tensors are 0-based.
-Scalars may be Fraction (exact path), ExpPoly (curves) or float (cross-check).
+Scalars are Fraction or int (exact path) or ExpPoly (curves).
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class Bracket:
     def divergent_entries(self) -> list:
         """Sorted (i, j, k) of the ExpPoly entries with no finite t -> +inf limit."""
         return sorted((i, j, k) for (i, j), vec in self.rules.items()
-                      for k, c in vec.items() if not ExpPoly.coerce(c).has_limit())
+                      for k, c in vec.items() if ExpPoly.coerce(c).limit() is None)
 
     def limit(self) -> "Bracket":
         """Exact t -> +inf limit of an ExpPoly-valued bracket.
@@ -157,16 +157,12 @@ class Bracket:
         Raises ValueError naming the divergent entries when some exponent
         is positive.
         """
-        bad = self.divergent_entries()
+        rules = {p: {k: ExpPoly.coerce(c).limit() for k, c in vec.items()}
+                 for p, vec in self.rules.items()}
+        bad = sorted((*p, k) for p, vec in rules.items() for k, c in vec.items() if c is None)
         if bad:
             raise ValueError(f"no limit: divergent entries at {bad}")
-        return self.map_scalars(lambda c: ExpPoly.coerce(c).limit())
-
-    def eval_at(self, t: float) -> "Bracket":
-        """Binary64 bracket at time t (ExpPoly entries evaluated numerically)."""
-        def ev(c):
-            return c.eval_at(t) if isinstance(c, ExpPoly) else float(c)
-        return self.map_scalars(ev)
+        return Bracket(self.dim, rules)
 
     # -- serialization --------------------------------------------------------
 
@@ -195,22 +191,40 @@ class Bracket:
         bracket = d.get("bracket", {})
         if not isinstance(bracket, dict):
             raise ValueError('"bracket" must be an object keyed by "i,j"')
-        rules = {}
+        rules, keys = {}, {}  # keys: the first key of each unordered pair
         for key, vec in bracket.items():
             if not (isinstance(vec, dict) and all(isinstance(c, str) for c in vec.values())):
                 raise ValueError(f'bracket entry "{key}" must map components to rational strings')
             pair = key.split(",")
             if len(pair) != 2 or not all(map(_INDEX.fullmatch, pair)):
                 raise ValueError(f'bracket key "{key}" must have the form "i,j" with integer indices')
-            bad = [k for k in vec if not _INDEX.fullmatch(k)]
-            if bad:
-                raise ValueError(f'component key "{bad[0]}" of bracket entry "{key}" must be an integer')
-            rules[(int(pair[0]), int(pair[1]))] = {int(k): parse_rational(c) for k, c in vec.items()}
+            i, j = int(pair[0]), int(pair[1])
+            first = keys.setdefault(frozenset((i, j)), key)
+            if first != key:
+                raise ValueError(f'bracket key "{key}" repeats the pair of key "{first}"')
+            vals = rules[(i, j)] = {}
+            for k, c in vec.items():
+                if not _INDEX.fullmatch(k):
+                    raise ValueError(f'component key "{k}" of bracket entry "{key}" must be an integer')
+                if int(k) in vals:
+                    raise ValueError(f'component key "{k}" of bracket entry "{key}" '
+                                     f'repeats index {int(k)}')
+                vals[int(k)] = parse_rational(c)
         return cls(d["dim"], rules)
 
     @classmethod
     def from_json(cls, s: str) -> "Bracket":
-        return cls.from_json_dict(json.loads(s))
+        return cls.from_json_dict(json.loads(s, object_pairs_hook=_unique_keys))
+
+
+def _unique_keys(pairs) -> dict:
+    """The dict of one JSON object; ValueError when the object repeats a key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f'key "{key}" appears twice in one JSON object')
+        out[key] = value
+    return out
 
 
 # -- validation ----------------------------------------------------------------
@@ -323,18 +337,3 @@ def transvection(u, c):
 def bracket_to_table(mu: Bracket):
     """Dense bilinear table: table[i][j] = mu(e_{i+1}, e_{j+1}) (0-based)."""
     return [[mu.pair(i + 1, j + 1) for j in range(mu.dim)] for i in range(mu.dim)]
-
-
-# -- distances -------------------------------------------------------------------
-
-
-def bracket_distance(a: Bracket, b: Bracket):
-    """max over (i<j, k) of |a_{ij}^k - b_{ij}^k| for rational or float brackets."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    best = 0
-    for key in set(a.rules) | set(b.rules):
-        va, vb = a.rules.get(key, {}), b.rules.get(key, {})
-        for k in set(va) | set(vb):
-            best = max(best, abs(va.get(k, 0) - vb.get(k, 0)))
-    return best

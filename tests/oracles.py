@@ -31,6 +31,18 @@ def varrho_family(t: Fraction) -> Bracket:
     return act(shear_transform(t), bracket_of("d4_1:w1"))
 
 
+def bracket_distance(a: Bracket, b: Bracket):
+    """max over (i<j, k) of |a_{ij}^k - b_{ij}^k|, for rational brackets."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    best = 0
+    for key in set(a.rules) | set(b.rules):
+        va, vb = a.rules.get(key, {}), b.rules.get(key, {})
+        for k in set(va) | set(vb):
+            best = max(best, abs(va.get(k, 0) - vb.get(k, 0)))
+    return best
+
+
 def random_rational(rng: random.Random) -> Fraction:
     """The rational draw that degeneration's samplers make in ints, over Fraction."""
     return Fraction(rng.randint(-3, 3), rng.randint(1, 3))

@@ -56,11 +56,11 @@ def test_criterion_03_curve_list_verification(curve_reports):
     for r in curve_reports:
         assert r.symplectic_exact, r.label
         assert r.status == "verified", (r.label, r.status, r.bad_entries)
-        ds = [d for _, d in r.float_distances]
-        assert all(b < a or a == b == 0.0 for a, b in zip(ds, ds[1:])), r.label
+        ds = [d for _, d in r.distances]
+        assert all(b < a or a == b == 0 for a, b in zip(ds, ds[1:])), r.label
         assert ds[-1] < 1e-8, (r.label, ds[-1])
     _ok(3, f"all {len(curve_reports)} curve instances: exact symplecticity, "
-           f"exact limits, float tails strictly decreasing below 1e-8")
+           f"exact limits, exact distance tails strictly decreasing below 1e-8")
 
 
 def test_criterion_04_worked_degeneration_curve():

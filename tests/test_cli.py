@@ -6,6 +6,7 @@ import pytest
 
 from spdeg import catalog
 from spdeg.cli import main
+from spdeg.scalars import parse_rational
 
 
 def run(capsys, *argv):
@@ -60,9 +61,15 @@ def test_validate_broken_bracket_fails(tmp_path, capsys):
     ({"dim": 4, "bracket": {"1,2": {"z": "1"}}}, 'component key "z"'),
     ({"dim": 18, "bracket": {}}, '"dim" must be at most 16, got 18'),
     ({"dim": 10 ** 9, "bracket": {}}, '"dim" must be at most 16'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1"}, "2,1": {"4": "1"}}},
+     'bracket key "2,1" repeats the pair of key "1,2"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1"}, " 1,2": {"4": "1"}}}, 'bracket key " 1,2"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1", "04": "5"}}},
+     'component key "04" of bracket entry "1,2" repeats index 4'),
 ], ids=["top-level-list", "bracket-list", "vector-number", "coefficient-number",
         "omega-not-canonical", "dim-list", "key-one-index", "key-not-integer",
-        "component-key-not-integer", "dim-18", "dim-huge"])
+        "component-key-not-integer", "dim-18", "dim-huge", "pair-key-repeated",
+        "pair-key-repeated-with-space", "component-key-repeated"])
 def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content, named):
     path = tmp_path / "bracket.json"
     path.write_text(json.dumps(content), encoding="utf-8")
@@ -122,30 +129,31 @@ def test_curve_matrix_pole_is_usage_error(capsys):
         assert curve.split(":")[1] in err and "pole" in err, err
 
 
-def test_curve_parameter_beyond_binary64_is_usage_error(capsys):
-    curve = f"appendix:r2r2-d411:lambda={10 ** 400}"
-    code, out, err = run(capsys, "degenerate", "--curve", curve)
-    assert code == 2 and out == ""
-    assert curve in err and "binary64" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize("curve", ["appendix:r2r2-d411", "appendix:r2r2-rr30"])
-@pytest.mark.parametrize("lam", ["1000", str(10 ** 20)])
+@pytest.mark.parametrize("lam", ["1000", str(10 ** 20), pytest.param(str(10 ** 400), id="10**400")])
 def test_large_curve_parameter_verifies(capsys, curve, lam):
-    # the float distances scale with lambda, so d(25) is judged relative to d(5)
+    # the distances scale with lambda, so the last is judged relative to the first;
+    # they are exact, so a lambda far beyond binary64 is no special case
     code, out, err = run(capsys, "degenerate", "--curve", f"{curve}:lambda={lam}")
     assert code == 0 and "verified: True" in out and err == ""
+    code, out, _ = run(capsys, "--json", "degenerate", "--curve", f"{curve}:lambda={lam}")
+    payload = json.loads(out)
+    assert code == 0 and payload["verified"] is True
+    assert parse_rational(payload["distances"][-1][1]) > 0
 
 
 def test_slowed_curve_still_fails_the_distance_check():
-    # the negative control: rh3 -> a4 on the clock t/8 is still far from a4 at t = 25
+    # the negative control: rh3 -> a4 on the clock t/8 is still far from a4 at the
+    # grid's end, exp(t) = 2**40, where the distance is 2**-5
     from spdeg import degeneration
 
     inst = catalog.parse_curve("appendix:rh3-a4")
     slow = inst._replace(g=catalog.rescale_time(inst.g, F(1, 8)))
     report = degeneration.verify_curve(slow)
-    assert report.status == "verified" and report.float_decreasing
-    assert not report.float_final_small and not report.verified
+    assert [k for k, _ in report.distances] == [8, 16, 24, 32, 40]
+    assert report.distances[-1][1] == F(1, 32)
+    assert report.status == "verified" and report.decreasing
+    assert not report.final_small and not report.verified
 
 
 def test_unknown_verb_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,14 +9,14 @@ from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES,
                                 NODE_BY_ID, R2P_TRAP, R2R2_TRAP, SuiteCheck, _REFERENCES,
                                 _borbit_samples, _edge_instances, _witness_route, TrapError,
-                                borbit_element, classify_pairs, quadratics_agree,
+                                borbit_element, classify_pairs, hasse, quadratics_agree,
                                 r2r2_trap_residual, verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
 
 from helpers import rational_borbit, rational_symplectic
-from oracles import a_element, min_abs_eig_float, n_element, random_rational
+from oracles import a_element, bracket_distance, min_abs_eig_float, n_element, random_rational
 
 
 # -- curve verification -----------------------------------------------------------
@@ -25,9 +26,31 @@ def test_verify_curve_first_item(curve_reports):
     by_label = {r.label: r for r in curve_reports}
     r = by_label["appendix:d422-r4a"]
     assert r.symplectic_exact and r.status == "verified" and r.verified
-    ds = [d for _, d in r.float_distances]
+    ds = [d for _, d in r.distances]
     assert all(b < a for a, b in zip(ds, ds[1:]))
     assert ds[-1] < 1e-8
+
+
+def test_grid_distances_are_exact_without_math_exp(monkeypatch):
+    # every grid value comes from exp(t) := 2**k: no call reaches a float exponential
+    def no_exp(x):
+        raise AssertionError("math.exp called")
+    monkeypatch.setattr(math, "exp", no_exp)
+    reports = [verify_curve(inst) for spec in catalog.curves() for inst in spec.instances()]
+    reports += [r for e in hasse().edges for r in e.reports]
+    for r in reports:
+        assert r.verified, r.label
+        assert [k for k, _ in r.distances] == [7, 14, 22, 29, 36], r.label
+        assert all(type(d) is F for _, d in r.distances), r.label
+
+
+def test_grid_distance_is_the_max_norm_at_each_grid_point(curve_reports):
+    # the grid's gap evaluation against the max-norm of the whole evaluated bracket
+    for r in curve_reports:
+        inst = parse_curve(r.label)
+        for k, d in r.distances:
+            at_k = r.moved.map_scalars(lambda c: ExpPoly.coerce(c).eval_base(k))
+            assert d == bracket_distance(at_k, inst.target_bracket), (r.label, k)
 
 
 def test_verify_curve_worked_example_structure():

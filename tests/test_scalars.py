@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 
@@ -44,7 +43,7 @@ def test_exppoly_limits():
     assert ExpPoly({F(-1): F(4)}).limit() == 0
     assert ExpPoly({F(-1): F(4), F(0): F(2)}).limit() == 2
     assert ExpPoly({F(1, 3): F(1)}).limit() is None
-    assert not ExpPoly({F(1): F(1), F(-1): F(1)}).has_limit()
+    assert ExpPoly({F(1): F(1), F(-1): F(1)}).limit() is None
 
 
 def _random_exppoly(rng, exponents):
@@ -61,16 +60,8 @@ def test_limit_multiplicative_on_100_random_pairs():
     for _ in range(100):
         p = _random_exppoly(rng, neg)
         q = _random_exppoly(rng, neg)
-        assert p.has_limit() and q.has_limit()
+        assert p.limit() is not None and q.limit() is not None
         assert (p * q).limit() == p.limit() * q.limit()
-
-
-def test_eval_at_matches_math_exp():
-    p = ExpPoly({F(-1): F(3), F(0): F(1, 2)})
-    t = 2.5
-    assert p.eval_at(t) == pytest.approx(3 * math.exp(-t) + 0.5, rel=1e-14)
-    with pytest.raises(OverflowError):
-        ExpPoly.exp(F(10)).eval_at(30.0)
 
 
 def test_eval_base_exact_substitution():

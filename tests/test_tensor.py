@@ -5,13 +5,13 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import (Bracket, act, bracket_distance, bracket_to_table,
+from spdeg.tensor import (Bracket, act, bracket_to_table,
                           canonical_form, d_omega, is_closed, is_lie,
                           is_symplectic, jacobiator, omega, symplectic_inverse,
                           transvection)
 
 from helpers import rational_symplectic
-from oracles import table_to_bracket
+from oracles import bracket_distance, table_to_bracket
 
 
 def _mu(key, param=None):
@@ -182,6 +182,14 @@ def test_bracket_distance_dim_mismatch():
 
 
 # -- dense conversions and serialization ---------------------------------------------
+
+
+def test_bracket_file_repeating_a_json_key_is_refused():
+    # json.loads alone keeps the last of two equal keys, so c_12^4 would read as 5
+    for text in ('{"dim": 4, "bracket": {"1,2": {"4": "1"}, "1,2": {"4": "5"}}}',
+                 '{"dim": 4, "bracket": {"1,2": {"4": "1", "4": "5"}}}'):
+        with pytest.raises(ValueError, match='key "(1,2|4)" appears twice'):
+            Bracket.from_json(text)
 
 
 def test_table_bracket_roundtrip():
