@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, NamedTuple, Optional
 
 from . import linalg
@@ -35,34 +35,62 @@ def levi_civita(mu: Bracket):
 
 
 def _ricci_matrix(mu: Bracket):
-    """4*Ric of a Lie bracket, Ric = M - B/2 - S(ad_H) (Besse, Einstein Manifolds,
-    7.38) with <H, x> = tr ad_x; symmetric term by term, int for int brackets:
+    """4*Ric of a Lie bracket, from its stored pairs by _ricci_of_pairs."""
+    return _ricci_of_pairs(mu.dim, [(i - 1, j - 1, mu.pair(i, j)) for i, j in mu.rules])
+
+
+def _moved_ricci_matrix(g, mu: Bracket, ginv):
+    """_ricci_matrix(act(g, mu, ginv)), with no Bracket in between.
+
+    For a stored pair (a, b) of mu, mu(ginv e_i, ginv e_j) has the coefficient
+    ginv_ai ginv_bj - ginv_bi ginv_aj on [e_a, e_b], so the moved pair vector
+    g mu(ginv e_i, ginv e_j) is the sum of these 2x2 minors times g [e_a, e_b].
+    """
+    n = mu.dim
+    moved = [(a - 1, b - 1, [sum(row[k - 1] * c for k, c in vec.items()) for row in g])
+             for (a, b), vec in mu.rules.items()]  # g [e_a, e_b]
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [0] * n
+            for a, b, v in moved:
+                minor = ginv[a][i] * ginv[b][j] - ginv[b][i] * ginv[a][j]
+                if minor:
+                    w = [x + minor * y for x, y in zip(w, v)]
+            pairs.append((i, j, w))
+    return _ricci_of_pairs(n, pairs)
+
+
+def _ricci_of_pairs(n: int, pairs):
+    """4*Ric, Ric = M - B/2 - S(ad_H) (Besse, Einstein Manifolds, 7.38) with
+    <H, x> = tr ad_x, from the pair vectors (i, j, [e_i, e_j]), 0-based i < j,
+    of a bracket on R^n; symmetric term by term, int for int brackets:
     4*Ric_ij = 2(sum_{k<l} c_kl^i c_kl^j - <ad_i, ad_j>_F - tr(ad_i ad_j)
                  - <[H,e_i],e_j> - <[H,e_j],e_i>).
     Off the Lie variety it differs from the Levi-Civita contraction by a
     constant linear image of the Jacobiator."""
-    n = mu.dim
     r = range(n)
     ad = [[0] * (n * n) for _ in r]  # ad[i][m*n + k] = c_ik^m, ad_i row-major
     adt = [[0] * (n * n) for _ in r]  # adt[i][k*n + m] = c_ik^m, its transpose
-    up = [[0] * len(mu.rules) for _ in r]  # up[m][p] = c_kl^m, (k, l) the p-th stored pair
-    for p, ((i, j), vec) in enumerate(mu.rules.items()):
-        i, j = i - 1, j - 1
-        for k, c in vec.items():
-            k -= 1
-            ad[i][k * n + j] = c
-            ad[j][k * n + i] = -c
-            adt[i][j * n + k] = c
-            adt[j][i * n + k] = -c
-            up[k][p] = c
+    up = [[0] * len(pairs) for _ in r]  # up[m][p] = c_kl^m, (k, l) the p-th pair
+    for p, (i, j, w) in enumerate(pairs):
+        for k, c in enumerate(w):
+            if c:
+                ad[i][k * n + j] = c
+                ad[j][k * n + i] = -c
+                adt[i][j * n + k] = c
+                adt[j][i * n + k] = -c
+                up[k][p] = c
     h = [sum(a[::n + 1]) for a in ad]  # H = sum_k (tr ad_k) e_k
     adh = [sum(map(mul, h, col)) for col in zip(*ad)]  # ad_H, row-major
+    # <ad_i, ad_j + ad_j^T>_F = <ad_i, ad_j>_F + tr(ad_i ad_j)
+    sym = [list(map(add, a, b)) for a, b in zip(ad, adt)]
     out = [[0] * n for _ in r]
     for i in r:
         for j in range(i, n):
             out[i][j] = out[j][i] = 2 * (
-                sum(map(mul, up[i], up[j])) - sum(map(mul, ad[i], ad[j]))
-                - sum(map(mul, ad[i], adt[j])) - adh[i * n + j] - adh[j * n + i])
+                sum(map(mul, up[i], up[j])) - sum(map(mul, ad[i], sym[j]))
+                - adh[i * n + j] - adh[j * n + i])
     return out
 
 

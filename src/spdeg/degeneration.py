@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
-from .curvature import _ricci_matrix, ricci_form
+from .curvature import _moved_ricci_matrix, ricci_form
 from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
                          equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
@@ -88,10 +88,11 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
 # -- B = A.N orbit parametrization ------------------------------------------------
 
 
-def borbit_element(mu: Bracket, a_params, n_params) -> tuple:
+def borbit_element(scaled: tuple, a_params, n_params) -> tuple:
     """(c, C), c > 0 and C = c*xi an int bracket, for xi = (g.h)^{-1} . mu, g = diag(t1,
     t2, 1/t1, 1/t2) with t1, t2 > 0 and h = [[1, -a, 0, 0], [0, 1, 0, 0], [x, y, 1, 0],
-    [ax + y, ay + z, a, 1]].  In ints, from the parameters' numerators and denominators
+    [ax + y, ay + z, a, 1]].  scaled = (m, m*mu) is mu.integer_multiple(), taken once
+    per orbit by the caller.  In ints, from the parameters' numerators and denominators
     (ints or Fractions): G = D*(g.h), symplectic_inverse(G) = D*(g.h)^{-1}, and act,
     linear in all three, gives C = m*D^3*xi from m*mu."""
     (p1, q1), (p2, q2) = ((t.numerator, t.denominator) for t in a_params)
@@ -106,7 +107,7 @@ def borbit_element(mu: Bracket, a_params, n_params) -> tuple:
     dg = math.lcm(p1, q1, p2, q2)
     g = (dg // q1 * p1, dg // q2 * p2, dg // p1 * q1, dg // p2 * q2)  # dg*g, g diagonal
     big_g = [[gi * v for v in row] for gi, row in zip(g, h)]
-    m, imu = mu.integer_multiple()
+    m, imu = scaled
     return m * (dg * dh) ** 3, act(symplectic_inverse(big_g), imu, big_g)
 
 
@@ -114,24 +115,24 @@ class TrapError(ValueError):
     """A bracket does not fit the trapping-subspace pattern."""
 
 
-class TrapPattern(NamedTuple):
+class TrapPattern:
     """A linear subspace of 4-dimensional brackets that traps a B-orbit.
 
     Coordinate b_n is groups[n-1]: the (i, j, k) slots, i < j, whose
     structure constants c_ij^k all equal b_n.  Every other slot is zero.
     """
 
-    name: str
-    groups: tuple
+    def __init__(self, name: str, groups: tuple):
+        self.name, self.groups = name, groups
+        self.slots = frozenset(s for group in groups for s in group)
 
     def coords(self, xi: Bracket) -> tuple:
         """(b1, b2, ...) of xi; TrapError when xi lies outside the subspace."""
         if xi.dim != 4:
             raise TrapError("pattern is 4-dimensional")
-        slots = {s for group in self.groups for s in group}
         for (i, j), vec in xi.rules.items():
             for k in vec:
-                if (i, j, k) not in slots:
+                if (i, j, k) not in self.slots:
                     raise TrapError(f"component e{k} of [e{i},e{j}] outside the "
                                     f"{self.name} pattern")
         out = []
@@ -190,26 +191,83 @@ def random_symplectic(rng: random.Random) -> tuple:
 
     d is the least positive int that makes d*g integral.  It runs in ints,
     drawing each p/q as Fraction(rng.randint(-3, 3), rng.randint(1, 3)) would,
-    unreduced: for u = U/e and c = p/q the transvection v -> v + c*w(u,v)*u is
-    T/s with s = q*e^2 and T = s*I + p*U*(J^T U)^T, applied as the rank-one
-    update s*out + p*U*((J^T U)^T out).
+    unreduced: rng.randint(a, a + n - 1) is a + r for the first draw
+    r = rng.getrandbits(n.bit_length()) below n.  For u = U/e and c = p/q the
+    transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and T = s*I + p*U*(J^T U)^T,
+    applied to the running product out, entry by entry, as the rank-one update
+    s*out + p*U*((J^T U)^T out).
     """
     bits = rng.getrandbits
-    out, d = [[int(i == j) for j in range(4)] for i in range(4)], 1
-    for _ in range(_randint(bits, 6, 7, 3)):
-        u = ()
-        while not any(x for x, _ in u):
-            u = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(4)]
-        p, q = _randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)
-        e = math.lcm(*(y for _, y in u))
-        num = [x * (e // y) for x, y in u]
-        ju = [-x for x in num[2:]] + num[:2]  # J^T U = (-U2, U1)
-        ju_out = [sum(map(operator.mul, ju, col)) for col in zip(*out)]
-        s = q * e * e
-        out = [[s * x + p * ui * r for x, r in zip(row, ju_out)] for ui, row in zip(num, out)]
-        d *= s
-    g = math.gcd(d, *(x for row in out for x in row))
-    return d // g, [[x // g for x in row] for row in out]
+    m00, m01, m02, m03 = 1, 0, 0, 0
+    m10, m11, m12, m13 = 0, 1, 0, 0
+    m20, m21, m22, m23 = 0, 0, 1, 0
+    m30, m31, m32, m33 = 0, 0, 0, 1
+    den = 1
+    n = bits(3)
+    while n == 7:
+        n = bits(3)
+    for _ in range(n + 6):
+        # draws x in 0..6 and y in 0..2 make the entries (x - 3)/(y + 1) of u, drawn
+        # again until u is nonzero; then p in 0..6 and q in 0..2 make c = (p - 3)/(q + 1)
+        while True:
+            x0 = bits(3)
+            while x0 == 7:
+                x0 = bits(3)
+            y0 = bits(2)
+            while y0 == 3:
+                y0 = bits(2)
+            x1 = bits(3)
+            while x1 == 7:
+                x1 = bits(3)
+            y1 = bits(2)
+            while y1 == 3:
+                y1 = bits(2)
+            x2 = bits(3)
+            while x2 == 7:
+                x2 = bits(3)
+            y2 = bits(2)
+            while y2 == 3:
+                y2 = bits(2)
+            x3 = bits(3)
+            while x3 == 7:
+                x3 = bits(3)
+            y3 = bits(2)
+            while y3 == 3:
+                y3 = bits(2)
+            if x0 != 3 or x1 != 3 or x2 != 3 or x3 != 3:
+                break
+        p = bits(3)
+        while p == 7:
+            p = bits(3)
+        q = bits(2)
+        while q == 3:
+            q = bits(2)
+        y0, y1, y2, y3 = y0 + 1, y1 + 1, y2 + 1, y3 + 1
+        e = math.lcm(y0, y1, y2, y3)
+        u0, u1, u2 = (x0 - 3) * (e // y0), (x1 - 3) * (e // y1), (x2 - 3) * (e // y2)
+        u3 = (x3 - 3) * (e // y3)
+        s = (q + 1) * e * e
+        p -= 3
+        # w = (J^T U)^T out, J^T U = (-U2, -U3, U0, U1); then out <- s*out + p*U*w
+        w0 = u0 * m20 + u1 * m30 - u2 * m00 - u3 * m10
+        w1 = u0 * m21 + u1 * m31 - u2 * m01 - u3 * m11
+        w2 = u0 * m22 + u1 * m32 - u2 * m02 - u3 * m12
+        w3 = u0 * m23 + u1 * m33 - u2 * m03 - u3 * m13
+        v = p * u0
+        m00, m01, m02, m03 = s * m00 + v * w0, s * m01 + v * w1, s * m02 + v * w2, s * m03 + v * w3
+        v = p * u1
+        m10, m11, m12, m13 = s * m10 + v * w0, s * m11 + v * w1, s * m12 + v * w2, s * m13 + v * w3
+        v = p * u2
+        m20, m21, m22, m23 = s * m20 + v * w0, s * m21 + v * w1, s * m22 + v * w2, s * m23 + v * w3
+        v = p * u3
+        m30, m31, m32, m33 = s * m30 + v * w0, s * m31 + v * w1, s * m32 + v * w2, s * m33 + v * w3
+        den *= s
+    k = math.gcd(den, m00, m01, m02, m03, m10, m11, m12, m13,
+                 m20, m21, m22, m23, m30, m31, m32, m33)
+    return den // k, [[m00 // k, m01 // k, m02 // k, m03 // k],
+                      [m10 // k, m11 // k, m12 // k, m13 // k],
+                      [m20 // k, m21 // k, m22 // k, m23 // k],
+                      [m30 // k, m31 // k, m32 // k, m33 // k]]
 
 
 # -- the degeneration diagram ------------------------------------------------------
@@ -429,11 +487,12 @@ _Ratio = NamedTuple("_Ratio", [("numerator", int), ("denominator", int)])
 def _borbit_samples(rng: random.Random, mu: Bracket, n: int):
     """n points (c, C) of the B-orbit of mu at random rational A- and N-parameters."""
     bits = rng.getrandbits
+    scaled = mu.integer_multiple()
     for _ in range(n):
         # six rationals p/q drawn as random_symplectic draws them; t = |p/q| + 1/3 = (3|p| + q)/3q
         pq = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(6)]
         ts = [_Ratio(3 * abs(p) + q, 3 * q) for p, q in pq[:2]]
-        yield borbit_element(mu, ts, [_Ratio(*r) for r in pq[2:]])
+        yield borbit_element(scaled, ts, [_Ratio(*r) for r in pq[2:]])
 
 
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
@@ -668,14 +727,14 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500):
             continue
         # The samples run in ints.  act is linear in mu, g and g^{-1}, and
         # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
-        # = d*g^{-1}, act gives m*d^3*(g.mu), whose _ricci_matrix is the int
-        # (and symmetric) 4*m^2*d^6*Ric(g.mu).  det = 0 is unchanged.
+        # = d*g^{-1}, the moved bracket is m*d^3*(g.mu), and
+        # _moved_ricci_matrix takes its int (and symmetric) 4*m^2*d^6*Ric(g.mu)
+        # straight from the six moved pair vectors.  det = 0 is unchanged.
         _, mu = make(cid).integer_multiple()
         all_zero = True
         for _ in range(samples):
             _, g = random_symplectic(rng)
-            moved = act(g, mu, symplectic_inverse(g))
-            if linalg.det(_ricci_matrix(moved)) != 0:
+            if linalg.det(_moved_ricci_matrix(g, mu, symplectic_inverse(g))) != 0:
                 all_zero = False
                 break
         records.append(WitnessRecord(str(cid), "exceptional",

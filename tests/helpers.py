@@ -15,7 +15,7 @@ def rational_symplectic(rng):
 
 def rational_borbit(mu, a_params, n_params):
     """The B-orbit point C/c of borbit_element's (c, C), over Fraction."""
-    c, big = borbit_element(mu, a_params, n_params)
+    c, big = borbit_element(mu.integer_multiple(), a_params, n_params)
     return big.map_scalars(lambda x: Fraction(x, c))
 
 

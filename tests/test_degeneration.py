@@ -108,7 +108,7 @@ def test_verify_curve_flags_non_symplectic():
 
 def test_borbit_identity_parameters():
     mu = catalog.bracket_of("r2r2", F(7, 3))
-    c, big = borbit_element(mu, (F(1), F(1)), (0, 0, 0, 0))
+    c, big = borbit_element(mu.integer_multiple(), (F(1), F(1)), (0, 0, 0, 0))
     assert c > 0 and big == mu.map_scalars(lambda x: c * x)
 
 
@@ -138,9 +138,9 @@ def test_borbit_outputs_are_symplectic_lie_algebras():
 def test_borbit_rejects_nonpositive_diagonal():
     mu = catalog.bracket_of("r2p")
     with pytest.raises(ValueError):
-        borbit_element(mu, (F(0), F(1)), (0, 0, 0, 0))
+        borbit_element(mu.integer_multiple(), (F(0), F(1)), (0, 0, 0, 0))
     with pytest.raises(ValueError):
-        borbit_element(mu, (F(1), F(-2)), (0, 0, 0, 0))
+        borbit_element(mu.integer_multiple(), (F(1), F(-2)), (0, 0, 0, 0))
 
 
 def test_n_element_is_symplectic():
@@ -214,7 +214,7 @@ def test_trap_residual_on_orbit_samples():
         for _ in range(25):
             t1 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
             t2 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
-            sample = borbit_element(mu, (t1, t2),
+            sample = borbit_element(mu.integer_multiple(), (t1, t2),
                                     tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
             assert r2r2_trap_residual(sample, lam) == 0
 
@@ -266,12 +266,12 @@ def test_containment_samples_count_the_checked_ones(monkeypatch, k):
     r2p, n4 = catalog.bracket_of("r2p"), catalog.bracket_of("n4")
     calls = []
 
-    def leaves_pattern_at_k(mu, a_params, n_params):
-        if mu == r2p:
-            calls.append(mu)
+    def leaves_pattern_at_k(scaled, a_params, n_params):
+        if scaled == r2p.integer_multiple():
+            calls.append(scaled)
             if len(calls) == k:
                 return 1, n4  # off the r2p pattern
-        return borbit_element(mu, a_params, n_params)
+        return borbit_element(scaled, a_params, n_params)
 
     monkeypatch.setattr(degeneration, "borbit_element", leaves_pattern_at_k)
     check = {c.name: c for c in degeneration.non_degeneration_suite(samples=5)}[
@@ -286,7 +286,7 @@ def test_r2p_orbit_lands_in_trap():
     for _ in range(25):
         t1 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
         t2 = abs(F(rng.randint(1, 4), rng.randint(1, 3)))
-        c, big = borbit_element(mu, (t1, t2),
+        c, big = borbit_element(mu.integer_multiple(), (t1, t2),
                                 tuple(F(rng.randint(-2, 2), 3) for _ in range(4)))
         coords = R2P_TRAP.coords(big)
         assert len(coords) == 4 and all(type(b) is int for b in coords)
@@ -466,6 +466,20 @@ def test_witness_fails_on_a_wrong_descartes_signature(monkeypatch):
     rec = witness_for_class(class_id("n4"))
     assert rec.status == "failed"
     assert rec.reason == "the characteristic polynomial of Ric at n4 has Descartes signature (2, 2, 0)"
+
+
+def test_theorem_b_samples_see_a_nondegenerate_ricci(monkeypatch):
+    # control: n4 and d4_1:w1 have Ricci witnesses of signature (1,3,0), so run
+    # through the exceptional sample loop they must break all_det_zero, or the
+    # loop could pass the three exceptional classes vacuously
+    from spdeg import degeneration
+
+    controls = [class_id("n4"), class_id("d4_1:w1")]
+    monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES", controls)
+    monkeypatch.setattr(degeneration, "EXCEPTIONAL_KEYS", ("n4", "d4_1:w1"))
+    records = degeneration.theorem_b_search(samples=20)
+    assert [(r.class_id, r.status, r.all_det_zero) for r in records] == [
+        ("n4", "exceptional", False), ("d4_1:w1", "exceptional", False)]
 
 
 def test_reference_transforms_are_symplectic():

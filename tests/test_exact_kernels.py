@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from spdeg import catalog, degeneration, linalg
-from spdeg.curvature import _ricci_matrix, ricci_form
+from spdeg.curvature import _moved_ricci_matrix, _ricci_matrix, ricci_form
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
                                 _quadratic_grid, borbit_element, quadratics_agree,
                                 random_symplectic)
@@ -173,6 +173,26 @@ def test_integer_ricci_makes_no_fraction_operation(monkeypatch):
     assert fraction_ops(2) == fraction_ops(1)
 
 
+def test_moved_ricci_matrix_is_the_ricci_matrix_of_the_moved_bracket():
+    # theorem-b's fused kernel against act then _ricci_matrix, and against the
+    # Fraction contraction, on dense int conjugates of every diagram class;
+    # the dense random brackets, Lie or not, store all six pairs
+    rng = random.Random(47)
+    mus = [catalog.make(cid).integer_multiple()[1] for cid in DIAGRAM_CLASSES]
+    mus += [_bracket([rng.randint(-3, 3) for _ in range(24)]) for _ in range(4)]
+    for mu in mus:
+        for _ in range(2):
+            _, g = random_symplectic(rng)
+            ginv = symplectic_inverse(g)
+            fused = _moved_ricci_matrix(g, mu, ginv)
+            moved = act(g, mu, ginv)
+            assert fused == _ricci_matrix(moved), repr(mu)
+            assert all(type(x) is int for row in fused for x in row)
+            if is_lie(mu):
+                assert fused == [[4 * x for x in row] for row in fraction_ricci_matrix(moved)]
+    assert sum(map(is_lie, mus)) == len(DIAGRAM_CLASSES)
+
+
 def test_det_matches_fraction_elimination(brackets):
     for mu in brackets:
         m = ricci_form(mu).m
@@ -193,12 +213,15 @@ def test_det_matches_fraction_elimination(brackets):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_random_symplectic_keeps_its_draw_stream(seed):
+    # call after call on one generator: an extra or a missing draw would shift
+    # every later sample, so the state must agree after each call
     new, old = random.Random(seed), random.Random(seed)
-    d, g = random_symplectic(new)
-    # the least common denominator, as clearing the Fraction matrix gives it
-    assert (d, g) == linalg.clear_denominators(old_random_symplectic(old))
-    assert all(type(x) is int for row in g for x in row)
-    assert new.getstate() == old.getstate()
+    for _ in range(12):
+        d, g = random_symplectic(new)
+        # the least common denominator, as clearing the Fraction matrix gives it
+        assert (d, g) == linalg.clear_denominators(old_random_symplectic(old))
+        assert all(type(x) is int for row in g for x in row)
+        assert new.getstate() == old.getstate()
 
 
 # r2r2 at three lambdas and r2p are the suite's B-orbits and n4 its target;
@@ -209,7 +232,7 @@ BORBIT_KEYS = ["r2r2:lambda=0", "r2r2:lambda=1", "r2r2:lambda=7/3", "r2p", "n4",
 
 def assert_borbit_matches_oracle(mu, a_params, n_params):
     """borbit_element's (c, C) is a positive int scale and an int bracket of the oracle's point."""
-    c, big = borbit_element(mu, a_params, n_params)
+    c, big = borbit_element(mu.integer_multiple(), a_params, n_params)
     assert type(c) is int and c > 0
     assert all(type(x) is int for vec in big.rules.values() for x in vec.values())
     assert big.map_scalars(lambda x: F(x, c)) == fraction_borbit_element(mu, a_params, n_params)
