@@ -650,8 +650,7 @@ class WitnessRecord(NamedTuple):
     class_id: str
     status: str            # witness | exceptional | exhausted | failed
     signature: Optional[tuple] = None
-    k: Optional[int] = None
-    t: Optional[float] = None
+    k: Optional[int] = None   # the witness sits at exp(t) := 2**k
     provenance: tuple = ()
     char_poly: tuple = ()  # det(x*I - A) for A = Ric / max|Ric_ij|, leading 1
     min_eig_lower_bound: Optional[Fraction] = None   # <= every |eigenvalue of A|
@@ -662,7 +661,7 @@ class WitnessRecord(NamedTuple):
     def to_json_dict(self):
         d = {"class": self.class_id, "status": self.status}
         if self.status == "witness":
-            d.update({"signature": list(self.signature), "k": self.k, "t": self.t,
+            d.update({"signature": list(self.signature), "k": self.k,
                       "provenance": list(self.provenance),
                       "char_poly": [format_rational(a) for a in self.char_poly],
                       "min_eig_lower_bound": format_rational(self.min_eig_lower_bound)})
@@ -712,8 +711,8 @@ def witness_for_class(cid: ClassId):
                 return WitnessRecord(str(cid), "failed", reason=f"the characteristic polynomial "
                                      f"of Ric at {cid} has Descartes signature {descartes}")
             prov = chain + (_REFERENCES[ref_node][0], f"exp(t) := 2**{k}")
-            return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k,
-                                 k * 0.6931471805599453, prov, tuple(poly), beta)
+            return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k, prov,
+                                 tuple(poly), beta)
     return WitnessRecord(str(cid), "exhausted")
 
 

@@ -164,7 +164,7 @@ def test_criterion_09_signature_witnesses(theorem_b_records):
     for r in witnesses:
         assert r.signature == (1, 3, 0), r.class_id
         assert r.min_eig_lower_bound > 1e-6, r.class_id
-        assert r.t <= 25.0, r.class_id
+        assert r.k <= 36, r.class_id
     _ok(9, f"{len(witnesses)} exact witnesses with signature (1,3,0); "
            f"500 exact degenerate samples for each of the 3 exceptional classes")
 

@@ -406,7 +406,7 @@ def test_witness_for_single_class():
     assert rec.status == "witness"
     assert rec.signature == (1, 3, 0)
     assert rec.min_eig_lower_bound > 1e-6
-    assert rec.t <= 25.0
+    assert rec.k <= 36
 
 
 def test_witness_chained_class():
