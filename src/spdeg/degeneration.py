@@ -9,7 +9,6 @@ machine checks, and the curvature-signature witness search.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
