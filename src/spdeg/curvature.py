@@ -55,8 +55,7 @@ def _moved_ricci_matrix(g, mu: Bracket, ginv):
             w = [0] * n
             for a, b, v in moved:
                 minor = ginv[a][i] * ginv[b][j] - ginv[b][i] * ginv[a][j]
-                if minor:
-                    w = [x + minor * y for x, y in zip(w, v)]
+                w = [x + minor * y for x, y in zip(w, v)]
             pairs.append((i, j, w))
     return _ricci_of_pairs(n, pairs)
 
