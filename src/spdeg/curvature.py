@@ -1,9 +1,11 @@
 """Metric geometry of a bracket with the canonical inner product.
 
 Levi-Civita product, Ricci form, Einstein checks, and the degenerate-Ricci
-root finder.  The Ricci form runs on ints over one denominator; the root
-finder takes det Ric of a one-parameter family as an exact polynomial and
-counts and isolates its roots with a Sturm chain, with no binary64 step.
+root finder.  The Ricci form of a 4-dimensional bracket runs on ints over
+one denominator, as straight-line polynomials in its 24 structure constants;
+the root finder takes det Ric of a one-parameter family as an exact
+polynomial and counts and isolates its roots with a Sturm chain, with no
+binary64 step.
 The Riemann tensor, the Levi-Civita contraction and the reduced nilpotent
 Ricci formula, which the tests compare the Ricci form against, are in
 tests/oracles.py.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul
 from typing import Callable, NamedTuple, Optional
 
 from . import linalg
@@ -34,63 +35,99 @@ def levi_civita(mu: Bracket):
     return [[[(c[i][j][k] - c[j][k][i] + c[k][i][j]) * HALF for k in r] for j in r] for i in r]
 
 
+def _check_dim(mu: Bracket):
+    if mu.dim != 4:
+        raise ValueError(f"the Ricci form is implemented in dimension 4, not {mu.dim}")
+
+
 def _ricci_matrix(mu: Bracket):
-    """4*Ric of a Lie bracket, from its stored pairs by _ricci_of_pairs."""
-    return _ricci_of_pairs(mu.dim, [(i - 1, j - 1, mu.pair(i, j)) for i, j in mu.rules])
+    """4*Ric of a 4-dimensional Lie bracket, from its six pair vectors by _besse4."""
+    _check_dim(mu)
+    return _besse4(*[mu.pair(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
 
 
 def _moved_ricci_matrix(g, mu: Bracket, ginv):
     """_ricci_matrix(act(g, mu, ginv)), with no Bracket in between.
 
-    For a stored pair (a, b) of mu, mu(ginv e_i, ginv e_j) has the coefficient
-    ginv_ai ginv_bj - ginv_bi ginv_aj on [e_a, e_b], so the moved pair vector
-    g mu(ginv e_i, ginv e_j) is the sum of these 2x2 minors times g [e_a, e_b].
+    For a stored pair (i, j) of mu, mu(ginv e_k, ginv e_l) has the coefficient
+    ginv_ik ginv_jl - ginv_jk ginv_il on [e_i, e_j], so the moved pair vector
+    g mu(ginv e_k, ginv e_l) is the sum of these 2x2 minors times g [e_i, e_j].
     """
-    n = mu.dim
-    moved = [(a - 1, b - 1, [sum(row[k - 1] * c for k, c in vec.items()) for row in g])
-             for (a, b), vec in mu.rules.items()]  # g [e_a, e_b]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = [0] * n
-            for a, b, v in moved:
-                minor = ginv[a][i] * ginv[b][j] - ginv[b][i] * ginv[a][j]
-                w = [x + minor * y for x, y in zip(w, v)]
-            pairs.append((i, j, w))
-    return _ricci_of_pairs(n, pairs)
+    _check_dim(mu)
+    g1, g2, g3, g4 = g
+    a1 = a2 = a3 = a4 = b1 = b2 = b3 = b4 = c1 = c2 = c3 = c4 = 0
+    d1 = d2 = d3 = d4 = e1 = e2 = e3 = e4 = f1 = f2 = f3 = f4 = 0
+    for (i, j), vec in mu.rules.items():
+        w1 = w2 = w3 = w4 = 0  # g [e_i, e_j]
+        for k, x in vec.items():
+            w1, w2, w3, w4 = (w1 + g1[k - 1] * x, w2 + g2[k - 1] * x,
+                              w3 + g3[k - 1] * x, w4 + g4[k - 1] * x)
+        p1, p2, p3, p4 = ginv[i - 1]
+        q1, q2, q3, q4 = ginv[j - 1]
+        m = p1 * q2 - q1 * p2
+        a1, a2, a3, a4 = a1 + m * w1, a2 + m * w2, a3 + m * w3, a4 + m * w4
+        m = p1 * q3 - q1 * p3
+        b1, b2, b3, b4 = b1 + m * w1, b2 + m * w2, b3 + m * w3, b4 + m * w4
+        m = p1 * q4 - q1 * p4
+        c1, c2, c3, c4 = c1 + m * w1, c2 + m * w2, c3 + m * w3, c4 + m * w4
+        m = p2 * q3 - q2 * p3
+        d1, d2, d3, d4 = d1 + m * w1, d2 + m * w2, d3 + m * w3, d4 + m * w4
+        m = p2 * q4 - q2 * p4
+        e1, e2, e3, e4 = e1 + m * w1, e2 + m * w2, e3 + m * w3, e4 + m * w4
+        m = p3 * q4 - q3 * p4
+        f1, f2, f3, f4 = f1 + m * w1, f2 + m * w2, f3 + m * w3, f4 + m * w4
+    return _besse4((a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4),
+                   (d1, d2, d3, d4), (e1, e2, e3, e4), (f1, f2, f3, f4))
 
 
-def _ricci_of_pairs(n: int, pairs):
+def _besse4(a, b, c, d, e, f):
     """4*Ric, Ric = M - B/2 - S(ad_H) (Besse, Einstein Manifolds, 7.38) with
-    <H, x> = tr ad_x, from the pair vectors (i, j, [e_i, e_j]), 0-based i < j,
-    of a bracket on R^n; symmetric term by term, int for int brackets:
+    <H, x> = tr ad_x, of the bracket on R^4 whose pair vectors are a = [e1, e2],
+    b = [e1, e3], c = [e1, e4], d = [e2, e3], e = [e2, e4] and f = [e3, e4]
+    (a_k = c_12^k, ...); symmetric, int for int brackets.  Each entry is the expansion of
     4*Ric_ij = 2(sum_{k<l} c_kl^i c_kl^j - <ad_i, ad_j>_F - tr(ad_i ad_j)
-                 - <[H,e_i],e_j> - <[H,e_j],e_i>).
+                 - <[H,e_i],e_j> - <[H,e_j],e_i>)
+    in the 24 structure constants, written out so that no zero is multiplied.
     Off the Lie variety it differs from the Levi-Civita contraction by a
     constant linear image of the Jacobiator."""
-    r = range(n)
-    ad = [[0] * (n * n) for _ in r]  # ad[i][m*n + k] = c_ik^m, ad_i row-major
-    adt = [[0] * (n * n) for _ in r]  # adt[i][k*n + m] = c_ik^m, its transpose
-    up = [[0] * len(pairs) for _ in r]  # up[m][p] = c_kl^m, (k, l) the p-th pair
-    for p, (i, j, w) in enumerate(pairs):
-        for k, c in enumerate(w):
-            if c:
-                ad[i][k * n + j] = c
-                ad[j][k * n + i] = -c
-                adt[i][j * n + k] = c
-                adt[j][i * n + k] = -c
-                up[k][p] = c
-    h = [sum(a[::n + 1]) for a in ad]  # H = sum_k (tr ad_k) e_k
-    adh = [sum(map(mul, h, col)) for col in zip(*ad)]  # ad_H, row-major
-    # <ad_i, ad_j + ad_j^T>_F = <ad_i, ad_j>_F + tr(ad_i ad_j)
-    sym = [list(map(add, a, b)) for a, b in zip(ad, adt)]
-    out = [[0] * n for _ in r]
-    for i in r:
-        for j in range(i, n):
-            out[i][j] = out[j][i] = 2 * (
-                sum(map(mul, up[i], up[j])) - sum(map(mul, ad[i], sym[j]))
-                - adh[i * n + j] - adh[j * n + i])
-    return out
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    c1, c2, c3, c4 = c
+    d1, d2, d3, d4 = d
+    e1, e2, e3, e4 = e
+    f1, f2, f3, f4 = f
+    r11 = 2 * (d1 * d1 - a3 * a3 - a4 * a4 - b2 * b2 - b4 * b4 - c2 * c2 - c3 * c3 + e1 * e1
+           + f1 * f1) + 4 * (a1 * d3 - a1 * a1 + a1 * e4 - a2 * a2 - a3 * b2 - a4 * c2 - b1 * b1
+           - b1 * d2 + b1 * f4 - b3 * b3 - b4 * c3 - c1 * c1 - c1 * e2 - c1 * f3 - c4 * c4)
+    r12 = 2 * (a2 * d3 - a1 * b3 - a1 * c4 + a2 * e4 + a3 * b1 - a3 * d2 + a4 * c1 - a4 * e2
+           + b2 * f4 - b4 * d4 - b4 * e3 - c2 * f3 - c3 * d4 - c3 * e3 + d1 * f4 - e1 * f3
+           + f1 * f2) - 4 * (b1 * d1 + b2 * d2 + b3 * d3 + c1 * e1 + c2 * e2 + c4 * e4)
+    r13 = 2 * (a1 * b2 - a2 * b1 + a3 * e4 + a4 * d4 - a4 * f2 - b1 * c4 + b2 * d3 - b3 * d2
+           + b3 * f4 + b4 * c1 - b4 * f3 + c2 * d4 - c2 * f2 - c3 * e2 - d1 * e4 + e1 * e3
+           - e2 * f1) + 4 * (a1 * d1 + a2 * d2 + a3 * d3 - c1 * f1 - c3 * f3 - c4 * f4)
+    r14 = 2 * (a1 * c2 - a2 * c1 + a3 * e3 + a3 * f2 + a4 * d3 + b1 * c3 + b2 * e3 + b2 * f2
+           - b3 * c1 - b4 * d2 + c2 * e4 + c3 * f4 - c4 * e2 - c4 * f3 + d1 * d4 + d2 * f1
+           - d3 * e1) + 4 * (a1 * e1 + a2 * e2 + a4 * e4 + b1 * f1 + b3 * f3 + b4 * f4)
+    r22 = 2 * (b2 * b2 - a3 * a3 - a4 * a4 + c2 * c2 - d1 * d1 - d4 * d4 - e1 * e1 - e3 * e3
+           + f2 * f2) + 4 * (a3 * d1 - a1 * a1 - a2 * a2 - a2 * b3 - a2 * c4 + a4 * e1 - b1 * d2
+           - c1 * e2 - d2 * d2 + d2 * f4 - d3 * d3 - d4 * e3 - e2 * e2 - e2 * f3 - e4 * e4)
+    r23 = 2 * (a1 * d2 - a2 * d1 - a3 * c4 - a4 * b4 + a4 * f1 - b1 * d3 - b2 * c4 + b3 * d1
+           + b4 * e1 - c1 * e3 - c1 * f2 + c2 * c3 - d2 * e4 + d3 * f4 + d4 * e2 - d4 * f3
+           - e1 * f1) - 4 * (a1 * b1 + a2 * b2 + a3 * b3 + e2 * f2 + e3 * f3 + e4 * f4)
+    r24 = 2 * (a1 * e2 - a2 * e1 - a3 * c3 - a3 * f1 - a4 * b3 - b1 * d4 + b1 * f2 + b2 * b4
+           - b3 * c2 - c1 * e4 + c3 * d1 + c4 * e1 + d1 * f1 + d2 * e3 - d3 * e2 + e3 * f4
+           - e4 * f3) + 4 * (d2 * f2 - a1 * c1 - a2 * c2 - a4 * c4 + d3 * f3 + d4 * f4)
+    r33 = 2 * (a3 * a3 - b2 * b2 - b4 * b4 + c3 * c3 - d1 * d1 - d4 * d4 + e3 * e3 - f1 * f1
+           - f2 * f2) + 4 * (a1 * d3 - a2 * b3 - b1 * b1 - b2 * d1 - b3 * b3 - b3 * c4 + b4 * f1
+           - c1 * f3 - d2 * d2 - d3 * d3 - d3 * e4 + d4 * f2 - e2 * f3 - f3 * f3 - f4 * f4)
+    r34 = 2 * (a1 * d4 + a1 * e3 - a2 * b4 - a2 * c3 + a3 * a4 + b1 * f3 - b2 * c2 - b2 * e1
+           - b3 * f1 - c1 * f4 - c2 * d1 + c4 * f1 - d1 * e1 + d2 * f3 - d3 * f2 - e2 * f4
+           + e4 * f2) - 4 * (b1 * c1 + b3 * c3 + b4 * c4 + d2 * e2 + d3 * e3 + d4 * e4)
+    r44 = 2 * (a4 * a4 + b4 * b4 - c2 * c2 - c3 * c3 + d4 * d4 - e1 * e1 - e3 * e3 - f1 * f1
+           - f2 * f2) + 4 * (a1 * e4 - a2 * c4 + b1 * f4 - b3 * c4 - c1 * c1 - c2 * e1 - c3 * f1
+           - c4 * c4 + d2 * f4 - d3 * e4 - e2 * e2 - e3 * f2 - e4 * e4 - f3 * f3 - f4 * f4)
+    return [[r11, r12, r13, r14], [r12, r22, r23, r24],
+            [r13, r23, r33, r34], [r14, r24, r34, r44]]
 
 
 class CurvatureTensors(NamedTuple):

@@ -25,24 +25,27 @@ def test_every_benchmark_span_resolves():
 
 def test_each_exact_sample_is_one_spanned_call(monkeypatch):
     # degeneration.exact_samples counts the borbit_element and
-    # random_symplectic spans under the suites: one call per sample each
-    from spdeg import degeneration
+    # random_symplectic spans under the suites: one call per sample each;
+    # and each exceptional sample of theorem-b is one linalg.det span
+    from spdeg import degeneration, linalg
 
     calls = Counter()
 
-    def counting(name):
-        inner = getattr(degeneration, name)
+    def counting(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return inner(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in ("borbit_element", "random_symplectic"):
-        monkeypatch.setattr(degeneration, name, counting(name))
+        counting(degeneration, name)
     samples = 5
     assert all(c.passed for c in degeneration.non_degeneration_suite(samples=samples))
     assert calls == {"borbit_element": 4 * samples}
+    counting(linalg, "det")
     records = degeneration.theorem_b_search(samples=samples)
     assert sum(r.status == "exceptional" for r in records) == 3
-    assert calls == {"borbit_element": 4 * samples, "random_symplectic": 3 * samples}
+    assert calls == {"borbit_element": 4 * samples, "random_symplectic": 3 * samples,
+                     "det": 3 * samples}

@@ -5,15 +5,15 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import scaling_transform, shear_transform, rho_family
-from spdeg.curvature import (einstein_check, find_degenerate_ricci, levi_civita, ricci,
-                             ricci_form)
+from spdeg.curvature import (_moved_ricci_matrix, einstein_check, find_degenerate_ricci,
+                             levi_civita, ricci, ricci_form)
 from spdeg.degeneration import DIAGRAM_CLASSES
-from spdeg.tensor import act, is_symplectic
+from spdeg.tensor import act, is_symplectic, symplectic_inverse
 
 from helpers import rational_symplectic
 from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_matrix_float,
-                     ricci_nilpotent, riemann, signature_float, torsion_free, varrho_family,
-                     xi_family)
+                     ricci_nilpotent, riemann, signature_float, tau6, torsion_free,
+                     varrho_family, xi_family)
 
 
 def _diag(*xs):
@@ -65,6 +65,16 @@ def test_ricci_sign_matches_both_fixtures():
     r4 = _mu("r4_m1_beta", F(-1))
     assert ricci_form(xi2).m == fraction_ricci_matrix(xi2) == ricci_nilpotent(xi2).m
     assert ricci_form(r4).m == fraction_ricci_matrix(r4) == _diag(-3, -1, -1, 1)
+
+
+def test_ricci_form_is_four_dimensional():
+    # the Besse kernel is written out for R^4; any other dimension is refused by name
+    tau = tau6()
+    with pytest.raises(ValueError, match="dimension 4, not 6"):
+        ricci_form(tau)
+    g = linalg.identity(6)
+    with pytest.raises(ValueError, match="dimension 4, not 6"):
+        _moved_ricci_matrix(g, tau, symplectic_inverse(g))
 
 
 def test_ricci_reference_values():

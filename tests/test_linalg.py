@@ -1,9 +1,15 @@
+import functools
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from spdeg import linalg
+from spdeg import catalog, linalg
+from spdeg.curvature import _moved_ricci_matrix
+from spdeg.degeneration import random_symplectic
+from spdeg.scalars import ExpPoly
+from spdeg.tensor import symplectic_inverse
 
 from oracles import leibniz_det, min_abs_eig_float, signature_float
 
@@ -69,6 +75,17 @@ def _random_of_rank(rng, n, r):
             return a
 
 
+def _random_int_of_rank(rng, r, bits):
+    """A 4 x 4 int matrix of rank r, with entries of about 2 * bits bits."""
+    while True:
+        left = [[rng.getrandbits(bits) - (1 << bits - 1) for _ in range(r)] for _ in range(4)]
+        right = [[rng.getrandbits(bits) - (1 << bits - 1) for _ in range(4)] for _ in range(r)]
+        a = [[sum(left[i][k] * right[k][j] for k in range(r)) for j in range(4)]
+             for i in range(4)]
+        if len(linalg.rref(a)[1]) == r:
+            return a
+
+
 def test_det_and_rank_match_leibniz_on_every_rank():
     # singular matrices run the elimination on past a column with no pivot
     rng = random.Random(17)
@@ -86,6 +103,57 @@ def test_det_and_rank_match_leibniz_on_every_rank():
                 assert linalg.rank_bareiss(zero_row) == len(linalg.rref(zero_row)[1])
     assert (linalg.det([[F(0), F(1)], [F(1), F(0)]])
             == leibniz_det([[F(0), F(1)], [F(1), F(0)]]) == -1)
+    # the 4 x 4 path: int entries of about 300 bits, every rank
+    for r in range(5):
+        for _ in range(4):
+            a = _random_int_of_rank(rng, r, 150)
+            assert r == 0 or max(abs(x) for row in a for x in row).bit_length() > 280
+            assert linalg.det(a) == leibniz_det(a)
+            assert linalg.rank_bareiss(a) == r
+    # and theorem-b's singular symmetric 4*Ric of moved rh3 and rr3_0 samples
+    for key in ("rh3", "rr3_0"):
+        _, mu = catalog.make(catalog.parse_class(key)).integer_multiple()
+        for _ in range(3):
+            _, g = random_symplectic(rng)
+            ric = _moved_ricci_matrix(g, mu, symplectic_inverse(g))
+            assert ric == linalg.transpose(ric) and any(any(row) for row in ric)
+            assert linalg.det(ric) == leibniz_det(ric) == 0
+
+
+def _random_exppoly(rng):
+    return ExpPoly({F(rng.randint(-2, 2), 2): F(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 2))})
+
+
+def _dense_mat_mul(a, b):
+    return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("kind, zero", [("int", 0), ("Fraction", F(0)), ("ExpPoly", ExpPoly())])
+def test_products_skip_zeros_and_keep_the_entry_type(kind, zero):
+    draw = {"int": lambda rng: rng.randint(-9, 9),
+            "Fraction": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 4)),
+            "ExpPoly": _random_exppoly}[kind]
+    rng = random.Random(53)
+    for _ in range(30):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        # sparse, with zeros of the entry type; then one zero row of a and one zero column of b
+        a = [[draw(rng) if rng.random() < 0.4 else zero for _ in range(k)] for _ in range(n)]
+        b = [[draw(rng) if rng.random() < 0.4 else zero for _ in range(m)] for _ in range(k)]
+        zrow = rng.randrange(n)
+        a[zrow] = [zero] * k
+        zcol = rng.randrange(m)
+        for row in b:
+            row[zcol] = zero
+        v = [row[0] for row in b]
+        prod = linalg.mat_mul(a, b)
+        assert prod == _dense_mat_mul(a, b)
+        assert linalg.mat_vec(a, v) == [x[0] for x in _dense_mat_mul(a, [[y] for y in v])]
+        assert linalg.mat_vec(b, [zero] * m) == [zero] * k
+        assert prod[zrow] == [zero] * m and [row[zcol] for row in prod] == [zero] * n
+        assert all(type(x) is type(zero) for row in prod for x in row)
+        assert all(type(x) is type(zero) for x in linalg.mat_vec(b, [zero] * m))
 
 
 def test_inverse_and_det():
