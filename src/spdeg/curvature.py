@@ -46,38 +46,60 @@ def _ricci_matrix(mu: Bracket):
     return _besse4(*[mu.pair(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
 
 
-def _moved_ricci_matrix(g, mu: Bracket, ginv):
-    """_ricci_matrix(act(g, mu, ginv)), with no Bracket in between.
+def _ginv_row(g, i):
+    """Row i (1-based) of -J g^T J, which is g^-1 for a symplectic 4x4 g: column
+    i + 2 or i - 2 of g with its halves swapped and the half now second (i <= 2)
+    or first (i >= 3) negated."""
+    c = (i + 1) % 4
+    x1, x2, x3, x4 = g[2][c], g[3][c], g[0][c], g[1][c]
+    return (x1, x2, -x3, -x4) if i <= 2 else (-x1, -x2, x3, x4)
 
-    For a stored pair (i, j) of mu, mu(ginv e_k, ginv e_l) has the coefficient
-    ginv_ik ginv_jl - ginv_jk ginv_il on [e_i, e_j], so the moved pair vector
-    g mu(ginv e_k, ginv e_l) is the sum of these 2x2 minors times g [e_i, e_j].
+
+def _moved_ricci_matrix(g, mu: Bracket):
+    """_ricci_matrix(act(g, mu)) for a symplectic int g, with no Bracket or inverse built.
+
+    For a stored pair (i, j) of mu, x = [e_i, e_j] and the rows P, Q of g^-1,
+    g.mu takes (e_k, e_l) to A_kl w with A_kl = P_k Q_l - Q_k P_l and w = g x.
+    Brackets with more stored pairs give their six moved pair vectors to _besse4.
+    With one stored pair, g.mu = A (x) w has rank one, and Besse 7.38 collapses to
+        4*Ric = 2(s ww^T - |w|^2 AA^T - uu^T + vw^T + wv^T),
+    s = sum_{k<l} A_kl^2, u = Aw, v = Au.  As A = PQ^T - QP^T, s = |P|^2|Q|^2 - (P.Q)^2,
+    AA^T = |Q|^2 PP^T + |P|^2 QQ^T - (P.Q)(PQ^T + QP^T), u = (Q.w)P - (P.w)Q and
+    v = (Q.u)P - (P.u)Q, so 4*Ric = 2 B C B^T for B = (P Q w) and the symmetric 3x3
+    C of dot products below.  So Ric x = 0 for each x orthogonal to P, Q and w, and
+    det Ric = 0 on the whole orbit of a bracket with at most one stored pair.
     """
     _check_dim(mu)
-    g1, g2, g3, g4 = g
-    a1 = a2 = a3 = a4 = b1 = b2 = b3 = b4 = c1 = c2 = c3 = c4 = 0
-    d1 = d2 = d3 = d4 = e1 = e2 = e3 = e4 = f1 = f2 = f3 = f4 = 0
-    for (i, j), vec in mu.rules.items():
-        w1 = w2 = w3 = w4 = 0  # g [e_i, e_j]
-        for k, x in vec.items():
-            w1, w2, w3, w4 = (w1 + g1[k - 1] * x, w2 + g2[k - 1] * x,
-                              w3 + g3[k - 1] * x, w4 + g4[k - 1] * x)
-        p1, p2, p3, p4 = ginv[i - 1]
-        q1, q2, q3, q4 = ginv[j - 1]
-        m = p1 * q2 - q1 * p2
-        a1, a2, a3, a4 = a1 + m * w1, a2 + m * w2, a3 + m * w3, a4 + m * w4
-        m = p1 * q3 - q1 * p3
-        b1, b2, b3, b4 = b1 + m * w1, b2 + m * w2, b3 + m * w3, b4 + m * w4
-        m = p1 * q4 - q1 * p4
-        c1, c2, c3, c4 = c1 + m * w1, c2 + m * w2, c3 + m * w3, c4 + m * w4
-        m = p2 * q3 - q2 * p3
-        d1, d2, d3, d4 = d1 + m * w1, d2 + m * w2, d3 + m * w3, d4 + m * w4
-        m = p2 * q4 - q2 * p4
-        e1, e2, e3, e4 = e1 + m * w1, e2 + m * w2, e3 + m * w3, e4 + m * w4
-        m = p3 * q4 - q3 * p4
-        f1, f2, f3, f4 = f1 + m * w1, f2 + m * w2, f3 + m * w3, f4 + m * w4
-    return _besse4((a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4),
-                   (d1, d2, d3, d4), (e1, e2, e3, e4), (f1, f2, f3, f4))
+    moved = [(_ginv_row(g, i), _ginv_row(g, j),
+              [sum(row[k - 1] * x for k, x in vec.items()) for row in g])
+             for (i, j), vec in mu.rules.items()]
+    if len(moved) > 1:
+        pairs = [[0] * 4 for _ in range(6)]  # [e_k, e_l] for k < l, in _besse4's order
+        for p, q, w in moved:
+            for n, (k, l) in enumerate((k, l) for k in range(4) for l in range(k + 1, 4)):
+                m = p[k] * q[l] - q[k] * p[l]
+                pairs[n] = [a + m * b for a, b in zip(pairs[n], w)]
+        return _besse4(*pairs)
+    if not moved:
+        return [[0] * 4 for _ in range(4)]
+    ((p1, p2, p3, p4), (q1, q2, q3, q4), (w1, w2, w3, w4)), = moved
+    pp, qq = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4, q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
+    pq, ww = p1 * q1 + p2 * q2 + p3 * q3 + p4 * q4, w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
+    pw, qw = p1 * w1 + p2 * w2 + p3 * w3 + p4 * w4, q1 * w1 + q2 * w2 + q3 * w3 + q4 * w4
+    # C: PP^T, QQ^T, PQ^T + QP^T from AA^T and uu^T; Pw^T + wP^T, Qw^T + wQ^T from v; ww^T
+    cpp, cqq, cpq = -ww * qq - qw * qw, -ww * pp - pw * pw, ww * pq + pw * qw
+    cpw, cqw, cww = qw * pq - pw * qq, pw * pq - qw * pp, pp * qq - pq * pq
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = [  # the rows of 2 B C
+        (2 * (cpp * a + cpq * b + cpw * c), 2 * (cpq * a + cqq * b + cqw * c),
+         2 * (cpw * a + cqw * b + cww * c))
+        for a, b, c in ((p1, q1, w1), (p2, q2, w2), (p3, q3, w3), (p4, q4, w4))]
+    r11, r12 = x1 * p1 + y1 * q1 + z1 * w1, x1 * p2 + y1 * q2 + z1 * w2
+    r13, r14 = x1 * p3 + y1 * q3 + z1 * w3, x1 * p4 + y1 * q4 + z1 * w4
+    r22, r23 = x2 * p2 + y2 * q2 + z2 * w2, x2 * p3 + y2 * q3 + z2 * w3
+    r24, r33 = x2 * p4 + y2 * q4 + z2 * w4, x3 * p3 + y3 * q3 + z3 * w3
+    r34, r44 = x3 * p4 + y3 * q4 + z3 * w4, x4 * p4 + y4 * q4 + z4 * w4
+    return [[r11, r12, r13, r14], [r12, r22, r23, r24],
+            [r13, r23, r33, r34], [r14, r24, r34, r44]]
 
 
 def _besse4(a, b, c, d, e, f):

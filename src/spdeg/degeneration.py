@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import linalg
@@ -619,7 +620,7 @@ _RATE = 16  # rate separation between chained curves
 
 
 def _witness_matrix_symbolic(cid: ClassId, chain, ref_node):
-    """ExpPoly matrix L . g_k(t) . ... . g_1(RATE^{k-1} t) plus its reference limit.
+    """ExpPoly matrix L . g_k(t) . ... . g_1(RATE^{k-1} t), whose limit is _reference(ref_node).
 
     Earlier curves in a chain run on faster clocks so the errors they leave
     behind stay dominated by everything a later curve can amplify; the caller
@@ -627,22 +628,26 @@ def _witness_matrix_symbolic(cid: ClassId, chain, ref_node):
     """
     mats = []
     param = cid.param
-    source = cid
     for curve_id in chain:
         spec = CURVES[curve_id]
         inst = spec.instantiate(param if spec.param_name else None)
         mats.append(inst.g)
         param = inst.target.param
-        source = inst.target
     total = None
     for depth, g in enumerate(mats):
         g = rescale_time(g, _RATE ** (len(mats) - 1 - depth))
         total = g if total is None else linalg.mat_mul(g, total)
     transform = _REFERENCES[ref_node][1]
     ref = [[ExpPoly.coerce(x) for x in row] for row in transform]
-    total = ref if total is None else linalg.mat_mul(ref, total)
-    reference = act(transform, make(source), symplectic_inverse(transform))
-    return total, reference
+    return ref if total is None else linalg.mat_mul(ref, total)
+
+
+@lru_cache(maxsize=None)
+def _reference(ref_node: str):
+    """(bracket, Ricci signature) of a reference node's image under its transform."""
+    node, transform = NODE_BY_ID[ref_node], _REFERENCES[ref_node][1]
+    bracket = act(transform, make(ClassId(node.key, node.param)), symplectic_inverse(transform))
+    return bracket, ricci_form(bracket).signature()
 
 
 class WitnessRecord(NamedTuple):
@@ -683,9 +688,10 @@ def witness_for_class(cid: ClassId):
         return WitnessRecord(str(cid), "failed",
                              reason=f"no diagram path from {node} to a reference bracket")
     chain, ref_node = route
-    sym, reference = _witness_matrix_symbolic(cid, chain, ref_node)
-    if ricci_form(reference).signature() != TARGET_SIGNATURE:
+    reference, signature = _reference(ref_node)
+    if signature != TARGET_SIGNATURE:
         return WitnessRecord(str(cid), "failed", reason="reference lacks the target signature")
+    sym = _witness_matrix_symbolic(cid, chain, ref_node)
     # the chained matrix must itself converge after the action: certified by
     # checking the symbolic limit against the reference bracket
     mu = make(cid)
@@ -724,15 +730,15 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500):
             records.append(witness_for_class(cid))
             continue
         # The samples run in ints.  act is linear in mu, g and g^{-1}, and
-        # Ric is quadratic: with m*mu, G = d*g and symplectic_inverse(G)
-        # = d*g^{-1}, the moved bracket is m*d^3*(g.mu), and
-        # _moved_ricci_matrix takes its int (and symmetric) 4*m^2*d^6*Ric(g.mu)
-        # straight from the six moved pair vectors.  det = 0 is unchanged.
+        # Ric is quadratic: with m*mu, G = d*g and -J G^T J = d*g^{-1}, the
+        # moved bracket is m*d^3*(g.mu), and _moved_ricci_matrix takes its int
+        # (and symmetric) 4*m^2*d^6*Ric(g.mu) from G alone: each exceptional
+        # bracket has at most one stored pair.  det = 0 is unchanged.
         _, mu = make(cid).integer_multiple()
         all_zero = True
         for _ in range(samples):
             _, g = random_symplectic(rng)
-            if linalg.det(_moved_ricci_matrix(g, mu, symplectic_inverse(g))) != 0:
+            if linalg.det(_moved_ricci_matrix(g, mu)) != 0:
                 all_zero = False
                 break
         records.append(WitnessRecord(str(cid), "exceptional",

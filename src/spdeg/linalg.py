@@ -160,19 +160,24 @@ def rank_bareiss(m) -> int:
     return _bareiss(clear_denominators(m)[1])[0]
 
 
+def _det4(a):
+    """det of a 4x4 matrix: the Laplace expansion of rows 1-2 against rows 3-4 in
+    complementary 2x2 minors."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
+    return ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2) - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
+            + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1) + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
+            - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0) + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
+
+
 def det(m):
-    """Exact det(m) = det(d*m) / d^n on the int matrix d*m: for n = 4 the Laplace
-    expansion of rows 1-2 against rows 3-4 in complementary 2x2 minors, otherwise
-    :func:`_bareiss`."""
+    """Exact det(m): the int :func:`_det4` of a 4x4 matrix of ints; otherwise the
+    Fraction det(d*m) / d^n on the int matrix d*m, by :func:`_det4` for n = 4 and
+    :func:`_bareiss` else."""
+    if len(m) == 4 and all(type(x) is int for row in m for x in row):
+        return _det4(m)
     d, a = clear_denominators(m)
     if len(a) == 4:
-        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
-        return Fraction((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2)
-                        - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
-                        + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1)
-                        + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
-                        - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0)
-                        + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0), d ** 4)
+        return Fraction(_det4(a), d ** 4)
     r, sign, pivot = _bareiss(a)
     return Fraction(sign * pivot, d ** r) if r == len(a) else Fraction(0)
 

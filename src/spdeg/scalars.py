@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-_ZERO = Fraction(0)
-
 
 def parse_rational(s: str) -> Fraction:
     """Parse 'p' or 'p/q' with optional sign; ValueError on malformed text."""
@@ -33,33 +31,36 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _normal(q):
+    """The rational q as an int when it is integral, else as a Fraction."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class ExpPoly:
     """Finite sum of terms c * exp(r*t), keyed by the rational exponent r.
 
     Supports exact ring arithmetic (exponents add under multiplication), the
     exact limit t -> +inf, and exact evaluation at t = K*log(2) where every
-    r*K is an integer.  Instances are immutable.
+    r*K is an integer.  Exponents and coefficients are int-normal: an int
+    when integral, else a Fraction with denominator > 1.  Instances are
+    immutable.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for r, c in terms.items():
-                r = Fraction(r)
-                c = Fraction(c)
-                if c != 0:
-                    clean[r] = clean[r] + c if r in clean else c
-                    if clean[r] == 0:
-                        del clean[r]
-        object.__setattr__(self, "terms", clean)
+        acc = {}
+        for r, c in (terms or {}).items():
+            r = Fraction(r)
+            acc[r] = acc.get(r, 0) + Fraction(c)
+        object.__setattr__(self, "terms", {_normal(r): _normal(c) for r, c in acc.items() if c})
 
     @classmethod
     def _from_clean(cls, terms) -> "ExpPoly":
-        """The instance for Fraction keys and values: only drops zero coefficients."""
+        """The instance for int or Fraction keys and values: makes them int-normal
+        and drops zero coefficients."""
         self = object.__new__(cls)
-        object.__setattr__(self, "terms", {r: c for r, c in terms.items() if c})
+        object.__setattr__(self, "terms", {_normal(r): _normal(c) for r, c in terms.items() if c})
         return self
 
     def __setattr__(self, *a):
@@ -67,7 +68,7 @@ class ExpPoly:
 
     @classmethod
     def const(cls, c) -> "ExpPoly":
-        return cls._from_clean({_ZERO: Fraction(c)})
+        return cls._from_clean({0: Fraction(c)})
 
     @classmethod
     def exp(cls, r, c=1) -> "ExpPoly":
@@ -78,7 +79,7 @@ class ExpPoly:
     def coerce(x) -> "ExpPoly":
         if isinstance(x, ExpPoly):
             return x
-        return ExpPoly.const(Fraction(x))
+        return ExpPoly.const(x)
 
     # -- ring operations ---------------------------------------------------
 
@@ -130,7 +131,7 @@ class ExpPoly:
         """Exact limit as t -> +inf; None when a positive exponent survives."""
         if any(r > 0 for r in self.terms):
             return None
-        return self.terms.get(_ZERO, _ZERO)
+        return Fraction(self.terms.get(0, 0))
 
     def eval_base(self, k: int) -> Fraction:
         """Exact value at t = k*log(2), i.e. with exp(t) := 2**k.
@@ -138,14 +139,14 @@ class ExpPoly:
         Every exponent r must satisfy r*k integral so that 2**(r*k) is
         rational.
         """
-        total = _ZERO
+        total = 0
         for r, c in self.terms.items():
             rk = r * k
             if rk.denominator != 1:
                 raise ValueError(f"exponent {r} * {k} is not an integer")
             e = rk.numerator
-            total += c * (1 << e) if e >= 0 else c / (1 << -e)
-        return total
+            total += c * (1 << e) if e >= 0 else Fraction(c, 1 << -e)
+        return Fraction(total)
 
     def __repr__(self):
         if not self.terms:

@@ -23,6 +23,17 @@ def test_every_benchmark_span_resolves():
     assert launch.SPANS and not missing
 
 
+def _count_calls(monkeypatch, calls, module, name, inner=None):
+    """Rebind module.name to a wrapper of inner (module.name by default) that
+    adds one to calls[name] per call."""
+    inner = inner or getattr(module, name)
+
+    def wrapper(*args):
+        calls[name] += 1
+        return inner(*args)
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_each_exact_sample_is_one_spanned_call(monkeypatch):
     # degeneration.exact_samples counts the borbit_element and
     # random_symplectic spans under the suites: one call per sample each;
@@ -30,22 +41,54 @@ def test_each_exact_sample_is_one_spanned_call(monkeypatch):
     from spdeg import degeneration, linalg
 
     calls = Counter()
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
     for name in ("borbit_element", "random_symplectic"):
-        counting(degeneration, name)
+        _count_calls(monkeypatch, calls, degeneration, name)
     samples = 5
     assert all(c.passed for c in degeneration.non_degeneration_suite(samples=samples))
     assert calls == {"borbit_element": 4 * samples}
-    counting(linalg, "det")
+    _count_calls(monkeypatch, calls, linalg, "det")
     records = degeneration.theorem_b_search(samples=samples)
     assert sum(r.status == "exceptional" for r in records) == 3
     assert calls == {"borbit_element": 4 * samples, "random_symplectic": 3 * samples,
                      "det": 3 * samples}
+
+
+def test_exceptional_samples_take_no_symplectic_inverse(monkeypatch):
+    # the samples read the rows of g^-1 off g: with only the exceptional classes,
+    # theorem-b makes no symplectic_inverse call, counted in every spdeg
+    # namespace that holds it, as the tensor.symplectic_inverse span counts
+    import sys
+
+    from spdeg import degeneration, linalg, tensor
+
+    calls = Counter()
+    inner = tensor.symplectic_inverse
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spdeg" and getattr(module, "symplectic_inverse", None) is inner:
+            _count_calls(monkeypatch, calls, module, "symplectic_inverse", inner)
+    _count_calls(monkeypatch, calls, degeneration, "random_symplectic")
+    _count_calls(monkeypatch, calls, linalg, "det")
+    exceptional = [c for c in degeneration.DIAGRAM_CLASSES
+                   if c.key in degeneration.EXCEPTIONAL_KEYS]
+    monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES", exceptional)
+    records = degeneration.theorem_b_search(samples=5)
+    assert [r.all_det_zero for r in records] == [True] * 3
+    assert calls == {"random_symplectic": 15, "det": 15}
+    assert tensor.symplectic_inverse is not inner  # the count would have seen a call
+
+
+def test_witness_ladder_computes_each_reference_once(monkeypatch):
+    # 40 witnesses over 4 reference nodes: the reference brackets and their
+    # signatures are cached, so one cold theorem-b makes 40 + 4 ricci_form
+    # calls and 2 * 40 + 4 symplectic_inverse calls (the traced counts)
+    from spdeg import degeneration
+
+    calls = Counter()
+    for name in ("ricci_form", "symplectic_inverse"):
+        _count_calls(monkeypatch, calls, degeneration, name)
+    degeneration._reference.cache_clear()
+    records = degeneration.theorem_b_search(samples=1)
+    assert sum(r.status == "witness" for r in records) == 40
+    assert calls == {"ricci_form": 44, "symplectic_inverse": 84}
+    degeneration.theorem_b_search(samples=1)
+    assert calls == {"ricci_form": 84, "symplectic_inverse": 164}

@@ -8,7 +8,7 @@ from spdeg.catalog import scaling_transform, shear_transform, rho_family
 from spdeg.curvature import (_moved_ricci_matrix, einstein_check, find_degenerate_ricci,
                              levi_civita, ricci, ricci_form)
 from spdeg.degeneration import DIAGRAM_CLASSES
-from spdeg.tensor import act, is_symplectic, symplectic_inverse
+from spdeg.tensor import act, is_symplectic
 
 from helpers import rational_symplectic
 from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_matrix_float,
@@ -74,7 +74,7 @@ def test_ricci_form_is_four_dimensional():
         ricci_form(tau)
     g = linalg.identity(6)
     with pytest.raises(ValueError, match="dimension 4, not 6"):
-        _moved_ricci_matrix(g, tau, symplectic_inverse(g))
+        _moved_ricci_matrix(g, tau)
 
 
 def test_ricci_reference_values():

@@ -183,14 +183,88 @@ def test_moved_ricci_matrix_is_the_ricci_matrix_of_the_moved_bracket():
     for mu in mus:
         for _ in range(2):
             _, g = random_symplectic(rng)
-            ginv = symplectic_inverse(g)
-            fused = _moved_ricci_matrix(g, mu, ginv)
-            moved = act(g, mu, ginv)
+            fused = _moved_ricci_matrix(g, mu)
+            moved = act(g, mu, symplectic_inverse(g))
             assert fused == _ricci_matrix(moved), repr(mu)
             assert all(type(x) is int for row in fused for x in row)
             if is_lie(mu):
                 assert fused == [[4 * x for x in row] for row in fraction_ricci_matrix(moved)]
     assert sum(map(is_lie, mus)) == len(DIAGRAM_CLASSES)
+
+
+def _single_pair_samples():
+    """(g, mu) for 20 random_symplectic g on each exceptional bracket, and 240
+    seeded brackets with one stored pair and a dense int pair vector."""
+    rng = random.Random(53)
+    out = []
+    for key in EXCEPTIONAL_KEYS:
+        _, mu = catalog.make(catalog.parse_class(key)).integer_multiple()
+        out += [(random_symplectic(rng)[1], mu) for _ in range(20)]
+    for _ in range(240):
+        x = {k: rng.choice((-1, 1)) * rng.randint(1, 9) for k in range(1, 5)}
+        out.append((random_symplectic(rng)[1], Bracket(4, {rng.choice(PAIRS): x})))
+    return out
+
+
+def test_rank_one_ricci_matches_the_besse4_path_and_the_contraction():
+    # at most one stored pair: the rank-one kernel against act then _besse4 on
+    # the six pair vectors, and against the Fraction contraction; every such
+    # bracket is Lie, as e^i ^ e^j ^ i_x(e^i ^ e^j) = 0
+    samples = _single_pair_samples()
+    assert sum(not mu.rules for _, mu in samples) == 20  # a4
+    for g, mu in samples:
+        assert len(mu.rules) <= 1 and is_lie(mu)
+        fused = _moved_ricci_matrix(g, mu)
+        moved = act(g, mu, symplectic_inverse(g))
+        assert fused == _ricci_matrix(moved), repr(mu)
+        assert fused == [[4 * x for x in row] for row in fraction_ricci_matrix(moved)]
+        assert all(type(x) is int for row in fused for x in row)
+        assert any(any(row) for row in fused) == bool(mu.rules)
+
+
+def test_rank_one_mutant_without_the_v_terms_is_caught():
+    # the kernel with vw^T + wv^T dropped, that is the Pw^T + wP^T and Qw^T + wQ^T
+    # coefficients of C set to 0, is refused by the comparison above wherever
+    # those terms live: u = Aw is H, here (x_j P - x_i Q) up to scale, so it
+    # vanishes exactly on the unimodular rh3 ([e1, e2] = e3) and never on
+    # rr3_0 ([e1, e3] = e3) or a dense pair vector
+    import inspect
+
+    from spdeg import curvature
+    source = inspect.getsource(curvature._moved_ricci_matrix)
+    line = "cpw, cqw, cww = qw * pq - pw * qq, pw * pq - qw * pp, pp * qq - pq * pq"
+    assert source.count(line) == 1
+    namespace = dict(vars(curvature))
+    exec(source.replace(line, "cpw, cqw, cww = 0, 0, pp * qq - pq * pq"), namespace)
+    mutant = namespace["_moved_ricci_matrix"]
+    caught = []
+    for g, mu in _single_pair_samples():
+        if mu.rules:
+            ((i, j), x), = mu.rules.items()
+            wrong = mutant(g, mu) != _ricci_matrix(act(g, mu, symplectic_inverse(g)))
+            assert wrong == bool(x.get(i) or x.get(j)), repr(mu)
+            caught.append(wrong)
+    assert sum(caught) == 260 and len(caught) == 280
+
+
+def test_single_pair_ricci_kills_the_normal_of_p_q_w():
+    # the proof that det Ric = 0 on the orbit of every single-pair bracket: with
+    # P, Q the rows i, j of g^-1 and w = g [e_i, e_j], 4*Ric lies in the span of
+    # PP^T, QQ^T, ww^T and their symmetric products, so the vector x of signed
+    # 3x3 minors of (P; Q; w), orthogonal to all three, has Ric x = 0
+    rng = random.Random(59)
+    for key in ("rh3", "rr3_0"):
+        _, mu = catalog.make(catalog.parse_class(key)).integer_multiple()
+        ((i, j), vec), = mu.rules.items()
+        for _ in range(50):
+            _, g = random_symplectic(rng)
+            ginv = symplectic_inverse(g)
+            w = linalg.mat_vec(g, [vec.get(k, 0) for k in range(1, 5)])
+            rows = (ginv[i - 1], ginv[j - 1], w)
+            x = [(-1) ** k * linalg.det([[r[c] for c in range(4) if c != k] for r in rows])
+                 for k in range(4)]
+            assert any(x) and all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
+            assert linalg.mat_vec(_moved_ricci_matrix(g, mu), x) == [0] * 4
 
 
 def test_det_matches_fraction_elimination(brackets):

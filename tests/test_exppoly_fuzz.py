@@ -1,9 +1,10 @@
 """Property test: ExpPoly ring results are what the public constructor builds.
 
 The ring operations build their results through an internal constructor that
-trusts its keys and values to be Fractions already.  Whatever the operands,
-each result must equal the public constructor's normalization of the same
-terms, hold only Fraction exponents and coefficients, and no zero coefficient.
+takes int or Fraction keys and values.  Whatever the operands, each result must
+equal the public constructor's normalization of the same terms and be
+int-normal: every exponent and coefficient an int when it is integral and a
+Fraction with denominator > 1 otherwise, and no zero coefficient.
 """
 
 from collections import defaultdict
@@ -23,9 +24,12 @@ POLY = st.dictionaries(NUMBER, NUMBER, max_size=5).map(ExpPoly)
 OPERAND = POLY | NUMBER
 
 
+def _int_normal(q):
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
 def _clean(p):
-    return all(type(r) is Fraction and type(c) is Fraction and c != 0
-               for r, c in p.terms.items())
+    return all(_int_normal(r) and _int_normal(c) and c != 0 for r, c in p.terms.items())
 
 
 def _terms(x):

@@ -9,7 +9,6 @@ from spdeg import catalog, linalg
 from spdeg.curvature import _moved_ricci_matrix
 from spdeg.degeneration import random_symplectic
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import symplectic_inverse
 
 from oracles import leibniz_det, min_abs_eig_float, signature_float
 
@@ -103,19 +102,24 @@ def test_det_and_rank_match_leibniz_on_every_rank():
                 assert linalg.rank_bareiss(zero_row) == len(linalg.rref(zero_row)[1])
     assert (linalg.det([[F(0), F(1)], [F(1), F(0)]])
             == leibniz_det([[F(0), F(1)], [F(1), F(0)]]) == -1)
-    # the 4 x 4 path: int entries of about 300 bits, every rank
+    # the 4 x 4 path: int entries of about 300 bits, every rank; an int matrix
+    # gives the exact int, the same matrix in Fractions, or over 3, a Fraction
     for r in range(5):
         for _ in range(4):
             a = _random_int_of_rank(rng, r, 150)
             assert r == 0 or max(abs(x) for row in a for x in row).bit_length() > 280
-            assert linalg.det(a) == leibniz_det(a)
+            assert type(linalg.det(a)) is int and linalg.det(a) == leibniz_det(a)
             assert linalg.rank_bareiss(a) == r
+            fa = [[F(x) for x in row] for row in a]
+            assert type(linalg.det(fa)) is F and linalg.det(fa) == leibniz_det(a)
+            thirds = [[F(x, 3) for x in row] for row in a]
+            assert linalg.det(thirds) == leibniz_det(thirds) == F(leibniz_det(a), 81)
     # and theorem-b's singular symmetric 4*Ric of moved rh3 and rr3_0 samples
     for key in ("rh3", "rr3_0"):
         _, mu = catalog.make(catalog.parse_class(key)).integer_multiple()
         for _ in range(3):
             _, g = random_symplectic(rng)
-            ric = _moved_ricci_matrix(g, mu, symplectic_inverse(g))
+            ric = _moved_ricci_matrix(g, mu)
             assert ric == linalg.transpose(ric) and any(any(row) for row in ric)
             assert linalg.det(ric) == leibniz_det(ric) == 0
 

@@ -72,6 +72,29 @@ def test_eval_base_exact_substitution():
         p.eval_base(2)  # 2 * (-1/4) is not an integer
 
 
+def test_exppoly_is_int_normal():
+    # integral exponents and coefficients are ints, the rest Fractions with
+    # denominator > 1, whatever the constructor or the ring operation
+    p = ExpPoly({F(2): F(3), F(1, 2): F(4, 2), 0: F(1, 3)})
+    assert {(type(r), type(c)) for r, c in p.terms.items()} == {(int, int), (F, int), (int, F)}
+    half = ExpPoly.exp(F(1, 2), F(1, 2))
+    assert [(type(r), type(c)) for r, c in (half * half * 4).terms.items()] == [(int, int)]
+    assert (half * half * 4).terms == {1: 1}
+
+
+def test_eval_base_and_limit_return_fractions():
+    # int / (1 << e) would be true division: an int coefficient at a negative
+    # exponent must still evaluate to an exact Fraction, never a float (3**40 / 4
+    # has no binary64 value)
+    p = ExpPoly({-1: 3 ** 40})
+    assert type(p.eval_base(2)) is F and p.eval_base(2) == F(3 ** 40, 4)
+    assert type(ExpPoly.exp(2, 3).eval_base(1)) is F
+    assert type(ExpPoly().eval_base(5)) is F and ExpPoly().eval_base(5) == 0
+    for q in (ExpPoly({-1: 4, 0: 2}), ExpPoly({-1: 4}), ExpPoly.const(F(5, 7))):
+        assert type(q.limit()) is F
+    assert ExpPoly({-1: 4, 0: 2}).limit() == 2
+
+
 def test_immutability():
     p = ExpPoly.const(1)
     with pytest.raises(AttributeError):
