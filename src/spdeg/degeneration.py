@@ -410,11 +410,22 @@ def hasse() -> HasseReport:
                        all(e.der_omega_increases for e in edges))
 
 
+_bracket = lru_cache(maxsize=None)(lambda cid: make(cid))  # make by name: a traced make counts
+
+
+def _excludes(s: ClassId, t: ClassId) -> bool:
+    """The battery excludes s -> t, and s and t are not one bracket, which lies in its own
+    orbit closure; brackets differ where an invariant does, so only then are they compared."""
+    r = obstruction_report(s, t)
+    return r.excluded() and (any(c.source_value != c.target_value for c in r.checks)
+                             or _bracket(s).rules != _bracket(t).rules)
+
+
 def classify_pairs(report: HasseReport, checks):
     """Status of every ordered node pair: reachable, obstructed, or open.
 
     'obstructed' means the invariant battery excludes the degeneration for
-    every sampled member pair, or one of the worked non-degeneration
+    every sampled member pair (:func:`_excludes`), or one of the worked non-degeneration
     arguments excludes it; remaining pairs are reported open, with no claim
     of completeness either way.  A pair
     covered by one of ``checks`` (the non_degeneration_suite result) is
@@ -432,8 +443,7 @@ def classify_pairs(report: HasseReport, checks):
             if (a.id, b.id) in worked:
                 out.append((a.id, b.id, "obstructed" if worked[(a.id, b.id)] else "open"))
                 continue
-            excluded = all(obstruction_report(s, t).excluded()
-                           for s in a.class_ids() for t in b.class_ids())
+            excluded = all(_excludes(s, t) for s in a.class_ids() for t in b.class_ids())
             out.append((a.id, b.id, "obstructed" if excluded else "open"))
     return out
 
@@ -709,12 +719,9 @@ def witness_for_class(cid: ClassId):
         if not is_symplectic(s):
             return WitnessRecord(str(cid), "failed", reason=f"not symplectic at exp(t) = 2**{k}")
         _, big_s = linalg.clear_denominators(s)
-        form = ricci_form(act(big_s, imu, symplectic_inverse(big_s)))
-        if form.signature() == TARGET_SIGNATURE:
-            poly, descartes, beta = linalg.eigen_certificate(form.m)
-            if descartes != TARGET_SIGNATURE:
-                return WitnessRecord(str(cid), "failed", reason=f"the characteristic polynomial "
-                                     f"of Ric at {cid} has Descartes signature {descartes}")
+        ric = ricci_form(act(big_s, imu, symplectic_inverse(big_s))).m
+        poly, sig, beta = linalg.eigen_certificate(ric)
+        if sig == TARGET_SIGNATURE:
             prov = chain + (_REFERENCES[ref_node][0], f"exp(t) := 2**{k}")
             return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k, prov,
                                  tuple(poly), beta)

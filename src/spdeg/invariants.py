@@ -95,15 +95,19 @@ def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
 # -- symmetric forms -------------------------------------------------------------
 
 
+class AsymmetryError(ValueError):
+    """A form expected to be symmetric came out asymmetric."""
+
+
 class SymForm:
-    """Symmetric bilinear form with exact signature bookkeeping."""
+    """Symmetric bilinear form with exact signature bookkeeping; AsymmetryError otherwise."""
 
     def __init__(self, m: list):
         n = len(m)
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if m[i][j] != m[j][i]:
-                    raise ValueError("matrix is not symmetric")
+                    raise AsymmetryError(f"form asymmetric at ({i + 1},{j + 1})")
         self.m = m
 
     def signature(self):
@@ -164,14 +168,10 @@ def equivariant_product(mu: Bracket, coeffs):
     return out
 
 
-class AsymmetryError(ValueError):
-    """A trace form expected to be symmetric came out asymmetric."""
-
-
 def composition_trace_form(table) -> SymForm:
     """The form (X, Y) -> trace(v -> P(X, P(Y, v))) of a bilinear product table.
 
-    Asymmetric results raise AsymmetryError rather than being averaged.
+    Asymmetric results raise AsymmetryError, from :class:`SymForm`.
     """
     n = len(table)
     m = linalg.zeros(n)
@@ -186,10 +186,6 @@ def composition_trace_form(table) -> SymForm:
                         w = [x + inner[s] * y for x, y in zip(w, table[a][s])]
                 tr += w[v]
             m[a][b] = tr
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise AsymmetryError(f"trace form asymmetric at ({i + 1},{j + 1})")
     return SymForm(m)
 
 

@@ -186,51 +186,12 @@ def det(m):
 
 
 def signature_exact(m):
-    """Signature (n_plus, n_minus, n_zero) by exact congruence diagonalization.
-
-    The input must be symmetric with Fraction entries.  Pivoting: a nonzero
-    diagonal entry is used when available; otherwise a nonzero off-diagonal
-    pair (i,j) is folded onto the diagonal by the congruence row_i += row_j,
-    col_i += col_j (valid away from characteristic 2).
-    """
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    np_, nm, nz = 0, 0, 0
-    live = list(range(n))
-    while live:
-        pivot = next((i for i in live if a[i][i] != 0), None)
-        if pivot is None:
-            pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
-            if pair is None:
-                nz += len(live)
-                break
-            i, j = pair
-            for k in range(n):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(n):
-                a[k][i] = a[k][i] + a[k][j]
-            pivot = i
-        p = a[pivot][pivot]
-        if p > 0:
-            np_ += 1
-        else:
-            nm += 1
-        live.remove(pivot)
-        for i in live:
-            if a[i][pivot] != 0:
-                f = a[i][pivot] / p
-                for k in range(n):
-                    a[i][k] = a[i][k] - f * a[pivot][k]
-        for i in live:
-            if a[pivot][i] != 0:
-                f = a[pivot][i] / p
-                for k in range(n):
-                    a[k][i] = a[k][i] - f * a[k][pivot]
-    return np_, nm, nz
+    """Signature (n_plus, n_minus, n_zero) of a symmetric rational m: the Descartes count of
+    :func:`eigen_certificate`.  ValueError on an asymmetric m, where that count is unsound."""
+    n = len(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix is not symmetric")
+    return eigen_certificate(m)[1]
 
 
 def eigen_certificate(m):
@@ -238,13 +199,13 @@ def eigen_certificate(m):
 
     p = [1, a1, ..., an] is det(x*I - A), by Faddeev-LeVerrier on the int
     matrix clear_denominators(m) with every division by k exact.  A has only
-    real eigenvalues, so Descartes' rule on p(x) and p(-x) gives the exact
-    signature.  beta = |an| / (|an| + max(1, |a1|, ..., |a(n-1)|)) bounds
-    every |eigenvalue of A| from below (Cauchy's bound on the reciprocal).
+    real eigenvalues, so Descartes' rule on p(x) and p(-x) and the multiplicity
+    of the root 0 give the exact signature.  beta = |an| / (|an| + max(1, |a1|,
+    ..., |a(n-1)|)) bounds every |eigenvalue of A| from below (Cauchy's bound).
     """
     n = len(m)
     a = clear_denominators(m)[1]
-    scale = max(abs(x) for row in a for x in row) or 1
+    scale = max((abs(x) for row in a for x in row), default=0) or 1
     p, c = [Fraction(1)], a  # c = a * M_k, where M_1 = I and M_(k+1) = c + q_k * I
     for k in range(1, n + 1):
         q, r = divmod(-sum(c[i][i] for i in range(n)), k)

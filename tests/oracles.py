@@ -284,6 +284,47 @@ def ricci_matrix_float(mu: Bracket):
     return [[float(x) for x in row] for row in ricci_form(mu).m]
 
 
+def signature_congruence(m):
+    """Signature (n_plus, n_minus, n_zero) of a symmetric rational m by exact
+    congruence diagonalization, the reference for linalg.signature_exact.
+
+    A nonzero diagonal pivot p retires its index, and every live row i loses
+    (a_ip / p) times the pivot row: on the live indices that leaves the
+    symmetric Schur complement.  With no nonzero live diagonal entry, a
+    nonzero off-diagonal pair (i, j) is folded onto the diagonal by the
+    congruence row_i += row_j, col_i += col_j (valid away from characteristic 2).
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix is not symmetric")
+    np_, nm = 0, 0
+    live = list(range(n))
+    while live:
+        pivot = next((i for i in live if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in live for j in live if i < j and a[i][j] != 0), None)
+            if pair is None:
+                break
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            pivot = i
+        p = a[pivot][pivot]
+        if p > 0:
+            np_ += 1
+        else:
+            nm += 1
+        live.remove(pivot)
+        for i in live:
+            if a[i][pivot] != 0:
+                f = a[i][pivot] / p
+                a[i] = [x - f * y for x, y in zip(a[i], a[pivot])]
+    return np_, nm, n - np_ - nm
+
+
 def signature_float(m, tol: float = 1e-9):
     """Signature by eigenvalue sign counts; the binary64 cross-check path."""
     import numpy as np

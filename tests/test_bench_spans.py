@@ -80,15 +80,21 @@ def test_exceptional_samples_take_no_symplectic_inverse(monkeypatch):
 def test_witness_ladder_computes_each_reference_once(monkeypatch):
     # 40 witnesses over 4 reference nodes: the reference brackets and their
     # signatures are cached, so one cold theorem-b makes 40 + 4 ricci_form
-    # calls and 2 * 40 + 4 symplectic_inverse calls (the traced counts)
-    from spdeg import degeneration
+    # calls and 2 * 40 + 4 symplectic_inverse calls (the traced counts).  Each
+    # witness reads its signature off eigen_certificate; only the 4 references
+    # take signature_exact, which counts by eigen_certificate too: 40 + 4 calls
+    from spdeg import degeneration, linalg
 
     calls = Counter()
     for name in ("ricci_form", "symplectic_inverse"):
         _count_calls(monkeypatch, calls, degeneration, name)
+    for name in ("eigen_certificate", "signature_exact"):
+        _count_calls(monkeypatch, calls, linalg, name)
     degeneration._reference.cache_clear()
     records = degeneration.theorem_b_search(samples=1)
     assert sum(r.status == "witness" for r in records) == 40
-    assert calls == {"ricci_form": 44, "symplectic_inverse": 84}
+    assert calls == {"ricci_form": 44, "symplectic_inverse": 84,
+                     "eigen_certificate": 44, "signature_exact": 4}
     degeneration.theorem_b_search(samples=1)
-    assert calls == {"ricci_form": 84, "symplectic_inverse": 164}
+    assert calls == {"ricci_form": 84, "symplectic_inverse": 164,
+                     "eigen_certificate": 84, "signature_exact": 4}

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -94,6 +95,18 @@ def test_verify_curve_divergence_and_wrong_target_reports():
     assert set(r.bad_entries) == {(1, 2, 4), (1, 4, 3)}
 
 
+def test_verify_curve_needs_a_strict_decrease():
+    # the gap e^-t - c e^-2t, c = 2**14 / 129, is 1/16512 at both exp(t) = 2**7 and
+    # 2**14: a grid that stays flat is no decrease, though the limit is right
+    gap = ExpPoly({-1: 1, -2: F(-2 ** 14, 129)})
+    ident = [[ExpPoly.const(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    r = verify_curve(CurveInstance("flat", None, class_id("n4"), class_id("a4"), ident,
+                                   Bracket(4, {(1, 2): {3: gap}}), Bracket(4)))
+    assert r.status == "verified" and r.final_small
+    assert r.distances[:2] == ((7, F(1, 16512)), (14, F(1, 16512)))
+    assert not r.decreasing and not r.verified
+
+
 def test_verify_curve_flags_non_symplectic():
     mu = catalog.bracket_of("n4")
     bad = [[ExpPoly.const(2 if i == j == 0 else (1 if i == j else 0))
@@ -141,6 +154,8 @@ def test_borbit_rejects_nonpositive_diagonal():
         borbit_element(mu.integer_multiple(), (F(0), F(1)), (0, 0, 0, 0))
     with pytest.raises(ValueError):
         borbit_element(mu.integer_multiple(), (F(1), F(-2)), (0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        borbit_element(mu.integer_multiple(), (F(1), F(0)), (0, 0, 0, 0))
 
 
 def test_n_element_is_symplectic():
@@ -331,7 +346,18 @@ def test_hasse_dot_output(hasse_report):
     assert '"d4_2:w2" -> "r4_alpha:alpha=-1/2"' in dot
     assert '"rh3" -> "a4"' in dot
     assert dot.count("->") == 35
+    assert dot.count(" [style=solid];") == 35  # every edge verified, none dashed
     assert '[label="(n4, w)"]' in dot
+
+
+def test_hasse_needs_der_omega_to_strictly_increase(monkeypatch):
+    # with dim Der_w equal on every class, no edge increases it
+    from spdeg import degeneration
+
+    monkeypatch.setattr(degeneration, "der_omega_dim", lambda cid: 4)
+    report = hasse()
+    assert not any(e.der_omega_increases for e in report.edges)
+    assert not report.strict_der_omega and report.all_verified
 
 
 def test_hasse_closure_contains_composites(hasse_report):
@@ -371,6 +397,21 @@ def test_family_pair_is_obstructed_only_when_every_member_is(hasse_report, nonde
                    for t in members), target
 
 
+def test_a_member_pair_of_one_bracket_is_never_obstructed(hasse_report, nondeg_checks):
+    # rr3_m1 is r4_m1_beta:beta=0 verbatim, and the r4_alpha family samples its
+    # pinned member alpha = -1/2.  The battery excludes each such member pair
+    # (dim Der_w cannot strictly increase), yet a bracket lies in its own orbit closure
+    same = [(class_id("rr3_m1"), class_id("r4_m1_beta", F(0))),
+            (class_id("r4_alpha", F(-1, 2)), class_id("r4_alpha", F(-1, 2)))]
+    for s, t in same:
+        assert catalog.make(s) == catalog.make(t) and obstruction_report(s, t).excluded()
+    pairs = classify_pairs(hasse_report, nondeg_checks)
+    status = {(a, b): s for a, b, s in pairs}
+    for a, b in (("rr3_m1", "r4_m1_beta"), ("r4_alpha", "r4_alpha:alpha=-1/2")):
+        assert status[(a, b)] == status[(b, a)] == "open", (a, b)
+    assert Counter(s for _, _, s in pairs) == {"reachable": 84, "obstructed": 587, "open": 85}
+
+
 def test_worked_pairs_follow_their_checks(hasse_report):
     worked = [("d4_2:w2", "d4_2:w1"), ("r2r2", "n4"), ("r2p", "n4")]
     checks = [SuiteCheck("failed", False, {}, worked[0]),
@@ -387,6 +428,24 @@ def test_worked_nondegenerations_not_reachable(hasse_report):
     assert "d4_2:w1" not in closure["d4_2:w2"]
     assert "n4" not in closure["r2r2"]
     assert "n4" not in closure["r2p"]
+
+
+@pytest.mark.parametrize("zeroed", [0, 1])
+def test_signature_obstruction_needs_nonzero_trace_forms(monkeypatch, zeroed):
+    # the argument needs d4_2:w1's form positive and d4_2:w2's negative semidefinite,
+    # both nonzero: a zero form in either place (call 0 or 1) must fail the check
+    from spdeg import degeneration
+    from spdeg.invariants import SymForm
+
+    real, calls = degeneration.composition_trace_form, []
+
+    def one_zero(table):
+        calls.append(table)
+        return SymForm(linalg.zeros(4)) if len(calls) == zeroed + 1 else real(table)
+    monkeypatch.setattr(degeneration, "composition_trace_form", one_zero)
+    check = degeneration.non_degeneration_suite(samples=1)[0]
+    assert check.name == "signature_obstruction_d422_to_d421" and len(calls) == 2
+    assert not check.passed
 
 
 # -- random symplectic sampling -----------------------------------------------------------
@@ -431,7 +490,12 @@ def _sign_changes(cs):
 
 
 def test_witness_certificates_hold(monkeypatch):
-    # the Ricci matrix each witness certifies, caught on its way into linalg
+    # the Ricci matrix each witness certifies, caught on its way into linalg; the
+    # cached reference signatures, which signature_exact takes, are computed first
+    from spdeg.degeneration import _reference
+
+    for node in _REFERENCES:
+        _reference(node)
     seen = []
     real = linalg.eigen_certificate
     monkeypatch.setattr(linalg, "eigen_certificate", lambda m: seen.append(m) or real(m))
@@ -460,12 +524,18 @@ def test_witness_certificates_hold(monkeypatch):
     assert checked == 40 and not seen
 
 
-def test_witness_fails_on_a_wrong_descartes_signature(monkeypatch):
+def test_witness_signature_is_the_descartes_count(monkeypatch, capsys):
+    # control: the witness reads its signature from eigen_certificate alone, so
+    # a certificate reporting (2,2,0) at every k leaves no witness and fails theorem-b
+    from spdeg.cli import main
+
     real = linalg.eigen_certificate
     monkeypatch.setattr(linalg, "eigen_certificate", lambda m: (real(m)[0], (2, 2, 0), F(1)))
-    rec = witness_for_class(class_id("n4"))
-    assert rec.status == "failed"
-    assert rec.reason == "the characteristic polynomial of Ric at n4 has Descartes signature (2, 2, 0)"
+    assert witness_for_class(class_id("n4")).status == "exhausted"
+    assert main(["theorem-b", "--samples", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "theorem-b: FAIL" in out
+    assert ["n4", "SEARCH", "EXHAUSTED"] in [line.split() for line in out.splitlines()]
 
 
 def test_theorem_b_samples_see_a_nondegenerate_ricci(monkeypatch):

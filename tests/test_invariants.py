@@ -6,7 +6,7 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import class_id
 from spdeg.degeneration import DIAGRAM_CLASSES, hasse
-from spdeg.invariants import (AsymmetryError, _class_profile, composition_trace_form,
+from spdeg.invariants import (AsymmetryError, SymForm, _class_profile, composition_trace_form,
                               der_omega_dim, derivations,
                               derived_dim, equivariant_product, invariants_summary,
                               nilpotent, obstruction_report, symplectic_derivations,
@@ -175,6 +175,16 @@ def test_trace_form_symmetric_on_arbitrary_products():
         form = composition_trace_form(table)
         assert form.m == linalg.transpose(form.m)
     assert issubclass(AsymmetryError, ValueError)
+
+
+def test_symform_names_its_first_asymmetric_entry():
+    m = [[F(i + j) for j in range(4)] for i in range(4)]
+    m[1][2], m[3][0] = F(7), F(9)  # (2,3) and (1,4) asymmetric, (1,4) first
+    with pytest.raises(AsymmetryError, match=r"^form asymmetric at \(1,4\)$"):
+        SymForm(m)
+    m[3][0] = m[0][3]
+    with pytest.raises(AsymmetryError, match=r"^form asymmetric at \(2,3\)$"):
+        SymForm(m)
 
 
 def test_killing_form_examples():

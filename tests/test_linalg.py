@@ -6,11 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from spdeg import catalog, linalg
-from spdeg.curvature import _moved_ricci_matrix
-from spdeg.degeneration import random_symplectic
+from spdeg.curvature import _moved_ricci_matrix, ricci_form
+from spdeg.degeneration import DIAGRAM_CLASSES, random_symplectic
 from spdeg.scalars import ExpPoly
 
-from oracles import leibniz_det, min_abs_eig_float, signature_float
+from oracles import leibniz_det, min_abs_eig_float, signature_congruence, signature_float
 
 
 def _random_matrix(rng, n, m):
@@ -211,6 +211,35 @@ def test_signature_float_agrees_on_rationals():
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         linalg.signature_exact([[F(0), F(1)], [F(2), F(0)]])
+
+
+def test_signature_matches_the_congruence_oracle_and_float():
+    rng = random.Random(31)
+    cases = []
+    for n in range(1, 7):
+        # P^T D P for a random invertible P and every (+, -, 0) count of D
+        for plus in range(n + 1):
+            for minus in range(n + 1 - plus):
+                d = ([F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(plus)]
+                     + [F(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(minus)]
+                     + [F(0)] * (n - plus - minus))
+                p = _random_invertible(rng, n)
+                dp = [[x * y for y in row] for x, row in zip(d, p)]
+                m = linalg.mat_mul(linalg.transpose(p), dp)
+                cases.append((m, (plus, minus, n - plus - minus)))
+        # zero diagonal: k hyperbolic planes on random disjoint index pairs
+        for k in range(n // 2 + 1):
+            m = linalg.zeros(n)
+            idx = rng.sample(range(n), 2 * k)
+            for i, j in zip(idx[::2], idx[1::2]):
+                m[i][j] = m[j][i] = F(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+            cases.append((m, (k, k, n - 2 * k)))
+    for cid in DIAGRAM_CLASSES:
+        m = ricci_form(catalog.make(cid)).m
+        cases.append((m, signature_congruence(m)))
+    assert len(cases) == 83 + 15 + 43
+    for m, sig in cases:
+        assert linalg.signature_exact(m) == signature_congruence(m) == signature_float(m) == sig
 
 
 def test_eigen_certificate_known_spectrum():
