@@ -306,11 +306,6 @@ class CurveSpec(NamedTuple):
         label = self.id if param is None else f"{self.id}:{self.param_name}={format_rational(param)}"
         return CurveInstance(label, self, src, tgt, g, make(src), make(tgt))
 
-    def instances(self):
-        if self.param_name is None:
-            return [self.instantiate()]
-        return [self.instantiate(p) for p in CLASSES[self.source_key].samples]
-
 
 class CurveInstance(NamedTuple):
     label: str

@@ -199,7 +199,10 @@ def cmd_theorem_b(args) -> int:
 def cmd_remark_check(args) -> int:
     rho0 = catalog.rho_family(Fraction(0))
     sig0 = curvature.ricci_form(rho0).signature()
-    scan = curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)
+    try:
+        scan = curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)
+    except ArithmeticError as e:
+        return _fail(1, f"remark-check: FAIL: {e}")
     v0, v12 = scan.variations
     count = v0 - v12
     certified = [r for r in scan.roots

@@ -56,12 +56,12 @@ def _ginv_row(g, i):
 
 
 def _moved_ricci_matrix(g, mu: Bracket):
-    """_ricci_matrix(act(g, mu)) for a symplectic int g, with no Bracket or inverse built.
+    """_ricci_matrix(act(g, mu, g^-1)) for a symplectic int g and a bracket with at most
+    one stored pair, with no Bracket or inverse built; ValueError for more pairs.
 
-    For a stored pair (i, j) of mu, x = [e_i, e_j] and the rows P, Q of g^-1,
+    For the stored pair (i, j) of mu, x = [e_i, e_j] and the rows P, Q of g^-1,
     g.mu takes (e_k, e_l) to A_kl w with A_kl = P_k Q_l - Q_k P_l and w = g x.
-    Brackets with more stored pairs give their six moved pair vectors to _besse4.
-    With one stored pair, g.mu = A (x) w has rank one, and Besse 7.38 collapses to
+    So g.mu = A (x) w has rank one, and Besse 7.38 collapses to
         4*Ric = 2(s ww^T - |w|^2 AA^T - uu^T + vw^T + wv^T),
     s = sum_{k<l} A_kl^2, u = Aw, v = Au.  As A = PQ^T - QP^T, s = |P|^2|Q|^2 - (P.Q)^2,
     AA^T = |Q|^2 PP^T + |P|^2 QQ^T - (P.Q)(PQ^T + QP^T), u = (Q.w)P - (P.w)Q and
@@ -70,19 +70,13 @@ def _moved_ricci_matrix(g, mu: Bracket):
     det Ric = 0 on the whole orbit of a bracket with at most one stored pair.
     """
     _check_dim(mu)
-    moved = [(_ginv_row(g, i), _ginv_row(g, j),
-              [sum(row[k - 1] * x for k, x in vec.items()) for row in g])
-             for (i, j), vec in mu.rules.items()]
-    if len(moved) > 1:
-        pairs = [[0] * 4 for _ in range(6)]  # [e_k, e_l] for k < l, in _besse4's order
-        for p, q, w in moved:
-            for n, (k, l) in enumerate((k, l) for k in range(4) for l in range(k + 1, 4)):
-                m = p[k] * q[l] - q[k] * p[l]
-                pairs[n] = [a + m * b for a, b in zip(pairs[n], w)]
-        return _besse4(*pairs)
-    if not moved:
+    if len(mu.rules) > 1:
+        raise ValueError(f"the rank-one kernel takes at most one stored pair, not {len(mu.rules)}")
+    if not mu.rules:
         return [[0] * 4 for _ in range(4)]
-    ((p1, p2, p3, p4), (q1, q2, q3, q4), (w1, w2, w3, w4)), = moved
+    ((i, j), vec), = mu.rules.items()
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = _ginv_row(g, i), _ginv_row(g, j)
+    w1, w2, w3, w4 = [sum(row[k - 1] * x for k, x in vec.items()) for row in g]
     pp, qq = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4, q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
     pq, ww = p1 * q1 + p2 * q2 + p3 * q3 + p4 * q4, w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
     pw, qw = p1 * w1 + p2 * w2 + p3 * w3 + p4 * w4, q1 * w1 + q2 * w2 + q3 * w3 + q4 * w4
@@ -254,9 +248,12 @@ def _divmod(a, b):
 def _sturm_chain(p):
     """The Sturm chain of p divided by its last member, gcd(p, p'): its sign
     variations drop by one at each distinct root of p and nowhere else, so
-    _variations(chain, a) - _variations(chain, b) counts the roots on (a, b]."""
+    _variations(chain, a) - _variations(chain, b) counts the roots on (a, b].
+    ArithmeticError past deg p + 1 members, which strictly falling degrees allow."""
     chain = [p, [k * c for k, c in enumerate(p)][1:]]
     while chain[-1]:
+        if len(chain) > len(p):
+            raise ArithmeticError(f"Sturm chain exceeds deg p + 1 = {len(p)} members")
         chain.append([-c for c in _divmod(chain[-2], chain[-1])[1]])
     chain.pop()
     return [_divmod(q, chain[-1])[0] for q in chain]
@@ -272,7 +269,8 @@ def find_degenerate_ricci(family: Callable, lo, hi) -> RootScan:
     det Ric is interpolated as a polynomial at t = 0..DET_DEGREE, its Sturm
     chain counts the roots, and bisection on the counts isolates each root to
     width 2^-50, with the Ricci signatures at both ends.  ValueError when det
-    Ric vanishes identically.
+    Ric vanishes identically; ArithmeticError, not a loop, when the chain outgrows
+    deg p + 1 members or a midpoint count leaves its interval's [count at b, count at a].
     """
     poly = _trim(_interpolate([_det_exact(family, Fraction(t)) for t in range(DET_DEGREE + 1)]))
     if not poly:
@@ -291,5 +289,7 @@ def find_degenerate_ricci(family: Callable, lo, hi) -> RootScan:
         elif va != vb:
             m = (a + b) / 2
             vm = _variations(chain, m)
+            if not vb <= vm <= va:
+                raise ArithmeticError(f"Sturm count {vm} at t = {m} is not in [{vb}, {va}]")
             todo += [(m, b, vm, vb), (a, m, va, vm)]
     return RootScan(poly, ends, roots)

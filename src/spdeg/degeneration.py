@@ -543,8 +543,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
                 and all(v[2] == 0 and v[3] == -v[5] for v in locus))
 
     def _locus_point(c):
-        return [linalg.sum_entries([c[i] * locus[i][j] for i in range(4)])
-                for j in range(6)]
+        return [sum(c[i] * locus[i][j] for i in range(4)) for j in range(6)]
 
     def jac_component(c):
         return jacobiator(R2R2_TRAP.embed(_locus_point(c)))[(1, 2, 3)][3]

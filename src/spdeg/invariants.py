@@ -2,13 +2,13 @@
 trace forms, exact signatures, unimodularity, derived series.
 
 All kernels are computed exactly: a kernel dimension is columns minus the
-fraction-free (Bareiss) rank.  The Killing forms, the derivation identity and
-the RREF kernel rank that the tests compare against are in tests/oracles.py.
+fraction-free (Bareiss) rank.  The Killing forms, the derivation identity, the
+derivation bases and the RREF kernel rank that the tests compare against are in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -20,14 +20,9 @@ from .tensor import Bracket, canonical_form, is_lie, omega, validate_symplectic
 
 class DerivationAlgebra(NamedTuple):
     """The kernel of linear rows in the n*n entries of D, row-major: dim is n*n minus
-    their Bareiss rank, and the RREF basis is built only when read."""
-    rows: list
+    their Bareiss rank.  The verdicts read only dim; the tests build a basis from
+    the same rows in tests/oracles.py."""
     dim: int
-
-    @property
-    def basis(self):  # square rational matrices
-        n = math.isqrt(len(self.rows[0]))
-        return [[v[p * n:(p + 1) * n] for p in range(n)] for v in linalg.nullspace(self.rows)]
 
 
 def _derivation_rows(mu: Bracket):
@@ -80,7 +75,7 @@ def derivations(mu: Bracket) -> DerivationAlgebra:
     if not is_lie(mu):
         raise ValueError("input is not a Lie bracket")
     rows = _derivation_rows(mu)
-    return DerivationAlgebra(rows, len(rows[0]) - linalg.rank_bareiss(rows))
+    return DerivationAlgebra(len(rows[0]) - linalg.rank_bareiss(rows))
 
 
 def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
@@ -89,7 +84,7 @@ def symplectic_derivations(mu: Bracket) -> DerivationAlgebra:
     if not validate_symplectic(mu):
         raise ValueError("input is not a symplectic Lie algebra")
     rows = _derivation_rows(mu) + _skew_adjoint_rows(mu.dim)
-    return DerivationAlgebra(rows, len(rows[0]) - linalg.rank_bareiss(rows))
+    return DerivationAlgebra(len(rows[0]) - linalg.rank_bareiss(rows))
 
 
 # -- symmetric forms -------------------------------------------------------------
@@ -114,7 +109,7 @@ class SymForm:
         return linalg.signature_exact(self.m)
 
     def trace(self):
-        return linalg.sum_entries([self.m[i][i] for i in range(len(self.m))])
+        return sum(self.m[i][i] for i in range(len(self.m)))
 
 
 # -- equivariant products and trace forms ----------------------------------------
@@ -123,8 +118,7 @@ class SymForm:
 def second_trace(mu: Bracket):
     """The 1-form v -> trace(ad_v) on basis vectors, as a coordinate list."""
     n = mu.dim
-    return [linalg.sum_entries([mu.entry(i, p, p) for p in range(1, n + 1)])
-            for i in range(1, n + 1)]
+    return [sum(mu.entry(i, p, p) for p in range(1, n + 1)) for i in range(1, n + 1)]
 
 
 def equivariant_product(mu: Bracket, coeffs):

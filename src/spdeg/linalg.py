@@ -3,7 +3,8 @@
 Matrices are plain nested lists.  Generic helpers (mat_mul, transpose, ...)
 work over any commutative ring of entries (Fraction, int, float, ExpPoly);
 the elimination routines require rational (Fraction or int) entries.
-Nothing here is specific to floats.
+Nothing here is specific to floats, and nothing inverts a matrix: every group element
+is symplectic, inverted by tensor.symplectic_inverse; tests/oracles.py has Gauss-Jordan.
 """
 
 from __future__ import annotations
@@ -60,14 +61,6 @@ def mat_vec(a, v):
     return out
 
 
-def sum_entries(xs):
-    it = iter(xs)
-    s = next(it)
-    for x in it:
-        s = s + x
-    return s
-
-
 # -- Gaussian elimination over the rationals --------------------------------
 
 
@@ -110,16 +103,6 @@ def nullspace(m):
             v[pc] = -r[i][fc]
         basis.append(v)
     return basis
-
-
-def inverse(a):
-    """Exact inverse over Fraction; raises ValueError when singular."""
-    n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
 
 
 def clear_denominators(m):

@@ -1,4 +1,4 @@
-"""Core multilinear algebra: brackets, the canonical two-form, the group action,
+"""Core multilinear algebra: brackets, the canonical two-form, the Sp(2n,R) action,
 dense tables.
 
 Basis indices are 1-based in constructors, serialized forms and reports,
@@ -36,7 +36,7 @@ def canonical_form(dim: int):
 def omega(u, v):
     """The canonical two-form w(u, v) = u^T J v = sum_i u_i v_{n+i} - u_{n+i} v_i."""
     n = len(u) // 2
-    return linalg.sum_entries([u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)])
+    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
 
 
 class Bracket:
@@ -293,21 +293,11 @@ def symplectic_inverse(g):
             for i, col in enumerate(zip(*rotated))]
 
 
-def group_inverse(g):
-    """Inverse of a group element: -J g^T J when symplectic, elimination otherwise."""
-    if is_symplectic(g):
-        return symplectic_inverse(g)
-    if any(isinstance(x, ExpPoly) for row in g for x in row):
-        raise ValueError("ExpPoly group elements must be symplectic")
-    return linalg.inverse(g)
-
-
-def act(g, mu: Bracket, ginv=None) -> Bracket:
-    """Change of basis action (g.mu)(x, y) = g mu(g^{-1} x, g^{-1} y)."""
+def act(g, mu: Bracket, ginv) -> Bracket:
+    """The Sp action (g.mu)(x, y) = g mu(ginv x, ginv y), ginv = symplectic_inverse(g) unchecked.
+    Linear in g and quadratic in ginv, so int d*g and d*g^-1 give d^3 (g.mu)."""
     if len(g) != mu.dim:
         raise ValueError("dimension mismatch")
-    if ginv is None:
-        ginv = group_inverse(g)
     cols = [[ginv[r][c] for r in range(mu.dim)] for c in range(mu.dim)]
     rules = {}
     for i in range(1, mu.dim + 1):

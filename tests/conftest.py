@@ -1,6 +1,8 @@
 import pytest
 
-from spdeg import degeneration
+from spdeg import catalog, degeneration
+
+from helpers import curve_instances
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +22,5 @@ def nondeg_checks():
 
 @pytest.fixture(scope="session")
 def curve_reports():
-    from spdeg import catalog
     return [degeneration.verify_curve(inst)
-            for spec in catalog.curves() for inst in spec.instances()]
+            for spec in catalog.curves() for inst in curve_instances(spec)]

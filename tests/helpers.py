@@ -4,7 +4,15 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+from spdeg.catalog import CLASSES
 from spdeg.degeneration import borbit_element, random_symplectic
+
+
+def curve_instances(spec):
+    """The curve at its pinned source member, or at each sample of its source family."""
+    if spec.param_name is None:
+        return [spec.instantiate()]
+    return [spec.instantiate(p) for p in CLASSES[spec.source_key].samples]
 
 
 def rational_symplectic(rng):

@@ -12,7 +12,7 @@ from spdeg.catalog import bracket_of, scaling_transform, shear_transform
 from spdeg.curvature import HALF, levi_civita, ricci_form
 from spdeg.invariants import (SymForm, _derivation_rows, _skew_adjoint_rows,
                               composition_trace_form, nilpotent, second_trace)
-from spdeg.tensor import (Bracket, act, bracket_to_table, group_inverse, is_lie,
+from spdeg.tensor import (Bracket, act, bracket_to_table, is_lie, is_symplectic,
                           symplectic_inverse)
 
 
@@ -23,12 +23,14 @@ def tau6():
 
 def xi_family(t: Fraction) -> Bracket:
     """scaling_transform(t) acting on the nilpotent class n4."""
-    return act(scaling_transform(t), bracket_of("n4"))
+    g = scaling_transform(t)
+    return act(g, bracket_of("n4"), symplectic_inverse(g))
 
 
 def varrho_family(t: Fraction) -> Bracket:
     """shear_transform(t) acting on d4_1:w1."""
-    return act(shear_transform(t), bracket_of("d4_1:w1"))
+    g = shear_transform(t)
+    return act(g, bracket_of("d4_1:w1"), symplectic_inverse(g))
 
 
 def bracket_distance(a: Bracket, b: Bracket):
@@ -69,6 +71,22 @@ def fraction_borbit_element(mu: Bracket, a_params, n_params) -> Bracket:
     """(g.h)^{-1} . mu with the product g.h and act over Fraction."""
     gh = linalg.mat_mul(a_element(*a_params), n_element(*n_params))
     return act(symplectic_inverse(gh), mu, gh)
+
+
+def inverse(a):
+    """Exact inverse over Fraction by Gauss-Jordan elimination; ValueError when singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+           for i, row in enumerate(a)]
+    r, pivots = linalg.rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in r]
+
+
+def group_inverse(g):
+    """g^-1 of an invertible rational g: -J g^T J when g is symplectic, else by elimination."""
+    return symplectic_inverse(g) if is_symplectic(g) else inverse(g)
 
 
 def table_to_bracket(table) -> Bracket:
@@ -121,6 +139,16 @@ def derivation_kernel_rank_oracle(mu: Bracket, symplectic: bool = False) -> int:
     if symplectic:
         rows += _skew_adjoint_rows(mu.dim)
     return mu.dim * mu.dim - len(linalg.rref(rows)[1])
+
+
+def derivation_basis(mu: Bracket, symplectic: bool = False):
+    """A basis of the (symplectic) derivations of mu as square matrices: the RREF
+    nullspace of the rows that derivations and symplectic_derivations rank."""
+    n = mu.dim
+    rows = _derivation_rows(mu)
+    if symplectic:
+        rows += _skew_adjoint_rows(n)
+    return [[v[p * n:(p + 1) * n] for p in range(n)] for v in linalg.nullspace(rows)]
 
 
 def leibniz_det(m):

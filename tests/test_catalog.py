@@ -5,8 +5,9 @@ import pytest
 from spdeg import catalog
 from spdeg.catalog import ClassId, DomainError, class_id, parse_class, parse_curve
 from spdeg.degeneration import DIAGRAM_CLASSES
-from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
+from spdeg.tensor import Bracket, act, is_closed, is_lie, is_symplectic, symplectic_inverse
 
+from helpers import curve_instances
 from oracles import tau6, varrho_family, xi_family
 
 
@@ -63,6 +64,20 @@ def test_no_two_classes_coincide():
         seen[str(cid)] = mu
 
 
+def test_r4_m1_beta_at_opposite_parameters_is_one_orbit():
+    # a known coincidence the catalog keeps: the symplectic signed permutation g
+    # takes the member at beta to the member at -beta.  Both sides are affine in
+    # beta, so beta = 0 and 1/3 prove it on the whole domain -1 < beta < 1, and
+    # the sampled members -1/2 and 1/2 are one Sp(4,R)-orbit
+    g = [[-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0]]
+    assert is_symplectic(g)
+    assert {F(-1, 2), F(1, 2)} <= set(catalog.CLASSES["r4_m1_beta"].samples)
+    for beta in (F(0), F(1, 3), F(1, 2), F(-1, 2)):
+        mu = catalog.bracket_of("r4_m1_beta", beta)
+        assert act(g, mu, symplectic_inverse(g)) == catalog.bracket_of("r4_m1_beta", -beta)
+    assert catalog.bracket_of("r4_m1_beta", F(1, 2)) != catalog.bracket_of("r4_m1_beta", F(-1, 2))
+
+
 def test_expected_invariants_lookup_examples():
     assert catalog.expected_invariants(class_id("d4_2:w2")) == (1, 5)
     assert catalog.expected_invariants(class_id("a4")) == (10, 16)
@@ -105,7 +120,7 @@ def test_class_grammar_rejects_garbage():
 def test_every_curve_matrix_exactly_symplectic():
     count = 0
     for spec in catalog.curves():
-        for inst in spec.instances():
+        for inst in curve_instances(spec):
             assert is_symplectic(inst.g), inst.label
             count += 1
     assert count >= 35

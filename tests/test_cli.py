@@ -1,10 +1,13 @@
+import inspect
 import json
 import re
+import signal
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from spdeg import catalog
+from spdeg import catalog, curvature, linalg
 from spdeg.cli import main
 from spdeg.scalars import parse_rational
 
@@ -286,3 +289,37 @@ def test_remark_check_exits_1_unless_one_root(monkeypatch, capsys):
     payload = json.loads(out)
     assert code == 1 and payload["det_poly"] == ["2", "-3", "1"]
     assert payload["sturm_variations"] == [2, 0] and len(payload["roots"]) == 2
+
+
+def _mutant(module, name, old, new):
+    """module.name with the one occurrence of old in its source replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("module,name,old,new,reason", [
+    (curvature, "_divmod", "len(b) - 1", "len(b) + 1",
+     "Sturm chain exceeds deg p + 1 = 7 members"),
+    (linalg, "sign_variations", "s != t", "s == t",
+     "Sturm count 4 at t = 6 is not in [4, 0]"),
+], ids=["remainder", "count"])
+def test_broken_sturm_scan_fails_instead_of_looping(monkeypatch, capsys, module, name, old,
+                                                    new, reason):
+    # a wrong remainder grows the chain and a wrong count keeps the bisection
+    # going; both break a bound of every Sturm chain and end in exit 1
+    monkeypatch.setattr(module, name, _mutant(module, name, old, new))
+    handler = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the Sturm scan loops"))
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match=re.escape(reason)):
+            curvature.find_degenerate_ricci(catalog.rho_family, 0, 12)
+        assert time.perf_counter() - start < 1
+        code, out, err = run(capsys, "remark-check")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert (code, out, err) == (1, "", f"remark-check: FAIL: {reason}\n")

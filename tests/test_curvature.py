@@ -8,7 +8,7 @@ from spdeg.catalog import scaling_transform, shear_transform, rho_family
 from spdeg.curvature import (_moved_ricci_matrix, einstein_check, find_degenerate_ricci,
                              levi_civita, ricci, ricci_form)
 from spdeg.degeneration import DIAGRAM_CLASSES
-from spdeg.tensor import act, is_symplectic
+from spdeg.tensor import act, is_symplectic, symplectic_inverse
 
 from helpers import rational_symplectic
 from oracles import (RICCI_SIGN, fraction_ricci_matrix, metric_compatible, ricci_matrix_float,
@@ -50,7 +50,8 @@ def test_riemann_traces_to_the_ricci_form():
     # traced contraction, on every tabulated class and a few conjugates
     brackets = [catalog.make(cid) for cid in DIAGRAM_CLASSES]
     rng = random.Random(17)
-    brackets += [act(rational_symplectic(rng), mu) for mu in brackets[::8]]
+    conjugators = [rational_symplectic(rng) for _ in brackets[::8]]
+    brackets += [act(g, mu, symplectic_inverse(g)) for g, mu in zip(conjugators, brackets[::8])]
     for mu in brackets:
         r = riemann(mu)
         traced = [[sum(r[b][a][c][b] for b in range(4)) for c in range(4)] for a in range(4)]
@@ -230,7 +231,7 @@ def test_signature_locally_constant_where_nondegenerate():
         from spdeg.tensor import transvection
         u = [F(rng.randint(-2, 2), 97) for _ in range(4)]
         g = transvection(u, F(1, 89))
-        moved = act(g, mu)
+        moved = act(g, mu, symplectic_inverse(g))
         assert signature_float(ricci_matrix_float(moved), tol=1e-6) == base
 
 
@@ -244,8 +245,8 @@ def test_ricci_pullback_equivariance_orthogonal_symplectic_float_path():
     assert linalg.mat_mul(gt, g) == linalg.identity(4)
     for key in ("n4", "d4_1:w1"):
         mu = _mu(key)
-        lhs = ricci_matrix_float(act(g, mu))
-        ginv = linalg.inverse(g)
+        ginv = symplectic_inverse(g)
+        lhs = ricci_matrix_float(act(g, mu, ginv))
         rhs_exact = linalg.mat_mul(linalg.transpose(ginv),
                                    linalg.mat_mul(ricci_form(mu).m, ginv))
         rhs = [[float(x) for x in row] for row in rhs_exact]

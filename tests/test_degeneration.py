@@ -14,9 +14,9 @@ from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, 
                                 r2r2_trap_residual, verify_curve, witness_for_class)
 from spdeg.invariants import obstruction_report
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import Bracket, is_closed, is_lie, is_symplectic
+from spdeg.tensor import Bracket, act, is_closed, is_lie, is_symplectic, symplectic_inverse
 
-from helpers import rational_borbit, rational_symplectic
+from helpers import curve_instances, rational_borbit, rational_symplectic
 from oracles import a_element, bracket_distance, min_abs_eig_float, n_element, random_rational
 
 
@@ -37,7 +37,7 @@ def test_grid_distances_are_exact_without_math_exp(monkeypatch):
     def no_exp(x):
         raise AssertionError("math.exp called")
     monkeypatch.setattr(math, "exp", no_exp)
-    reports = [verify_curve(inst) for spec in catalog.curves() for inst in spec.instances()]
+    reports = [verify_curve(inst) for spec in catalog.curves() for inst in curve_instances(spec)]
     reports += [r for e in hasse().edges for r in e.reports]
     for r in reports:
         assert r.verified, r.label
@@ -541,12 +541,17 @@ def test_witness_signature_is_the_descartes_count(monkeypatch, capsys):
 def test_theorem_b_samples_see_a_nondegenerate_ricci(monkeypatch):
     # control: n4 and d4_1:w1 have Ricci witnesses of signature (1,3,0), so run
     # through the exceptional sample loop they must break all_det_zero, or the
-    # loop could pass the three exceptional classes vacuously
+    # loop could pass the three exceptional classes vacuously; they store two
+    # pairs, so the loop's rank-one kernel is swapped for the Ricci matrix of
+    # the moved bracket, which it equals wherever it applies
     from spdeg import degeneration
+    from spdeg.curvature import _ricci_matrix
 
     controls = [class_id("n4"), class_id("d4_1:w1")]
     monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES", controls)
     monkeypatch.setattr(degeneration, "EXCEPTIONAL_KEYS", ("n4", "d4_1:w1"))
+    monkeypatch.setattr(degeneration, "_moved_ricci_matrix",
+                        lambda g, mu: _ricci_matrix(act(g, mu, symplectic_inverse(g))))
     records = degeneration.theorem_b_search(samples=20)
     assert [(r.class_id, r.status, r.all_det_zero) for r in records] == [
         ("n4", "exceptional", False), ("d4_1:w1", "exceptional", False)]

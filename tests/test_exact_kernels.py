@@ -24,8 +24,8 @@ from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_sampl
 from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
                           symplectic_inverse, transvection)
 
-from helpers import bench_launch, rational_symplectic
-from oracles import (fraction_borbit_element, fraction_ricci_matrix, random_rational,
+from helpers import bench_launch, curve_instances, rational_symplectic
+from oracles import (fraction_borbit_element, fraction_ricci_matrix, inverse, random_rational,
                      ricci_matrix_float)
 
 
@@ -88,7 +88,7 @@ def conjugators():
 def brackets(conjugators):
     """The 43 tabulated instances and three random conjugates of each."""
     base = [catalog.make(cid) for cid in DIAGRAM_CLASSES]
-    return base + [act(g, base[i // 3]) for i, g in enumerate(conjugators)]
+    return base + [act(g, base[i // 3], symplectic_inverse(g)) for i, g in enumerate(conjugators)]
 
 
 def test_ricci_form_matches_fraction_contraction(brackets):
@@ -133,7 +133,7 @@ def _jacobiator_map():
     diff = [_difference(p) for p in grid]
     gram = [[sum(r[a] * r[b] for r in jac) for b in range(16)] for a in range(16)]
     rhs = [[sum(r[a] * d[e] for r, d in zip(jac, diff)) for e in range(16)] for a in range(16)]
-    return linalg.transpose(linalg.mat_mul(linalg.inverse(gram), rhs))
+    return linalg.transpose(linalg.mat_mul(inverse(gram), rhs))
 
 
 def test_ricci_formula_is_the_contraction_on_every_lie_bracket():
@@ -173,23 +173,20 @@ def test_integer_ricci_makes_no_fraction_operation(monkeypatch):
     assert fraction_ops(2) == fraction_ops(1)
 
 
-def test_moved_ricci_matrix_is_the_ricci_matrix_of_the_moved_bracket():
-    # theorem-b's fused kernel against act then _ricci_matrix, and against the
-    # Fraction contraction, on dense int conjugates of every diagram class;
-    # the dense random brackets, Lie or not, store all six pairs
-    rng = random.Random(47)
-    mus = [catalog.make(cid).integer_multiple()[1] for cid in DIAGRAM_CLASSES]
-    mus += [_bracket([rng.randint(-3, 3) for _ in range(24)]) for _ in range(4)]
-    for mu in mus:
-        for _ in range(2):
-            _, g = random_symplectic(rng)
-            fused = _moved_ricci_matrix(g, mu)
-            moved = act(g, mu, symplectic_inverse(g))
-            assert fused == _ricci_matrix(moved), repr(mu)
-            assert all(type(x) is int for row in fused for x in row)
-            if is_lie(mu):
-                assert fused == [[4 * x for x in row] for row in fraction_ricci_matrix(moved)]
-    assert sum(map(is_lie, mus)) == len(DIAGRAM_CLASSES)
+def test_moved_ricci_matrix_refuses_more_than_one_pair():
+    # theorem-b runs the rank-one kernel on the exceptional classes only, each
+    # with at most one stored pair; a bracket with more is refused by its count
+    _, g = random_symplectic(random.Random(47))
+    rank_one, counts = set(), set()
+    for cid in DIAGRAM_CLASSES:
+        mu = catalog.make(cid).integer_multiple()[1]
+        if len(mu.rules) <= 1:
+            rank_one.add(cid.key)
+            continue
+        with pytest.raises(ValueError, match=f"one stored pair, not {len(mu.rules)}$"):
+            _moved_ricci_matrix(g, mu)
+        counts.add(len(mu.rules))
+    assert rank_one == set(EXCEPTIONAL_KEYS) and min(counts) == 2
 
 
 def _single_pair_samples():
@@ -360,7 +357,7 @@ def test_integer_conjugate_scales_ricci_by_d6():
             assert ginv == [[d * x for x in row] for row in symplectic_inverse(g)]
             moved = act(big_g, imu, ginv)
             assert all(type(c) is int for vec in moved.rules.values() for c in vec.values())
-            exact = ricci_form(act(g, mu))
+            exact = ricci_form(act(g, mu, symplectic_inverse(g)))
             assert ricci_form(moved).m == [[m * m * d ** 6 * x for x in row] for row in exact.m]
             assert ricci_form(moved).signature() == exact.signature()
 
@@ -384,7 +381,7 @@ def test_symplectic_inverse_matches_mat_mul_oracle(conjugators):
 
 
 def test_symplectic_inverse_of_curves_and_float_matrices():
-    curves = [inst.g for spec in catalog.curves() for inst in spec.instances()]
+    curves = [inst.g for spec in catalog.curves() for inst in curve_instances(spec)]
     assert len(curves) == 53
     for g in curves:
         inv = symplectic_inverse(g)

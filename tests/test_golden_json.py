@@ -17,6 +17,8 @@ from spdeg import catalog
 from spdeg.catalog import ClassId
 from spdeg.cli import main
 
+from helpers import curve_instances
+
 GOLDEN = pathlib.Path(__file__).with_name("golden_json.json")
 
 
@@ -29,7 +31,7 @@ def invocations():
             for verb in ("catalog", "validate", "invariants", "ricci"):
                 out.append([verb, "--class", cid])
     for spec in catalog.curves():
-        for inst in spec.instances():
+        for inst in curve_instances(spec):
             out.append(["degenerate", "--curve", inst.label])
     out += [["hasse"], ["remark-check"],
             ["theorem-a", "--samples", "20", "--pairs"],

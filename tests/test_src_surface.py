@@ -1,7 +1,9 @@
-"""Every top-level function in src/spdeg is used by other code in src/ (not
+"""Every top-level function in src/spdeg, and every method and property of a
+class there other than the dunder methods, is used by other code in src/ (not
 counting the re-exports of __init__.py), is a bench/launch.py span, or is in
-the README's Library block.  Test-only references belong in tests/oracles.py.
-Importing the CLI stays cheap: no module with a large import cost at start-up.
+the README's Library block.  Test-only references belong in tests/oracles.py
+or tests/helpers.py.  Importing the CLI stays cheap: no module with a large
+import cost at start-up.
 """
 
 import ast
@@ -19,21 +21,36 @@ from test_readme import library_block
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _span_attrs():
-    return {attr for _, _, attr in bench_launch().SPANS}
+def _span_names():
+    """The function, class and method names of the spans ("ExpPoly.limit" gives two)."""
+    return {name for _, _, attr in bench_launch().SPANS for name in attr.split(".")}
+
+
+def _units(tree):
+    """(statement, label suffix or None): each top-level statement, and each statement of
+    a class body apart; a suffix marks a function or a non-dunder method or property."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            yield ast.Tuple([*stmt.bases, *stmt.decorator_list]), None
+            for member in stmt.body:
+                public = isinstance(member, ast.FunctionDef) and not member.name.startswith("__")
+                yield member, f"{stmt.name}.{member.name}" if public else None
+        else:
+            yield stmt, stmt.name if isinstance(stmt, ast.FunctionDef) else None
 
 
 def test_every_src_function_has_a_use_outside_the_tests():
-    used = _span_attrs() | set(re.findall(r"\w+", library_block()))
-    defs, names = [], []  # names: the identifiers of each top-level statement
+    used = _span_names() | set(re.findall(r"\w+", library_block()))
+    defs, names = [], []  # names: the identifiers of each unit of _units
     for path in sorted((ROOT / "src" / "spdeg").glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        for stmt, label in _units(ast.parse(path.read_text(encoding="utf-8"))):
             names.append({n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
                           if isinstance(n, (ast.Name, ast.Attribute))})
-            if isinstance(stmt, ast.FunctionDef):
-                defs.append((f"{path.stem}.{stmt.name}", stmt.name, len(names) - 1))
+            if label:
+                defs.append((f"{path.stem}.{label}", stmt.name, len(names) - 1))
+    assert "tensor.Bracket.apply" in {label for label, _, _ in defs}  # methods are seen
     unused = [label for label, name, own in defs
               if name not in used and not any(name in n for i, n in enumerate(names) if i != own)]
     assert unused == []
