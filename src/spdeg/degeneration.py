@@ -18,7 +18,7 @@ from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
 from .curvature import _moved_ricci_matrix, ricci_form
-from .invariants import (composition_trace_form, der_omega_dim, derived_dim,
+from .invariants import (class_invariants, composition_trace_form, der_omega_dim, derived_dim,
                          equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
 from .tensor import Bracket, act, is_symplectic, jacobiator, symplectic_inverse
@@ -415,10 +415,9 @@ _bracket = lru_cache(maxsize=None)(lambda cid: make(cid))  # make by name: a tra
 
 def _excludes(s: ClassId, t: ClassId) -> bool:
     """The battery excludes s -> t, and s and t are not one bracket, which lies in its own
-    orbit closure; brackets differ where an invariant does, so only then are they compared."""
-    r = obstruction_report(s, t)
-    return r.excluded() and (any(c.source_value != c.target_value for c in r.checks)
-                             or _bracket(s).rules != _bracket(t).rules)
+    orbit closure; brackets differ where an invariant does, so are compared only where none does."""
+    return bool(obstruction_report(s, t)) and (class_invariants(s) != class_invariants(t)
+                                                or _bracket(s).rules != _bracket(t).rules)
 
 
 def classify_pairs(report: HasseReport, checks):

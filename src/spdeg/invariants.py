@@ -9,6 +9,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -223,68 +224,45 @@ def nilpotent(mu: Bracket) -> bool:
 # -- the obstruction battery -------------------------------------------------------
 
 
-class ObstructionCheck(NamedTuple):
-    name: str
-    passed: bool
-    source_value: object
-    target_value: object
-
-    def to_json_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "source_value": str(self.source_value),
-                "target_value": str(self.target_value)}
-
-
-class ObstructionReport(NamedTuple):
-    source: ClassId
-    target: ClassId
-    checks: list
-
-    @property
-    def violations(self):
-        return [c for c in self.checks if not c.passed]
-
-    def excluded(self) -> bool:
-        """True when some necessary condition fails, certifying non-degeneration."""
-        return bool(self.violations)
-
-    def to_json_dict(self):
-        return {"source": str(self.source), "target": str(self.target),
-                "checks": [c.to_json_dict() for c in self.checks]}
-
-
 @lru_cache(maxsize=None)
 def der_omega_dim(cid: ClassId) -> int:
     """dim Der_w of a catalog class, computed once per class."""
     return symplectic_derivations(make(cid)).dim
 
 
+# Necessary conditions for mu -> lambda (Burde-Steinhoff, J. Algebra 214 (1999)):
+# (rule, invariant of a class and its bracket, holds(value at mu, value at lambda)).
+# Only the strict rule presumes mu and lambda lie in distinct orbits.
+OBSTRUCTION_RULES = (
+    ("dim_der_omega_strictly_increases", lambda cid, mu: der_omega_dim(cid), operator.lt),
+    ("dim_der_does_not_decrease", lambda cid, mu: derivations(mu).dim, operator.le),
+    ("unimodularity_preserved", lambda cid, mu: unimodular(mu), lambda s, t: t or not s),
+    ("derived_dim_does_not_increase", lambda cid, mu: derived_dim(mu), operator.ge),
+)
+
+
 @lru_cache(maxsize=None)
-def _class_profile(cid: ClassId):
+def class_invariants(cid: ClassId) -> tuple:
+    """The invariants of OBSTRUCTION_RULES for one catalog class, in table order."""
     mu = make(cid)
-    return der_omega_dim(cid), derivations(mu).dim, unimodular(mu), derived_dim(mu)
+    return tuple(invariant(cid, mu) for _, invariant, _ in OBSTRUCTION_RULES)
 
 
-def obstruction_report(source: ClassId, target: ClassId) -> ObstructionReport:
-    """Evaluate the necessary conditions for source to degenerate to target.
+def obstruction_report(source: ClassId, target: ClassId) -> list:
+    """The rules that source -> target violates, as (name, source value, target value).
 
-    Returned checks with passed=False each certify non-degeneration.
+    Each certifies non-degeneration; the strict rule, the only one that one bracket
+    compared with itself violates, does so only between distinct orbits.
     """
-    ds_w, ds, us, dds = _class_profile(source)
-    dt_w, dt, ut, ddt = _class_profile(target)
-    checks = [
-        ObstructionCheck("dim_der_omega_strictly_increases", ds_w < dt_w, ds_w, dt_w),
-        ObstructionCheck("dim_der_does_not_decrease", ds <= dt, ds, dt),
-        ObstructionCheck("unimodularity_preserved", (not us) or ut, us, ut),
-        ObstructionCheck("derived_dim_does_not_increase", ddt <= dds, dds, ddt),
-    ]
-    return ObstructionReport(source, target, checks)
+    return [(name, s, t) for (name, _, holds), s, t
+            in zip(OBSTRUCTION_RULES, class_invariants(source), class_invariants(target))
+            if not holds(s, t)]
 
 
 def invariants_summary(cid: ClassId) -> dict:
     """All invariants of one class, with the tabulated expectation."""
     mu = make(cid)
-    dw, d, uni, dd = _class_profile(cid)
+    dw, d, uni, dd = class_invariants(cid)
     exp_dw, exp_d = expected_invariants(cid)
     return {
         "class": str(cid),

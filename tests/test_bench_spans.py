@@ -98,3 +98,20 @@ def test_witness_ladder_computes_each_reference_once(monkeypatch):
     degeneration.theorem_b_search(samples=1)
     assert calls == {"ricci_form": 84, "symplectic_inverse": 164,
                      "eigen_certificate": 84, "signature_exact": 4}
+
+
+def test_pair_classification_makes_a_fixed_number_of_obstruction_reports(monkeypatch):
+    # invariants.obstruction_report.calls: all() stops at the first member pair that
+    # the battery does not exclude, so the count pins the member-pair order too;
+    # the per-class invariants are cached, so a warm call makes the same count
+    from spdeg import degeneration, invariants
+
+    calls = Counter()
+    _count_calls(monkeypatch, calls, degeneration, "obstruction_report")
+    report = degeneration.hasse()
+    checks = degeneration.non_degeneration_suite(samples=5)
+    for cache in (invariants.class_invariants, invariants.der_omega_dim, degeneration._bracket):
+        cache.cache_clear()
+    for total in (1625, 2 * 1625):
+        degeneration.classify_pairs(report, checks)
+        assert calls == {"obstruction_report": total}

@@ -218,6 +218,30 @@ def test_sturm_count_sees_two_roots_in_one_scan_cell(monkeypatch):
             assert r.low < t <= r.high and r.high - r.low <= F(1, 2 ** 50)
 
 
+def test_degree_det_degree_polynomial_is_interpolated_whole(monkeypatch):
+    # rho's det Ric has degree 6; a det of degree exactly DET_DEGREE needs every node
+    from spdeg import curvature
+
+    p = _poly_mul([-F(1, 3), 1], [1] + [0] * (curvature.DET_DEGREE - 2) + [1])
+    assert len(p) == curvature.DET_DEGREE + 1
+    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: _poly_at(p, t))
+    scan = find_degenerate_ricci(rho_family, 0, 1)
+    assert scan.det_poly == p
+    assert len(scan.roots) == 1 and scan.roots[0].low < F(1, 3) <= scan.roots[0].high
+
+
+def test_isolating_interval_stops_at_width_two_to_the_minus_fifty(monkeypatch):
+    # bisecting the dyadic (0, 1] gives widths 2**-n, so the isolation stops at
+    # exactly 2**-50, not one halving later
+    from spdeg import curvature
+
+    p = _poly_mul([-F(1, 3), 1], [1, 0, 1])
+    monkeypatch.setattr(curvature, "_det_exact", lambda family, t: _poly_at(p, t))
+    scan = find_degenerate_ricci(rho_family, 0, 1)
+    assert len(scan.roots) == 1
+    assert all(r.high - r.low == F(1, 2 ** 50) for r in scan.roots)
+
+
 def test_find_degenerate_ricci_reports_no_root():
     # no sign change of det Ric on (0, 1): negative definite throughout
     assert find_degenerate_ricci(rho_family, 0, 1).roots == []

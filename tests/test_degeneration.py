@@ -107,6 +107,15 @@ def test_verify_curve_needs_a_strict_decrease():
     assert not r.decreasing and not r.verified
 
 
+def test_verify_curve_final_distance_must_fall_strictly_below_the_tolerance():
+    # the first distance is 1/128 < 1, so the bound is dist_tol itself, and the
+    # last distance is exactly 2**-36: a tie is not small
+    r = verify_curve(parse_curve("appendix:rh3-a4"), dist_tol=2 ** -36)
+    assert r.distances[0] == (7, F(1, 128)) and r.distances[-1] == (36, F(1, 2 ** 36))
+    assert r.status == "verified" and r.decreasing
+    assert not r.final_small and not r.verified
+
+
 def test_verify_curve_flags_non_symplectic():
     mu = catalog.bracket_of("n4")
     bad = [[ExpPoly.const(2 if i == j == 0 else (1 if i == j else 0))
@@ -373,7 +382,7 @@ def test_battery_never_contradicts_reachable_pairs(hasse_report, nondeg_checks):
             continue
         for s in NODE_BY_ID[a].class_ids():
             for t in NODE_BY_ID[b].class_ids():
-                assert not obstruction_report(s, t).excluded(), (a, b)
+                assert obstruction_report(s, t) == [], (a, b)
 
 
 def test_pair_classification_is_exhaustive(hasse_report, nondeg_checks):
@@ -393,18 +402,21 @@ def test_family_pair_is_obstructed_only_when_every_member_is(hasse_report, nonde
     for target in ("rr3_0", "r4_m1_beta:beta=-1", "d4_lambda:lambda=1/2"):
         assert status[("r4_m1_beta", target)] == "open", target
         members = NODE_BY_ID[target].class_ids()
-        assert all(obstruction_report(class_id("r4_m1_beta", F(0)), t).excluded()
+        assert all(obstruction_report(class_id("r4_m1_beta", F(0)), t)
                    for t in members), target
 
 
 def test_a_member_pair_of_one_bracket_is_never_obstructed(hasse_report, nondeg_checks):
     # rr3_m1 is r4_m1_beta:beta=0 verbatim, and the r4_alpha family samples its
     # pinned member alpha = -1/2.  The battery excludes each such member pair
-    # (dim Der_w cannot strictly increase), yet a bracket lies in its own orbit closure
+    # by the strict rule alone (dim Der_w cannot strictly increase), yet a bracket lies
+    # in its own orbit closure
     same = [(class_id("rr3_m1"), class_id("r4_m1_beta", F(0))),
             (class_id("r4_alpha", F(-1, 2)), class_id("r4_alpha", F(-1, 2)))]
     for s, t in same:
-        assert catalog.make(s) == catalog.make(t) and obstruction_report(s, t).excluded()
+        assert catalog.make(s) == catalog.make(t)
+        assert [name for name, _, _ in obstruction_report(s, t)] == [
+            "dim_der_omega_strictly_increases"]
     pairs = classify_pairs(hasse_report, nondeg_checks)
     status = {(a, b): s for a, b, s in pairs}
     for a, b in (("rr3_m1", "r4_m1_beta"), ("r4_alpha", "r4_alpha:alpha=-1/2")):

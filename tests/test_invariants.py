@@ -6,7 +6,7 @@ import pytest
 from spdeg import catalog, linalg
 from spdeg.catalog import class_id
 from spdeg.degeneration import DIAGRAM_CLASSES, hasse
-from spdeg.invariants import (AsymmetryError, SymForm, _class_profile, composition_trace_form,
+from spdeg.invariants import (AsymmetryError, SymForm, class_invariants, composition_trace_form,
                               der_omega_dim, derivations,
                               derived_dim, equivariant_product, invariants_summary,
                               nilpotent, obstruction_report, symplectic_derivations,
@@ -56,7 +56,7 @@ def test_theorem_a_dimensions_build_no_rref(monkeypatch):
         raise AssertionError("the dimension path built an RREF")
 
     der_omega_dim.cache_clear()
-    _class_profile.cache_clear()
+    class_invariants.cache_clear()
     monkeypatch.setattr(linalg, "rref", no_rref)
     reports = [obstruction_report(s, t) for s in DIAGRAM_CLASSES for t in DIAGRAM_CLASSES]
     assert len(reports) == len(DIAGRAM_CLASSES) ** 2
@@ -213,25 +213,27 @@ def test_unimodular_derived_nilpotent_examples():
 
 
 def test_obstruction_examples():
-    r = obstruction_report(class_id("d4_2:w2"), class_id("a4"))
-    assert not r.excluded()
+    assert obstruction_report(class_id("d4_2:w2"), class_id("a4")) == []
     r = obstruction_report(class_id("rh3"), class_id("n4"))
-    names = [c.name for c in r.violations]
+    names = [name for name, _, _ in r]
     assert "dim_der_omega_strictly_increases" in names
     r = obstruction_report(class_id("n4"), class_id("r2r2", F(1)))
-    names = [c.name for c in r.violations]
+    names = [name for name, _, _ in r]
     assert "unimodularity_preserved" in names
 
 
-def test_obstruction_report_serializes():
-    r = obstruction_report(class_id("rh3"), class_id("n4"))
-    d = r.to_json_dict()
-    assert d["source"] == "rh3" and d["target"] == "n4"
-    assert {c["name"] for c in d["checks"]} == {
-        "dim_der_omega_strictly_increases", "dim_der_does_not_decrease",
-        "unimodularity_preserved", "derived_dim_does_not_increase"}
-    assert all(set(c) == {"name", "passed", "source_value", "target_value"}
-               for c in d["checks"])
+@pytest.mark.parametrize("source,target,violated", [
+    # battery-equal: every invariant agrees, so only the strict rule fails
+    ("rr3_m1", "rr3p_0", ("dim_der_omega_strictly_increases", 2, 2)),
+    ("r4_0:plus", "d4_1:w1", ("dim_der_does_not_decrease", 6, 5)),
+    ("rr3_m1", "rr3_0", ("unimodularity_preserved", True, False)),
+    ("r2r2:lambda=0", "r4_m1_beta:beta=-1", ("derived_dim_does_not_increase", 2, 3)),
+])
+def test_each_rule_fails_alone_on_its_control_pair(source, target, violated):
+    # each pair violates exactly one rule, so flipping or loosening any relation of
+    # the table changes one of these lists
+    assert obstruction_report(catalog.parse_class(source),
+                              catalog.parse_class(target)) == [violated]
 
 
 def test_invariants_summary_matches_expected():
