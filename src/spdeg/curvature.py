@@ -1,11 +1,11 @@
 """Metric geometry of a bracket with the canonical inner product.
 
 Levi-Civita product, Ricci form, Einstein checks, and the degenerate-Ricci
-root finder.  The Ricci form of a 4-dimensional bracket runs on ints over
-one denominator, as straight-line polynomials in its 24 structure constants;
-the root finder takes det Ric of a one-parameter family as an exact
-polynomial and counts and isolates its roots with a Sturm chain, with no
-binary64 step.
+root finder.  The Ricci form of a 4-dimensional bracket is Besse's formula 7.38
+as its three sums over the structure constants, on ints over one denominator (a
+rank-one kernel on the orbit of a bracket with one stored pair); the root finder
+takes det Ric of a one-parameter family as an exact polynomial and counts and
+isolates its roots with a Sturm chain, with no binary64 step.
 The Riemann tensor, the Levi-Civita contraction and the reduced nilpotent
 Ricci formula, which the tests compare the Ricci form against, are in
 tests/oracles.py.
@@ -41,9 +41,23 @@ def _check_dim(mu: Bracket):
 
 
 def _ricci_matrix(mu: Bracket):
-    """4*Ric of a 4-dimensional Lie bracket, from its six pair vectors by _besse4."""
+    """4*Ric of a 4-dimensional bracket: Ric = M - B/2 - S(ad_H), <H, x> = tr ad_x (Besse,
+    Einstein Manifolds, 7.38), as its three sums on the table c[i][k][l] = c_ik^l:
+        4*Ric_ij = 2(sum_{k<l} c_kl^i c_kl^j - sum_{k,l} c_ik^l (c_jk^l + c_jl^k)
+                     - sum_m h_m (c_mi^j + c_mj^i)),   h_m = tr ad_{e_m}.
+    Only + - * of the entries: int for int brackets, ExpPoly for ExpPoly ones.  Off the
+    Lie variety it differs from the Levi-Civita contraction by a linear image of the Jacobiator."""
     _check_dim(mu)
-    return _besse4(*[mu.pair(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+    c, r = bracket_to_table(mu), range(4)
+    h = [sum(c[m][k][k] for k in r) for m in r]
+    out = [[0] * 4 for _ in r]
+    for i in r:
+        for j in range(i, 4):
+            x = sum(c[k][l][i] * c[k][l][j] for k in r for l in range(k + 1, 4))
+            x -= sum(c[i][k][l] * (c[j][k][l] + c[j][l][k]) for k in r for l in r)
+            x -= sum(h[m] * (c[m][i][j] + c[m][j][i]) for m in r)
+            out[i][j] = out[j][i] = 2 * x
+    return out
 
 
 def _ginv_row(g, i):
@@ -96,56 +110,6 @@ def _moved_ricci_matrix(g, mu: Bracket):
             [r13, r23, r33, r34], [r14, r24, r34, r44]]
 
 
-def _besse4(a, b, c, d, e, f):
-    """4*Ric, Ric = M - B/2 - S(ad_H) (Besse, Einstein Manifolds, 7.38) with
-    <H, x> = tr ad_x, of the bracket on R^4 whose pair vectors are a = [e1, e2],
-    b = [e1, e3], c = [e1, e4], d = [e2, e3], e = [e2, e4] and f = [e3, e4]
-    (a_k = c_12^k, ...); symmetric, int for int brackets.  Each entry is the expansion of
-    4*Ric_ij = 2(sum_{k<l} c_kl^i c_kl^j - <ad_i, ad_j>_F - tr(ad_i ad_j)
-                 - <[H,e_i],e_j> - <[H,e_j],e_i>)
-    in the 24 structure constants, written out so that no zero is multiplied.
-    Off the Lie variety it differs from the Levi-Civita contraction by a
-    constant linear image of the Jacobiator."""
-    a1, a2, a3, a4 = a
-    b1, b2, b3, b4 = b
-    c1, c2, c3, c4 = c
-    d1, d2, d3, d4 = d
-    e1, e2, e3, e4 = e
-    f1, f2, f3, f4 = f
-    r11 = 2 * (d1 * d1 - a3 * a3 - a4 * a4 - b2 * b2 - b4 * b4 - c2 * c2 - c3 * c3 + e1 * e1
-           + f1 * f1) + 4 * (a1 * d3 - a1 * a1 + a1 * e4 - a2 * a2 - a3 * b2 - a4 * c2 - b1 * b1
-           - b1 * d2 + b1 * f4 - b3 * b3 - b4 * c3 - c1 * c1 - c1 * e2 - c1 * f3 - c4 * c4)
-    r12 = 2 * (a2 * d3 - a1 * b3 - a1 * c4 + a2 * e4 + a3 * b1 - a3 * d2 + a4 * c1 - a4 * e2
-           + b2 * f4 - b4 * d4 - b4 * e3 - c2 * f3 - c3 * d4 - c3 * e3 + d1 * f4 - e1 * f3
-           + f1 * f2) - 4 * (b1 * d1 + b2 * d2 + b3 * d3 + c1 * e1 + c2 * e2 + c4 * e4)
-    r13 = 2 * (a1 * b2 - a2 * b1 + a3 * e4 + a4 * d4 - a4 * f2 - b1 * c4 + b2 * d3 - b3 * d2
-           + b3 * f4 + b4 * c1 - b4 * f3 + c2 * d4 - c2 * f2 - c3 * e2 - d1 * e4 + e1 * e3
-           - e2 * f1) + 4 * (a1 * d1 + a2 * d2 + a3 * d3 - c1 * f1 - c3 * f3 - c4 * f4)
-    r14 = 2 * (a1 * c2 - a2 * c1 + a3 * e3 + a3 * f2 + a4 * d3 + b1 * c3 + b2 * e3 + b2 * f2
-           - b3 * c1 - b4 * d2 + c2 * e4 + c3 * f4 - c4 * e2 - c4 * f3 + d1 * d4 + d2 * f1
-           - d3 * e1) + 4 * (a1 * e1 + a2 * e2 + a4 * e4 + b1 * f1 + b3 * f3 + b4 * f4)
-    r22 = 2 * (b2 * b2 - a3 * a3 - a4 * a4 + c2 * c2 - d1 * d1 - d4 * d4 - e1 * e1 - e3 * e3
-           + f2 * f2) + 4 * (a3 * d1 - a1 * a1 - a2 * a2 - a2 * b3 - a2 * c4 + a4 * e1 - b1 * d2
-           - c1 * e2 - d2 * d2 + d2 * f4 - d3 * d3 - d4 * e3 - e2 * e2 - e2 * f3 - e4 * e4)
-    r23 = 2 * (a1 * d2 - a2 * d1 - a3 * c4 - a4 * b4 + a4 * f1 - b1 * d3 - b2 * c4 + b3 * d1
-           + b4 * e1 - c1 * e3 - c1 * f2 + c2 * c3 - d2 * e4 + d3 * f4 + d4 * e2 - d4 * f3
-           - e1 * f1) - 4 * (a1 * b1 + a2 * b2 + a3 * b3 + e2 * f2 + e3 * f3 + e4 * f4)
-    r24 = 2 * (a1 * e2 - a2 * e1 - a3 * c3 - a3 * f1 - a4 * b3 - b1 * d4 + b1 * f2 + b2 * b4
-           - b3 * c2 - c1 * e4 + c3 * d1 + c4 * e1 + d1 * f1 + d2 * e3 - d3 * e2 + e3 * f4
-           - e4 * f3) + 4 * (d2 * f2 - a1 * c1 - a2 * c2 - a4 * c4 + d3 * f3 + d4 * f4)
-    r33 = 2 * (a3 * a3 - b2 * b2 - b4 * b4 + c3 * c3 - d1 * d1 - d4 * d4 + e3 * e3 - f1 * f1
-           - f2 * f2) + 4 * (a1 * d3 - a2 * b3 - b1 * b1 - b2 * d1 - b3 * b3 - b3 * c4 + b4 * f1
-           - c1 * f3 - d2 * d2 - d3 * d3 - d3 * e4 + d4 * f2 - e2 * f3 - f3 * f3 - f4 * f4)
-    r34 = 2 * (a1 * d4 + a1 * e3 - a2 * b4 - a2 * c3 + a3 * a4 + b1 * f3 - b2 * c2 - b2 * e1
-           - b3 * f1 - c1 * f4 - c2 * d1 + c4 * f1 - d1 * e1 + d2 * f3 - d3 * f2 - e2 * f4
-           + e4 * f2) - 4 * (b1 * c1 + b3 * c3 + b4 * c4 + d2 * e2 + d3 * e3 + d4 * e4)
-    r44 = 2 * (a4 * a4 + b4 * b4 - c2 * c2 - c3 * c3 + d4 * d4 - e1 * e1 - e3 * e3 - f1 * f1
-           - f2 * f2) + 4 * (a1 * e4 - a2 * c4 + b1 * f4 - b3 * c4 - c1 * c1 - c2 * e1 - c3 * f1
-           - c4 * c4 + d2 * f4 - d3 * e4 - e2 * e2 - e3 * f2 - e4 * e4 - f3 * f3 - f4 * f4)
-    return [[r11, r12, r13, r14], [r12, r22, r23, r24],
-            [r13, r23, r33, r34], [r14, r24, r34, r44]]
-
-
 class CurvatureTensors(NamedTuple):
     ricci: SymForm
     scalar_curv: Fraction
@@ -165,15 +129,9 @@ def ricci(mu: Bracket) -> CurvatureTensors:
 
 def einstein_constant(form: SymForm) -> Optional[Fraction]:
     """c with form = c * <,> exactly, or None."""
-    m = form.m
-    n = len(m)
+    m, r = form.m, range(len(form.m))
     c = m[0][0]
-    for i in range(n):
-        for j in range(n):
-            want = c if i == j else Fraction(0)
-            if m[i][j] != want:
-                return None
-    return c
+    return c if all(m[i][j] == (c if i == j else 0) for i in r for j in r) else None
 
 
 def einstein_check(mu: Bracket) -> Optional[Fraction]:

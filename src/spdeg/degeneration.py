@@ -18,8 +18,8 @@ from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
 from .curvature import _moved_ricci_matrix, ricci_form
-from .invariants import (class_invariants, composition_trace_form, der_omega_dim, derived_dim,
-                         equivariant_product, obstruction_report, second_trace)
+from .invariants import (OBSTRUCTION_RULES, class_invariants, composition_trace_form, der_omega_dim,
+                         derived_dim, equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
 from .tensor import Bracket, act, is_symplectic, jacobiator, symplectic_inverse
 
@@ -388,13 +388,14 @@ def _paths(node):
 
 def hasse() -> HasseReport:
     """Verify every diagram edge by its curve and emit the DOT graph."""
+    strict, = [h for name, _, h in OBSTRUCTION_RULES if name == "dim_der_omega_strictly_increases"]
     edges = []
     for source, target, curve_id in HASSE_EDGES:
         reports = [verify_curve(inst) for inst in _edge_instances(source, curve_id)]
         edges.append(HasseEdge(
             source, target, curve_id,
             "verified" if all(r.verified for r in reports) else "open", reports,
-            all(der_omega_dim(s) < der_omega_dim(t)
+            all(strict(der_omega_dim(s), der_omega_dim(t))
                 for s in NODE_BY_ID[source].class_ids()
                 for t in NODE_BY_ID[target].class_ids())))
     closure = {n.id: set(_paths(n.id)) - {n.id} for n in HASSE_NODES}

@@ -154,13 +154,10 @@ def _det4(a):
 
 def det(m):
     """Exact det(m): the int :func:`_det4` of a 4x4 matrix of ints; otherwise the
-    Fraction det(d*m) / d^n on the int matrix d*m, by :func:`_det4` for n = 4 and
-    :func:`_bareiss` else."""
+    Fraction det(d*m) / d^n, by :func:`_bareiss` on the int matrix d*m."""
     if len(m) == 4 and all(type(x) is int for row in m for x in row):
         return _det4(m)
     d, a = clear_denominators(m)
-    if len(a) == 4:
-        return Fraction(_det4(a), d ** 4)
     r, sign, pivot = _bareiss(a)
     return Fraction(sign * pivot, d ** r) if r == len(a) else Fraction(0)
 

@@ -115,3 +115,22 @@ def test_pair_classification_makes_a_fixed_number_of_obstruction_reports(monkeyp
     for total in (1625, 2 * 1625):
         degeneration.classify_pairs(report, checks)
         assert calls == {"obstruction_report": total}
+
+
+def test_remark_check_makes_a_fixed_number_of_kernel_calls(monkeypatch, capsys):
+    # curvature.ricci_form.calls and linalg.det.calls of one --json remark-check:
+    # det Ric at the 25 interpolation nodes and at the one root's t_hat, plus the
+    # signatures at t = 0 and at both ends of the root's isolating interval,
+    # counted in every spdeg namespace that holds either kernel
+    import sys
+
+    from spdeg import cli, curvature, linalg
+
+    calls = Counter()
+    for attr, inner in (("ricci_form", curvature.ricci_form), ("det", linalg.det)):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spdeg" and getattr(module, attr, None) is inner:
+                _count_calls(monkeypatch, calls, module, attr, inner)
+    assert cli.main(["--json", "remark-check"]) == 0
+    capsys.readouterr()
+    assert calls == {"ricci_form": 29, "det": 26}

@@ -69,7 +69,7 @@ def test_ricci_sign_matches_both_fixtures():
 
 
 def test_ricci_form_is_four_dimensional():
-    # the Besse kernel is written out for R^4; any other dimension is refused by name
+    # both Ricci kernels work on R^4 only; any other dimension is refused by name
     tau = tau6()
     with pytest.raises(ValueError, match="dimension 4, not 6"):
         ricci_form(tau)

@@ -369,6 +369,21 @@ def test_hasse_needs_der_omega_to_strictly_increase(monkeypatch):
     assert not report.strict_der_omega and report.all_verified
 
 
+def test_hasse_applies_the_strict_rule_of_the_battery_table(monkeypatch):
+    # hasse reads the relation of dim_der_omega_strictly_increases from
+    # OBSTRUCTION_RULES: made non-strict there, equal dim Der_w passes every edge
+    import operator
+
+    from spdeg import degeneration
+
+    rules = [(name, value, operator.le if name == "dim_der_omega_strictly_increases" else holds)
+             for name, value, holds in degeneration.OBSTRUCTION_RULES]
+    monkeypatch.setattr(degeneration, "OBSTRUCTION_RULES", tuple(rules))
+    monkeypatch.setattr(degeneration, "der_omega_dim", lambda cid: 4)
+    report = hasse()
+    assert all(e.der_omega_increases for e in report.edges) and report.strict_der_omega
+
+
 def test_hasse_closure_contains_composites(hasse_report):
     closure = hasse_report.closure
     assert "a4" in closure["d4_2:w2"]      # via r4_alpha and n4 and rh3

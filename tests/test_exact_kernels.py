@@ -21,6 +21,7 @@ from spdeg.curvature import _moved_ricci_matrix, _ricci_matrix, ricci_form
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
                                 _quadratic_grid, borbit_element, quadratics_agree,
                                 random_symplectic)
+from spdeg.scalars import ExpPoly
 from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
                           symplectic_inverse, transvection)
 
@@ -151,6 +152,22 @@ def test_ricci_formula_is_the_contraction_on_every_lie_bracket():
     assert _ricci_matrix(mu) != [[4 * x for x in row] for row in fraction_ricci_matrix(mu)]
 
 
+@pytest.mark.parametrize("label", ["appendix:r2r2-d411:lambda=7/3",
+                                   "appendix:d4lambda-n4:lambda=7/3", "appendix:h4p-n4",
+                                   "appendix:d4pp-n4:delta=2", "appendix:rh3-a4"])
+def test_ricci_matrix_is_ring_generic(label):
+    # the kernel takes only + - * of its entries: on the ExpPoly moved bracket of a
+    # curve, evaluating 4*Ric at exp(t) := 2**k equals 4*Ric of the evaluated bracket
+    inst = catalog.parse_curve(label)
+    moved = act(inst.g, inst.source_bracket, symplectic_inverse(inst.g))
+    ric = _ricci_matrix(moved)
+    assert any(isinstance(x, ExpPoly) for row in ric for x in row)
+    for k in (4, 8, 12):
+        def at(x):
+            return ExpPoly.coerce(x).eval_base(k)
+        assert [[at(x) for x in row] for row in ric] == _ricci_matrix(moved.map_scalars(at))
+
+
 def test_integer_ricci_makes_no_fraction_operation(monkeypatch):
     # ints in, ints out; and one exceptional sample of theorem-b, counted as
     # bench/launch.py --mode count counts Fraction arithmetic, makes none
@@ -204,8 +221,9 @@ def _single_pair_samples():
 
 
 def test_rank_one_ricci_matches_the_besse4_path_and_the_contraction():
-    # at most one stored pair: the rank-one kernel against act then _besse4 on
-    # the six pair vectors, and against the Fraction contraction; every such
+    # at most one stored pair: the rank-one kernel against act then the three
+    # sums of Besse 7.38 in _ricci_matrix (the test id keeps the name of the
+    # kernel it replaced), and against the Fraction contraction; every such
     # bracket is Lie, as e^i ^ e^j ^ i_x(e^i ^ e^j) = 0
     samples = _single_pair_samples()
     assert sum(not mu.rules for _, mu in samples) == 20  # a4
