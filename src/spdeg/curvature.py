@@ -168,7 +168,9 @@ class RootScan(NamedTuple):
 
 
 def _det_exact(family: Callable, t: Fraction) -> Fraction:
-    return linalg.det(ricci_form(family(t)).m)
+    """det Ric(family(t)) = det(4*Ric(m*mu)) / (4m^2)^4, the int det of the int kernel."""
+    m, scaled = family(t).integer_multiple()
+    return Fraction(linalg.det(_ricci_matrix(scaled)), (4 * m * m) ** 4)
 
 
 def _interpolate(values):

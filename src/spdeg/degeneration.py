@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
-from .curvature import _moved_ricci_matrix, ricci_form
+from .curvature import _moved_ricci_matrix, _ricci_matrix, ricci_form
 from .invariants import (OBSTRUCTION_RULES, class_invariants, composition_trace_form, der_omega_dim,
                          derived_dim, equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
@@ -61,17 +61,17 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
     if not is_symplectic(g):
         return CurveReport(inst.label, False, "not symplectic", None)
     moved = act(g, inst.source_bracket, symplectic_inverse(g))
-    divergent = moved.divergent_entries()
-    if divergent:
-        return CurveReport(inst.label, True, "no limit", moved, tuple(divergent))
-    wrong = moved.limit().differing_entries(inst.target_bracket)
+    limit = moved.limit()
+    if limit is None:
+        return CurveReport(inst.label, True, "no limit", moved, tuple(moved.divergent_entries()))
+    wrong = limit.differing_entries(inst.target_bracket)
     if wrong:
         return CurveReport(inst.label, True, "wrong target", moved, tuple(wrong))
     # moved tends to the target entrywise, so the distance at exp(t) := 2**k is the
     # max-norm of the entries' gaps to their limits; it is rational because each k
     # is a multiple of every exponent denominator
-    entries = [ExpPoly.coerce(c) for vec in moved.rules.values() for c in vec.values()]
-    gaps = [e - e.limit() for e in entries]
+    gaps = [ExpPoly.coerce(c) - limit.entry(i, j, k)
+            for (i, j), vec in moved.rules.items() for k, c in vec.items()]
     n = math.lcm(*(r.denominator for gap in gaps for r in gap.terms))
     # the multiple of n nearest each step, at least j*n so that the ks strictly increase
     ks = [n * max(j, (2 * big_k + n) // (2 * n)) for j, big_k in enumerate(K_STEPS, 1)]
@@ -142,6 +142,11 @@ class TrapPattern:
                 raise TrapError(f"shared coordinate b{n} differs across {list(group)}")
             out.append(values.pop())
         return tuple(out)
+
+    def axes(self, coords) -> set:
+        """The k of each slot (i, j, k) of the coordinates b_(n+1), n in coords (0-based):
+        with every other coordinate zero, each bracket value lies in the span of these e_k."""
+        return {k for n in coords for _, _, k in self.groups[n]}
 
     def embed(self, b) -> Bracket:
         """The bracket with coordinates b."""
@@ -558,8 +563,7 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     def dependence_det(c):
         b1, b2, b5 = c
         xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
-        return linalg.det([[xi.entry(1, 2, 3), xi.entry(1, 2, 4)],
-                           [xi.entry(2, 3, 3), xi.entry(2, 3, 4)]])
+        return xi.entry(1, 2, 3) * xi.entry(2, 3, 4) - xi.entry(1, 2, 4) * xi.entry(2, 3, 3)
 
     def reduced_residual(c):
         b1, b2, b5 = c
@@ -588,10 +592,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     locus6 = _unimodular_locus(4, R2P_TRAP.embed)
     forced6 = _forced_zero(locus6, 4)
     forced6_ok = forced6 == {1, 3}  # the shared-scale and trailing coordinates
-    # with those zero, every bracket value lies on the e4 axis
-    dd_ok = all(derived_dim(R2P_TRAP.embed([Fraction(b1), Fraction(0), Fraction(b3),
-                                            Fraction(0)])) <= 1
-                for b1 in (-2, 0, 1, 3) for b3 in (-1, 0, 2, 5))
+    # with those zero, every bracket value lies on one axis, so derived dim <= 1 for all b
+    dd_ok = len(R2P_TRAP.axes(set(range(4)) - forced6)) <= 1
     ok3 = contained == samples and forced6_ok and dd_ok and derived_dim(mu7) == 2
     checks.append(SuiteCheck("trap_containment_r2p_to_n4", ok3,
                              {"containment_samples": contained,
@@ -705,12 +707,13 @@ def witness_for_class(cid: ClassId):
     # checking the symbolic limit against the reference bracket
     mu = make(cid)
     moved_sym = act(sym, mu, symplectic_inverse(sym))
-    divergent = moved_sym.divergent_entries()
-    if divergent:
-        return WitnessRecord(str(cid), "failed", reason=f"symbolic chain diverges at {divergent}")
-    if moved_sym.limit() != reference:
+    limit = moved_sym.limit()
+    if limit is None:
+        return WitnessRecord(str(cid), "failed", reason="symbolic chain diverges at "
+                             f"{moved_sym.divergent_entries()}")
+    if limit != reference:
         return WitnessRecord(str(cid), "failed", reason="symbolic chain misses its reference")
-    # in ints, as the exceptional samples below: Ric(m*d^3*(s.mu)) is a positive
+    # in ints, as the exceptional samples below: 4*Ric(m*d^3*(s.mu)) is a positive
     # multiple of Ric(s.mu), with the same signature and normalised certificate
     _, imu = mu.integer_multiple()
     for k in K_GRID:
@@ -718,8 +721,8 @@ def witness_for_class(cid: ClassId):
         if not is_symplectic(s):
             return WitnessRecord(str(cid), "failed", reason=f"not symplectic at exp(t) = 2**{k}")
         _, big_s = linalg.clear_denominators(s)
-        ric = ricci_form(act(big_s, imu, symplectic_inverse(big_s))).m
-        poly, sig, beta = linalg.eigen_certificate(ric)
+        poly, sig, beta = linalg.eigen_certificate(
+            _ricci_matrix(act(big_s, imu, symplectic_inverse(big_s))))
         if sig == TARGET_SIGNATURE:
             prov = chain + (_REFERENCES[ref_node][0], f"exp(t) := 2**{k}")
             return WitnessRecord(str(cid), "witness", TARGET_SIGNATURE, k, prov,

@@ -113,21 +113,18 @@ def clear_denominators(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def _bareiss(a):
-    """Fraction-free (Bareiss, Math. Comp. 22 (1968)) elimination of the int matrix a, in place.
-
-    Returns (rank, sign of the row swaps, last pivot).  Every division is exact, and a
-    column with no pivot is skipped; when a is square of full rank, det(a) = sign * pivot.
-    """
+def rank_bareiss(m) -> int:
+    """Rank of a rational (Fraction or int) matrix: fraction-free (Bareiss, Math. Comp. 22
+    (1968)) elimination of the int clear_denominators(m), every division exact and a
+    column with no pivot skipped."""
+    a = clear_denominators(m)[1]
     rows, cols = len(a), len(a[0]) if a else 0
-    r, sign, prev = 0, 1, 1
+    r, prev = 0, 1
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
+        a[r], a[pivot] = a[pivot], a[r]
         top, p = a[r], a[r][c]
         for row in a[r + 1:]:
             f = row[c]
@@ -135,31 +132,17 @@ def _bareiss(a):
                 row[j] = (p * row[j] - f * top[j]) // prev
         prev = p
         r += 1
-    return r, sign, prev
-
-
-def rank_bareiss(m) -> int:
-    """Rank of a rational (Fraction or int) matrix, by :func:`_bareiss` on clear_denominators(m)."""
-    return _bareiss(clear_denominators(m)[1])[0]
-
-
-def _det4(a):
-    """det of a 4x4 matrix: the Laplace expansion of rows 1-2 against rows 3-4 in
-    complementary 2x2 minors."""
-    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = a
-    return ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2) - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
-            + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1) + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
-            - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0) + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
+    return r
 
 
 def det(m):
-    """Exact det(m): the int :func:`_det4` of a 4x4 matrix of ints; otherwise the
-    Fraction det(d*m) / d^n, by :func:`_bareiss` on the int matrix d*m."""
-    if len(m) == 4 and all(type(x) is int for row in m for x in row):
-        return _det4(m)
-    d, a = clear_denominators(m)
-    r, sign, pivot = _bareiss(a)
-    return Fraction(sign * pivot, d ** r) if r == len(a) else Fraction(0)
+    """det of a 4x4 matrix over any commutative ring: the Laplace expansion of rows 1-2
+    against rows 3-4 in complementary 2x2 minors.  Int entries give an int, Fraction
+    entries a Fraction; ValueError, from the unpacking, on any other shape."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = m
+    return ((p0 * q1 - p1 * q0) * (r2 * s3 - r3 * s2) - (p0 * q2 - p2 * q0) * (r1 * s3 - r3 * s1)
+            + (p0 * q3 - p3 * q0) * (r1 * s2 - r2 * s1) + (p1 * q2 - p2 * q1) * (r0 * s3 - r3 * s0)
+            - (p1 * q3 - p3 * q1) * (r0 * s2 - r2 * s0) + (p2 * q3 - p3 * q2) * (r0 * s1 - r1 * s0))
 
 
 # -- signatures of symmetric forms -------------------------------------------

@@ -8,19 +8,24 @@ at t = k*log(2).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+
+
 def parse_rational(s: str) -> Fraction:
-    """Parse 'p' or 'p/q' with optional sign; ValueError on malformed text."""
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        if int(q) == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    """Parse 'p' or 'p/q', p with an optional sign, in ASCII digits between optional
+    outer whitespace; ValueError naming s on any other text or a zero q."""
+    m = _RATIONAL.fullmatch(s)
+    if not m:
+        raise ValueError(f"not a rational number: {s!r}")
+    p, q = int(m[1]), int(m[2] or 1)
+    if not q:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(p, q)
 
 
 def format_rational(q: Fraction) -> str:

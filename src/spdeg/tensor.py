@@ -13,11 +13,12 @@ import json
 import math
 import re
 from fractions import Fraction
+from typing import Optional
 
 from . import linalg
 from .scalars import ExpPoly, format_rational, parse_rational
 
-_INDEX = re.compile(r"\s*[+-]?\d+\s*")  # a basis index key, as int() reads it
+_INDEX = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)  # a basis index key: ASCII only
 # Largest "dim" a bracket file may declare.  Validation runs over all index
 # triples: an empty bracket takes 0.3 s at dim 16 and 6.4 s at dim 32.
 MAX_FILE_DIM = 16
@@ -151,17 +152,12 @@ class Bracket:
         return sorted((i, j, k) for (i, j), vec in self.rules.items()
                       for k, c in vec.items() if ExpPoly.coerce(c).limit() is None)
 
-    def limit(self) -> "Bracket":
-        """Exact t -> +inf limit of an ExpPoly-valued bracket.
-
-        Raises ValueError naming the divergent entries when some exponent
-        is positive.
-        """
+    def limit(self) -> Optional["Bracket"]:
+        """Exact t -> +inf limit of an ExpPoly-valued bracket; None when an entry diverges."""
         rules = {p: {k: ExpPoly.coerce(c).limit() for k, c in vec.items()}
                  for p, vec in self.rules.items()}
-        bad = sorted((*p, k) for p, vec in rules.items() for k, c in vec.items() if c is None)
-        if bad:
-            raise ValueError(f"no limit: divergent entries at {bad}")
+        if any(c is None for vec in rules.values() for c in vec.values()):
+            return None
         return Bracket(self.dim, rules)
 
     # -- serialization --------------------------------------------------------

@@ -9,6 +9,7 @@ import importlib
 from collections import Counter
 
 from helpers import bench_launch
+from test_src_surface import _fresh_stdout
 
 
 def test_every_benchmark_span_resolves():
@@ -21,6 +22,15 @@ def test_every_benchmark_span_resolves():
         if not callable(obj):
             missing.append((name, modname, attr))
     assert launch.SPANS and not missing
+
+
+def test_importing_the_cli_loads_every_span_module():
+    # launch.py reads sys.modules[modname] for each span right after importing
+    # spdeg.cli, so a span module that the CLI imports lazily would be a KeyError
+    # there; the test above imports each module itself and cannot see that
+    modules = sorted({modname for _, modname, _ in bench_launch().SPANS})
+    code = f"import sys, spdeg.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    assert len(modules) > 1 and _fresh_stdout(code) == "[]\n"
 
 
 def _count_calls(monkeypatch, calls, module, name, inner=None):
@@ -79,10 +89,10 @@ def test_exceptional_samples_take_no_symplectic_inverse(monkeypatch):
 
 def test_witness_ladder_computes_each_reference_once(monkeypatch):
     # 40 witnesses over 4 reference nodes: the reference brackets and their
-    # signatures are cached, so one cold theorem-b makes 40 + 4 ricci_form
-    # calls and 2 * 40 + 4 symplectic_inverse calls (the traced counts).  Each
-    # witness reads its signature off eigen_certificate; only the 4 references
-    # take signature_exact, which counts by eigen_certificate too: 40 + 4 calls
+    # signatures are cached, so one cold theorem-b makes 4 ricci_form calls, one
+    # per reference, and 2 * 40 + 4 symplectic_inverse calls (the traced counts).
+    # Each witness hands its int Ricci kernel to eigen_certificate; only the 4
+    # references take signature_exact, which counts by eigen_certificate too: 40 + 4
     from spdeg import degeneration, linalg
 
     calls = Counter()
@@ -93,10 +103,10 @@ def test_witness_ladder_computes_each_reference_once(monkeypatch):
     degeneration._reference.cache_clear()
     records = degeneration.theorem_b_search(samples=1)
     assert sum(r.status == "witness" for r in records) == 40
-    assert calls == {"ricci_form": 44, "symplectic_inverse": 84,
+    assert calls == {"ricci_form": 4, "symplectic_inverse": 84,
                      "eigen_certificate": 44, "signature_exact": 4}
     degeneration.theorem_b_search(samples=1)
-    assert calls == {"ricci_form": 84, "symplectic_inverse": 164,
+    assert calls == {"ricci_form": 4, "symplectic_inverse": 164,
                      "eigen_certificate": 84, "signature_exact": 4}
 
 
@@ -119,9 +129,10 @@ def test_pair_classification_makes_a_fixed_number_of_obstruction_reports(monkeyp
 
 def test_remark_check_makes_a_fixed_number_of_kernel_calls(monkeypatch, capsys):
     # curvature.ricci_form.calls and linalg.det.calls of one --json remark-check:
-    # det Ric at the 25 interpolation nodes and at the one root's t_hat, plus the
-    # signatures at t = 0 and at both ends of the root's isolating interval,
-    # counted in every spdeg namespace that holds either kernel
+    # det of the int Ricci kernel at the 25 interpolation nodes and at the one
+    # root's t_hat; Ricci forms only for the signatures at t = 0 and at both ends
+    # of the root's isolating interval; counted in every spdeg namespace that
+    # holds either kernel
     import sys
 
     from spdeg import cli, curvature, linalg
@@ -133,4 +144,4 @@ def test_remark_check_makes_a_fixed_number_of_kernel_calls(monkeypatch, capsys):
                 _count_calls(monkeypatch, calls, module, attr, inner)
     assert cli.main(["--json", "remark-check"]) == 0
     capsys.readouterr()
-    assert calls == {"ricci_form": 29, "det": 26}
+    assert calls == {"ricci_form": 3, "det": 26}

@@ -69,10 +69,15 @@ def test_validate_broken_bracket_fails(tmp_path, capsys):
     ({"dim": 4, "bracket": {"1,2": {"4": "1"}, " 1,2": {"4": "1"}}}, 'bracket key " 1,2"'),
     ({"dim": 4, "bracket": {"1,2": {"4": "1", "04": "5"}}},
      'component key "04" of bracket entry "1,2" repeats index 4'),
+    ({"dim": 4, "bracket": {"\uff11,\uff12": {"4": "1"}}}, 'key "\uff11,\uff12" must have the form'),
+    ({"dim": 4, "bracket": {"1,2": {"\uff14": "1"}}}, 'component key "\uff14"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1_0"}}}, "not a rational number: '1_0'"),
+    ({"dim": 4, "bracket": {"1,2": {"4": "\uff11"}}}, "not a rational number: '\uff11'"),
 ], ids=["top-level-list", "bracket-list", "vector-number", "coefficient-number",
         "omega-not-canonical", "dim-list", "key-one-index", "key-not-integer",
         "component-key-not-integer", "dim-18", "dim-huge", "pair-key-repeated",
-        "pair-key-repeated-with-space", "component-key-repeated"])
+        "pair-key-repeated-with-space", "component-key-repeated", "key-full-width",
+        "component-key-full-width", "coefficient-underscore", "coefficient-full-width"])
 def test_malformed_bracket_file_is_usage_error(tmp_path, capsys, content, named):
     path = tmp_path / "bracket.json"
     path.write_text(json.dumps(content), encoding="utf-8")
@@ -111,6 +116,15 @@ def test_unknown_key_message_is_printed_unquoted(capsys, argv, line):
 def test_bad_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "catalog", "--class", "d4_lambda:lambda=1")
     assert code == 2 and "lambda" in err
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff11", "1/_2", "+-1", "1/+2", "1.0"])
+def test_id_value_outside_the_ascii_grammar_is_usage_error(capsys, value):
+    # int() would read "1_0" as 10 and a full-width digit as its ASCII twin
+    code, out, err = run(capsys, "catalog", "--class", f"r2r2:lambda={value}")
+    assert (code, out) == (2, "") and f"not a rational number: {value!r}" in err
+    code, out, err = run(capsys, "degenerate", "--curve", f"appendix:d4lambda-n4:lambda={value}")
+    assert (code, out) == (2, "") and f"not a rational number: {value!r}" in err
 
 
 def test_zero_denominator_is_usage_error(tmp_path, capsys):

@@ -5,14 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from spdeg import catalog, linalg
+from spdeg import catalog, degeneration, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES,
                                 NODE_BY_ID, R2P_TRAP, R2R2_TRAP, SuiteCheck, _REFERENCES,
                                 _borbit_samples, _edge_instances, _witness_route, TrapError,
+                                TrapPattern,
                                 borbit_element, classify_pairs, hasse, quadratics_agree,
                                 r2r2_trap_residual, verify_curve, witness_for_class)
-from spdeg.invariants import obstruction_report
+from spdeg.invariants import derived_dim, obstruction_report
 from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, act, is_closed, is_lie, is_symplectic, symplectic_inverse
 
@@ -93,6 +94,31 @@ def test_verify_curve_divergence_and_wrong_target_reports():
     r = verify_curve(wrong)
     assert r.status == "wrong target"
     assert set(r.bad_entries) == {(1, 2, 4), (1, 4, 3)}
+
+
+def test_divergent_limit_is_none_and_the_report_names_its_entries():
+    # Bracket.limit returns None on a divergent entry; verify_curve then names the
+    # divergent entries, and only those, for the report
+    ident = [[ExpPoly.const(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    mu = Bracket(4, {(1, 2): {3: ExpPoly.exp(1), 4: ExpPoly.exp(-1)},
+                     (1, 3): {3: ExpPoly({2: 1, -2: 1})}, (2, 4): {4: ExpPoly.const(3)}})
+    assert mu.limit() is None
+    r = verify_curve(CurveInstance("divergent", None, class_id("n4"), class_id("n4"),
+                                   ident, mu, Bracket(4)))
+    assert r.status == "no limit" and not r.verified
+    assert r.bad_entries == ((1, 2, 3), (1, 3, 3))
+
+
+def test_verify_curve_takes_each_entry_limit_once(monkeypatch):
+    # one limit pass serves the target check and the distance grid
+    seen = []
+    real = ExpPoly.limit
+    monkeypatch.setattr(ExpPoly, "limit", lambda self: seen.append(self) or real(self))
+    for label in ("ex2:xi_u", "appendix:d422-r4a", "appendix:rh3-a4"):
+        seen.clear()
+        r = verify_curve(parse_curve(label))
+        assert r.verified, label
+        assert seen == [c for vec in r.moved.rules.values() for c in vec.values()], label
 
 
 def test_verify_curve_needs_a_strict_decrease():
@@ -281,6 +307,23 @@ def test_trap_shared_coordinate_enforced():
     assert R2P_TRAP.coords(xi) == b
     with pytest.raises(TrapError):
         R2P_TRAP.coords(Bracket(4, {(1, 3): {3: F(1)}, (1, 4): {4: F(2)}}))
+
+
+def test_derived_dim_bound_is_read_off_the_free_slots():
+    # b2 = b4 = 0 on the r2p unimodular locus leaves b1 and b3, whose slots (1,2,4) and
+    # (2,3,4) both write into e4: derived dim <= 1 for every (b1, b3), not only at samples
+    rng = random.Random(37)
+    assert R2P_TRAP.axes({0, 2}) == {4} and R2P_TRAP.axes({1}) == {3, 4}
+    for _ in range(20):
+        b1, b3 = random_rational(rng), random_rational(rng)
+        assert derived_dim(R2P_TRAP.embed([b1, F(0), b3, F(0)])) <= 1
+    check = {c.name: c for c in degeneration.non_degeneration_suite(samples=2)}[
+        "trap_containment_r2p_to_n4"]
+    assert check.passed and check.details["derived_dim_bound_holds"] is True
+    # control: free slots into e3 and e4 fail the check, and the bound does fail there
+    control = TrapPattern("control", (((1, 2, 3),), ((1, 3, 4),)))
+    assert control.axes({0, 1}) == {3, 4}
+    assert derived_dim(control.embed([F(1), F(1)])) == 2
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -534,7 +577,7 @@ def test_witness_certificates_hold(monkeypatch):
         assert rec.status == "witness", str(cid)
         ric = seen.pop()
         scale = max(abs(x) for row in ric for x in row)
-        a = [[x / scale for x in row] for row in ric]
+        a = [[F(x, scale) for x in row] for row in ric]
         # Cayley-Hamilton: p_A(A) = 0 exactly, by Horner's scheme
         p = rec.char_poly
         assert p[0] == 1 and p[1] == -sum(a[i][i] for i in range(4)) and p[4] == linalg.det(a)

@@ -9,7 +9,7 @@ from spdeg.scalars import ExpPoly, format_rational, parse_rational
 def test_rational_parse_format_roundtrip():
     for s in ["0", "3", "-7", "1/2", "-22/7", "41/152"]:
         assert format_rational(parse_rational(s)) == s
-    assert parse_rational(" 3/6 ") == F(1, 2)
+    assert parse_rational(" 3/6 ") == F(1, 2) and parse_rational("+7/3") == F(7, 3)
 
 
 def test_exppoly_normalization_drops_zeros():
