@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import linalg
-from .scalars import ExpPoly, format_rational, parse_rational
+from .scalars import ExpPoly, clip, format_rational, parse_int, parse_rational
 from .tensor import Bracket, act, symplectic_inverse
 
 F = Fraction
@@ -163,10 +163,10 @@ MU_INDEX = {spec.mu: spec.key for spec in CLASS_DEFS}
 
 def _resolve_key(key: str) -> str:
     """A registry key, with 'mu0' .. 'mu24' accepted as aliases."""
-    if key.startswith("mu") and key[2:].isdigit():
-        key = MU_INDEX.get(int(key[2:]), key)
+    if key.startswith("mu") and key[2:].isdecimal():
+        key = MU_INDEX.get(parse_int(key[2:], f"class key {clip(key)!r}"), key)
     if key not in CLASSES:
-        raise KeyError(f"unknown class key: {key!r}")
+        raise KeyError(f"unknown class key: {clip(key)!r}")
     return key
 
 
@@ -200,7 +200,10 @@ def _split_id(text: str):
         if param is not None:
             raise ValueError(f"multiple parameter segments in {text!r}")
         name, val = seg.split("=", 1)
-        param = (name, parse_rational(val))
+        try:
+            param = (name, parse_rational(val))
+        except ValueError as e:
+            raise ValueError(f"segment {clip(seg)!r}: {e}") from None
     return ":".join(rest), param
 
 

@@ -8,6 +8,7 @@ machine checks, and the curvature-signature witness search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -466,19 +467,15 @@ class SuiteCheck(NamedTuple):
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-def _unimodular_locus(pattern_dim, embed):
-    """Exact basis of the linear unimodularity conditions on a trap subspace."""
-    rows = [second_trace(embed(unit)) for unit in linalg.identity(pattern_dim)]
-    return linalg.nullspace(linalg.transpose(rows))
+def _trace_rows(pattern: TrapPattern):
+    """Row i is tr ad_(e_i+1) in the pattern's coordinates; their kernel is the unimodular locus."""
+    return linalg.transpose([second_trace(pattern.embed(unit))
+                             for unit in linalg.identity(len(pattern.groups))])
 
 
-def _forced_zero(basis, pattern_dim):
-    forced = set(range(pattern_dim))
-    for v in basis:
-        for i, x in enumerate(v):
-            if x != 0:
-                forced.discard(i)
-    return forced
+def _vanishes_on_kernel(rows, form) -> bool:
+    """The form vanishes on the kernel of rows: it lies in their row space, so leaves their rank."""
+    return linalg.rank_bareiss(rows + [form]) == linalg.rank_bareiss(rows)
 
 
 def _quadratic_grid(nvars):
@@ -528,36 +525,27 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
 
     # (2) algebraic-set residual: r2r2 does not reach n4
     mu7 = make(class_id("n4"))
-    residual_ok = True
-    count = 0
-    for lam in (Fraction(0), Fraction(1), Fraction(7, 3)):
-        for sample in _borbit_samples(rng, make(class_id("r2r2", lam)), samples):
-            if r2r2_trap_residual(sample, lam) != 0:
-                residual_ok = False
-                break
-            count += 1
-        if not residual_ok:
-            break
+    lams = (Fraction(0), Fraction(1), Fraction(7, 3))
+    residuals = (r2r2_trap_residual(sample, lam) for lam in lams
+                 for sample in _borbit_samples(rng, make(class_id("r2r2", lam)), samples))
+    count = sum(1 for _ in itertools.takewhile(lambda r: r == 0, residuals))  # to the first miss
+    residual_ok = count == len(lams) * samples
     # the unimodular reduction.  Traces alone force b3 = 0 and b4 = -b6 on the
-    # trap subspace; the Jacobi identity then kills b6 (and hence b4): the
+    # trap subspace (the trace rows have rank 2 and span e3* and e4* + e6*, so both
+    # 4-dimensional spaces agree); the Jacobi identity then kills b6 (and hence b4): the
     # (e1,e2,e3) -> e4 jacobiator component (full signed-permutation sum) is
     # identically -4 b6^2 on the trace locus.  Certified as exact quadratic
     # identities on the polarization grid, never by floating point.
-    locus = _unimodular_locus(6, R2R2_TRAP.embed)
-    locus_ok = (len(locus) == 4
-                and all(v[2] == 0 and v[3] == -v[5] for v in locus))
-
-    def _locus_point(c):
-        return [sum(c[i] * locus[i][j] for i in range(4)) for j in range(6)]
+    trace6 = _trace_rows(R2R2_TRAP)
+    locus_ok = (6 - linalg.rank_bareiss(trace6) == 4
+                and _vanishes_on_kernel(trace6, [0, 0, 1, 0, 0, 0])
+                and _vanishes_on_kernel(trace6, [0, 0, 0, 1, 0, 1]))
 
     def jac_component(c):
-        return jacobiator(R2R2_TRAP.embed(_locus_point(c)))[(1, 2, 3)][3]
+        b1, b2, b5, b6 = c
+        return jacobiator(R2R2_TRAP.embed([b1, b2, 0, -b6, b5, b6]))[(1, 2, 3)][3]
 
-    def neg_four_b6_sq(c):
-        b6 = _locus_point(c)[5]
-        return -4 * b6 * b6
-
-    jacobi_kills_b6 = locus_ok and quadratics_agree(jac_component, neg_four_b6_sq, 4)
+    jacobi_kills_b6 = locus_ok and quadratics_agree(jac_component, lambda c: -4 * c[3] ** 2, 4)
     # with b3 = b4 = b6 = 0 the only bracket values are [e1,e2] and [e2,e3],
     # whose dependence determinant equals the residual itself
     def dependence_det(c):
@@ -589,8 +577,8 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
         except TrapError:
             break
         contained += 1
-    locus6 = _unimodular_locus(4, R2P_TRAP.embed)
-    forced6 = _forced_zero(locus6, 4)
+    trace4 = _trace_rows(R2P_TRAP)
+    forced6 = {i for i, e in enumerate(linalg.identity(4)) if _vanishes_on_kernel(trace4, e)}
     forced6_ok = forced6 == {1, 3}  # the shared-scale and trailing coordinates
     # with those zero, every bracket value lies on one axis, so derived dim <= 1 for all b
     dd_ok = len(R2P_TRAP.axes(set(range(4)) - forced6)) <= 1

@@ -2,9 +2,9 @@
 trace forms, exact signatures, unimodularity, derived series.
 
 All kernels are computed exactly: a kernel dimension is columns minus the
-fraction-free (Bareiss) rank.  The Killing forms, the derivation identity, the
-derivation bases and the RREF kernel rank that the tests compare against are in
-tests/oracles.py.
+fraction-free (Bareiss) rank.  The Killing forms, the derivation identity, kernel
+bases (nullspace), derivation bases, the RREF kernel rank and the RREF lower
+central series that the tests compare against are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -192,14 +192,6 @@ def unimodular(mu: Bracket) -> bool:
     return all(x == 0 for x in second_trace(mu))
 
 
-def _span_rows(vectors):
-    rows = [v for v in vectors if any(x != 0 for x in v)]
-    if not rows:
-        return []
-    r, pivots = linalg.rref(rows)
-    return r[:len(pivots)]
-
-
 def derived_dim(mu: Bracket) -> int:
     """Dimension of the span of all bracket values."""
     return linalg.rank_bareiss([mu.pair(i, j) for i in range(1, mu.dim + 1)
@@ -207,18 +199,16 @@ def derived_dim(mu: Bracket) -> int:
 
 
 def nilpotent(mu: Bracket) -> bool:
-    """Lower central series reaches zero."""
-    n = mu.dim
-    basis = linalg.identity(n)
-    current = basis
-    for _ in range(n + 1):
-        nxt = _span_rows([mu.apply(b, c) for b in basis for c in current])
-        if not nxt:
-            return True
-        if len(nxt) == len(current) and linalg.rank_bareiss(current + nxt) == len(current):
+    """The lower central series of the int multiple m*mu, each term its at most dim Bareiss
+    echelon rows, reaches zero.  A term lies in the one before, so one no smaller ends it."""
+    mu = mu.integer_multiple()[1]
+    current = basis = [[int(i == j) for j in range(mu.dim)] for i in range(mu.dim)]
+    while current:
+        nxt = linalg.echelon_bareiss([mu.apply(b, c) for b in basis for c in current])
+        if len(nxt) == len(current):
             return False
         current = nxt
-    return False
+    return True
 
 
 # -- the obstruction battery -------------------------------------------------------

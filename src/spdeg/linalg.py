@@ -2,9 +2,10 @@
 
 Matrices are plain nested lists.  Generic helpers (mat_mul, transpose, ...)
 work over any commutative ring of entries (Fraction, int, float, ExpPoly);
-the elimination routines require rational (Fraction or int) entries.
-Nothing here is specific to floats, and nothing inverts a matrix: every group element
-is symplectic, inverted by tensor.symplectic_inverse; tests/oracles.py has Gauss-Jordan.
+the elimination routines require rational (Fraction or int) entries.  Every rank
+is a fraction-free Bareiss rank: rref runs in no verb, and stays as a benchmark
+span only.  Nothing inverts a matrix: every group element is symplectic, inverted
+by tensor.symplectic_inverse; tests/oracles.py has Gauss-Jordan and kernel bases.
 """
 
 from __future__ import annotations
@@ -89,22 +90,6 @@ def rref(m):
     return a, pivots
 
 
-def nullspace(m):
-    """Basis of the exact kernel, one vector per free column of the RREF."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
-
-
 def clear_denominators(m):
     """(d, d*m) for d the lcm of the entry denominators: d*m has int entries."""
     d = math.lcm(*[x.denominator for row in m for x in row])
@@ -113,10 +98,10 @@ def clear_denominators(m):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
 
 
-def rank_bareiss(m) -> int:
-    """Rank of a rational (Fraction or int) matrix: fraction-free (Bareiss, Math. Comp. 22
-    (1968)) elimination of the int clear_denominators(m), every division exact and a
-    column with no pivot skipped."""
+def echelon_bareiss(m):
+    """Int rows in echelon form spanning the row space of a rational matrix, as many as its
+    rank: fraction-free (Bareiss, Math. Comp. 22 (1968)) elimination of the int
+    clear_denominators(m), every division exact and a column with no pivot skipped."""
     a = clear_denominators(m)[1]
     rows, cols = len(a), len(a[0]) if a else 0
     r, prev = 0, 1
@@ -127,12 +112,17 @@ def rank_bareiss(m) -> int:
         a[r], a[pivot] = a[pivot], a[r]
         top, p = a[r], a[r][c]
         for row in a[r + 1:]:
-            f = row[c]
+            f, row[c] = row[c], 0
             for j in range(c + 1, cols):
                 row[j] = (p * row[j] - f * top[j]) // prev
         prev = p
         r += 1
-    return r
+    return a[:r]
+
+
+def rank_bareiss(m) -> int:
+    """Rank of a rational (Fraction or int) matrix: the rows of :func:`echelon_bareiss`."""
+    return len(echelon_bareiss(m))
 
 
 def det(m):

@@ -9,6 +9,7 @@ at t = k*log(2).
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -16,15 +17,29 @@ from typing import Optional
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
 
+def clip(text: str, width: int = 24) -> str:
+    """text, or its first width characters and its length when it is longer."""
+    return text if len(text) <= width else f"{text[:width]}... ({len(text)} characters)"
+
+
+def parse_int(text: str, where: str) -> int:
+    """int(text) of digit text; ValueError naming where past the digit limit of int()."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where} has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_rational(s: str) -> Fraction:
     """Parse 'p' or 'p/q', p with an optional sign, in ASCII digits between optional
-    outer whitespace; ValueError naming s on any other text or a zero q."""
+    outer whitespace; ValueError naming s on any other text, a zero q or too many digits."""
     m = _RATIONAL.fullmatch(s)
     if not m:
-        raise ValueError(f"not a rational number: {s!r}")
-    p, q = int(m[1]), int(m[2] or 1)
+        raise ValueError(f"not a rational number: {clip(s)!r}")
+    where = f"the rational {clip(s)!r}"
+    p, q = parse_int(m[1], where), parse_int(m[2] or "1", where)
     if not q:
-        raise ValueError(f"zero denominator in {s!r}")
+        raise ValueError(f"zero denominator in {clip(s)!r}")
     return Fraction(p, q)
 
 

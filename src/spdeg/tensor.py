@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg
-from .scalars import ExpPoly, format_rational, parse_rational
+from .scalars import ExpPoly, clip, format_rational, parse_int, parse_rational
 
 _INDEX = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)  # a basis index key: ASCII only
 # Largest "dim" a bracket file may declare.  Validation runs over all index
@@ -189,28 +189,39 @@ class Bracket:
             raise ValueError('"bracket" must be an object keyed by "i,j"')
         rules, keys = {}, {}  # keys: the first key of each unordered pair
         for key, vec in bracket.items():
+            name = clip(key)
             if not (isinstance(vec, dict) and all(isinstance(c, str) for c in vec.values())):
-                raise ValueError(f'bracket entry "{key}" must map components to rational strings')
+                raise ValueError(f'bracket entry "{name}" must map components to rational strings')
             pair = key.split(",")
             if len(pair) != 2 or not all(map(_INDEX.fullmatch, pair)):
-                raise ValueError(f'bracket key "{key}" must have the form "i,j" with integer indices')
-            i, j = int(pair[0]), int(pair[1])
+                raise ValueError(f'bracket key "{name}" must have the form "i,j" with integer indices')
+            i, j = (parse_int(x, f'bracket key "{name}"') for x in pair)
             first = keys.setdefault(frozenset((i, j)), key)
             if first != key:
-                raise ValueError(f'bracket key "{key}" repeats the pair of key "{first}"')
+                raise ValueError(f'bracket key "{name}" repeats the pair of key "{clip(first)}"')
             vals = rules[(i, j)] = {}
             for k, c in vec.items():
+                where = f'component key "{clip(k)}" of bracket entry "{name}"'
                 if not _INDEX.fullmatch(k):
-                    raise ValueError(f'component key "{k}" of bracket entry "{key}" must be an integer')
-                if int(k) in vals:
-                    raise ValueError(f'component key "{k}" of bracket entry "{key}" '
-                                     f'repeats index {int(k)}')
-                vals[int(k)] = parse_rational(c)
+                    raise ValueError(f'{where} must be an integer')
+                index = parse_int(k, where)
+                if index in vals:
+                    raise ValueError(f'{where} repeats index {index}')
+                try:
+                    vals[index] = parse_rational(c)
+                except ValueError as e:
+                    raise ValueError(f"{where}: {e}") from None
         return cls(d["dim"], rules)
 
     @classmethod
     def from_json(cls, s: str) -> "Bracket":
-        return cls.from_json_dict(json.loads(s, object_pairs_hook=_unique_keys))
+        """:meth:`from_json_dict` of JSON text; ValueError on too many digits or too deep nesting."""
+        try:
+            d = json.loads(s, object_pairs_hook=_unique_keys,
+                           parse_int=lambda t: parse_int(t, f"the JSON number {clip(t)!r}"))
+        except RecursionError:
+            raise ValueError("the file nests too deeply to be a bracket file") from None
+        return cls.from_json_dict(d)
 
 
 def _unique_keys(pairs) -> dict:
@@ -218,7 +229,7 @@ def _unique_keys(pairs) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f'key "{key}" appears twice in one JSON object')
+            raise ValueError(f'key "{clip(key)}" appears twice in one JSON object')
         out[key] = value
     return out
 

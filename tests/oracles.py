@@ -129,6 +129,37 @@ def act_bilinear(g, table, ginv=None):
     return out
 
 
+def nullspace(m):
+    """Basis of the exact kernel, one vector per free column of the Fraction RREF."""
+    cols = len(m[0]) if m else 0
+    r, pivots = linalg.rref(m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -r[i][fc]
+        basis.append(v)
+    return basis
+
+
+def nilpotent_rref(mu: Bracket) -> bool:
+    """The lower central series reaches zero, each term spanned by its Fraction RREF rows;
+    the series stops short of zero where a term spans what the one before spans."""
+    basis = linalg.identity(mu.dim)
+    current = basis
+    for _ in range(mu.dim + 1):
+        rows = [v for v in (mu.apply(b, c) for b in basis for c in current) if any(v)]
+        if not rows:
+            return True
+        r, pivots = linalg.rref(rows)
+        nxt = r[:len(pivots)]
+        if len(nxt) == len(current) and len(linalg.rref(current + nxt)[1]) == len(current):
+            return False
+        current = nxt
+    return False
+
+
 def derivation_kernel_rank_oracle(mu: Bracket, symplectic: bool = False) -> int:
     """Kernel dimension as columns minus the RREF pivots of the rows of mu itself.
 
@@ -148,7 +179,7 @@ def derivation_basis(mu: Bracket, symplectic: bool = False):
     rows = _derivation_rows(mu)
     if symplectic:
         rows += _skew_adjoint_rows(n)
-    return [[v[p * n:(p + 1) * n] for p in range(n)] for v in linalg.nullspace(rows)]
+    return [[v[p * n:(p + 1) * n] for p in range(n)] for v in nullspace(rows)]
 
 
 def leibniz_det(m):

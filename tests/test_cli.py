@@ -139,6 +139,45 @@ def test_zero_denominator_is_usage_error(tmp_path, capsys):
     assert code == 2 and "denominator" in err
 
 
+@pytest.mark.parametrize("extra", [False, True], ids=["top-level", "under-extra-key"])
+def test_deeply_nested_file_is_usage_error(tmp_path, capsys, extra):
+    # past the JSON decoder's recursion limit; no traceback, and 2, not 1
+    deep = "[" * 100000 + "]" * 100000
+    text = '{"dim": 4, "bracket": {"1,2": {"4": "1"}}, "extra": %s}' % deep if extra else deep
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert (code, out) == (2, "") and "nests too deeply" in err and "Traceback" not in err
+
+
+ONES = "1" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("content, named", [
+    ({"dim": 4, "bracket": {"1,2": {"4": ONES}}}, 'component key "4" of bracket entry "1,2"'),
+    ({"dim": 4, "bracket": {"1,2": {"4": "1/" + ONES}}}, 'bracket entry "1,2"'),
+    ({"dim": 4, "bracket": {"1," + ONES: {"4": "1"}}}, 'bracket key "1,111'),
+    ({"dim": 4, "bracket": {"1,2": {ONES: "1"}}}, 'component key "111'),
+    ('{"dim": %s, "bracket": {}}' % ONES, "JSON number '111"),
+], ids=["coefficient", "denominator", "pair-key", "component-key", "dim"])
+def test_file_number_past_the_digit_limit_names_its_key(tmp_path, capsys, content, named):
+    path = tmp_path / "bracket.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content), encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert (code, out) == (2, "") and named in err and "digits" in err
+    assert len(err) < 200 and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("catalog", "--class", f"r2r2:lambda={ONES}"), "segment 'lambda=111"),
+    (("catalog", "--class", f"mu{ONES}"), "class key 'mu111"),
+    (("degenerate", "--curve", f"appendix:d4lambda-n4:lambda=1/{ONES}"), "segment 'lambda=1/111"),
+], ids=["class-parameter", "class-alias", "curve-parameter"])
+def test_id_number_past_the_digit_limit_names_its_segment(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and named in err and "digits" in err and len(err) < 200
+
+
 def test_curve_matrix_pole_is_usage_error(capsys):
     for curve in ("appendix:d4lambda-n4:lambda=1/2", "appendix:r4m1beta-n4:beta=-1"):
         code, out, err = run(capsys, "degenerate", "--curve", curve)

@@ -9,8 +9,8 @@ from spdeg import catalog, degeneration, linalg
 from spdeg.catalog import CurveInstance, class_id, parse_curve
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, HASSE_NODES,
                                 NODE_BY_ID, R2P_TRAP, R2R2_TRAP, SuiteCheck, _REFERENCES,
-                                _borbit_samples, _edge_instances, _witness_route, TrapError,
-                                TrapPattern,
+                                _borbit_samples, _edge_instances, _trace_rows,
+                                _vanishes_on_kernel, _witness_route, TrapError, TrapPattern,
                                 borbit_element, classify_pairs, hasse, quadratics_agree,
                                 r2r2_trap_residual, verify_curve, witness_for_class)
 from spdeg.invariants import derived_dim, obstruction_report
@@ -18,7 +18,8 @@ from spdeg.scalars import ExpPoly
 from spdeg.tensor import Bracket, act, is_closed, is_lie, is_symplectic, symplectic_inverse
 
 from helpers import curve_instances, rational_borbit, rational_symplectic
-from oracles import a_element, bracket_distance, min_abs_eig_float, n_element, random_rational
+from oracles import (a_element, bracket_distance, min_abs_eig_float, n_element, nullspace,
+                     random_rational)
 
 
 # -- curve verification -----------------------------------------------------------
@@ -307,6 +308,26 @@ def test_trap_shared_coordinate_enforced():
     assert R2P_TRAP.coords(xi) == b
     with pytest.raises(TrapError):
         R2P_TRAP.coords(Bracket(4, {(1, 3): {3: F(1)}, (1, 4): {4: F(2)}}))
+
+
+def test_unimodular_loci_by_rank_match_the_rref_kernel():
+    # a form vanishes on ker T exactly when it is in the row space of T; the oracle's
+    # kernel basis gives the same r2r2 locus and r2p forced-zero set
+    checks = {c.name: c for c in degeneration.non_degeneration_suite(samples=1)}
+    trace6 = _trace_rows(R2R2_TRAP)
+    basis = nullspace(trace6)
+    assert len(basis) == 4 and all(v[2] == 0 and v[3] == -v[5] for v in basis)
+    assert checks["trap_residual_r2r2_to_n4"].details[
+        "unimodular_locus_is_b3_0_b4_eq_minus_b6"] is True
+    for form in ([0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]):
+        on_kernel = all(sum(f * x for f, x in zip(form, v)) == 0 for v in basis)
+        assert _vanishes_on_kernel(trace6, form) == on_kernel
+    assert not _vanishes_on_kernel(trace6, [1, 0, 0, 0, 0, 0])  # control: e1* is free
+    trace4 = _trace_rows(R2P_TRAP)
+    forced = {i for i in range(4) if all(v[i] == 0 for v in nullspace(trace4))}
+    assert forced == {1, 3}
+    assert checks["trap_containment_r2p_to_n4"].details["unimodular_forced_zero"] == [1, 3]
+    assert {i for i, e in enumerate(linalg.identity(4)) if _vanishes_on_kernel(trace4, e)} == forced
 
 
 def test_derived_dim_bound_is_read_off_the_free_slots():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction as F
 
@@ -5,7 +7,8 @@ import pytest
 
 from spdeg import catalog, linalg
 from spdeg.catalog import class_id
-from spdeg.degeneration import DIAGRAM_CLASSES, hasse
+from spdeg.cli import main
+from spdeg.degeneration import DIAGRAM_CLASSES, hasse, random_symplectic
 from spdeg.invariants import (AsymmetryError, SymForm, class_invariants, composition_trace_form,
                               der_omega_dim, derivations,
                               derived_dim, equivariant_product, invariants_summary,
@@ -15,7 +18,8 @@ from spdeg.tensor import Bracket, act, canonical_form, symplectic_inverse
 
 from helpers import rational_symplectic
 from oracles import (act_bilinear, derivation_basis, derivation_kernel_rank_oracle, inverse,
-                     is_derivation, killing_form, modified_killing_form, table_to_bracket)
+                     is_derivation, killing_form, modified_killing_form, nilpotent_rref,
+                     table_to_bracket)
 
 EX1_COEFFS = (0, 1, 0, -1, 0, -1)
 
@@ -53,7 +57,7 @@ def test_derivation_basis_satisfies_identity_exactly():
 
 def test_theorem_a_dimensions_build_no_rref(monkeypatch):
     def no_rref(m):
-        raise AssertionError("the dimension path built an RREF")
+        raise AssertionError("a verdict path built an RREF")
 
     der_omega_dim.cache_clear()
     class_invariants.cache_clear()
@@ -62,6 +66,13 @@ def test_theorem_a_dimensions_build_no_rref(monkeypatch):
     assert len(reports) == len(DIAGRAM_CLASSES) ** 2
     report = hasse()
     assert report.edges and report.all_verified and report.strict_der_omega
+    # and no verb builds one: Theorem A's locus certificates and nilpotent read Bareiss ranks
+    verbs = [["theorem-a", "--pairs", "--samples", "5"], ["remark-check"],
+             ["theorem-b", "--samples", "5"]]
+    verbs += [["invariants", "--class", str(cid)] for cid in DIAGRAM_CLASSES]
+    for argv in verbs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--json", *argv]) == 0, argv
 
 
 def test_symplectic_derivations_are_skew_adjoint():
@@ -207,6 +218,43 @@ def test_unimodular_derived_nilpotent_examples():
     a4 = _mu("a4")
     assert unimodular(a4) and derived_dim(a4) == 0 and nilpotent(a4)
     assert not nilpotent(_mu("rr3_0"))
+
+
+def test_nilpotent_agrees_with_the_rref_series():
+    # every diagram class and 5 symplectic conjugates of each, which are nilpotent with it
+    rng = random.Random(29)
+    for cid in DIAGRAM_CLASSES:
+        mu = catalog.make(cid)
+        assert nilpotent(mu) == nilpotent_rref(mu), str(cid)
+        for _ in range(5):
+            g = rational_symplectic(rng)
+            moved = act(g, mu, symplectic_inverse(g))
+            assert nilpotent(moved) == nilpotent_rref(moved) == nilpotent(mu), str(cid)
+    # in dimension 6: the filiform [e1, e_i] = e_(i+1) is nilpotent, and
+    # [e1, e2] = e2, [e1, e3] = e4 is not, its series stopping at span(e2)
+    filiform = Bracket(6, {(1, i): {i + 1: F(1)} for i in range(2, 6)})
+    assert nilpotent(filiform) and nilpotent_rref(filiform)
+    solvable = Bracket(6, {(1, 2): {2: F(1)}, (1, 3): {4: F(1)}})
+    assert not nilpotent(solvable) and not nilpotent_rref(solvable)
+
+
+def test_nilpotent_carries_at_most_dim_rows_per_step(monkeypatch):
+    # each term of the series is reduced to its echelon rows, so a step brackets at most
+    # dim * dim pairs; a spanning set grown by dim each step would never finish at dim 16
+    sizes, echelon = [], linalg.echelon_bareiss
+
+    def counted(m):
+        rows = echelon(m)
+        sizes.append((len(m), len(rows)))
+        return rows
+
+    monkeypatch.setattr(linalg, "echelon_bareiss", counted)
+    assert nilpotent(Bracket(16, {(1, i): {i + 1: F(1)} for i in range(2, 16)}))
+    assert [r for _, r in sizes] == list(range(14, -1, -1))  # 14, 13, ..., 1, 0
+    assert all(n <= 16 * 16 and r <= 16 for n, r in sizes)
+    sizes.clear()
+    assert not nilpotent(Bracket(16, {(1, i): {i: F(1)} for i in range(2, 17)}))
+    assert [r for _, r in sizes] == [15, 15]
 
 
 # -- the obstruction battery ------------------------------------------------------------

@@ -10,7 +10,7 @@ from spdeg.curvature import _moved_ricci_matrix, ricci_form
 from spdeg.degeneration import DIAGRAM_CLASSES, random_symplectic
 from spdeg.scalars import ExpPoly
 
-from oracles import (inverse, leibniz_det, min_abs_eig_float, signature_congruence,
+from oracles import (inverse, leibniz_det, min_abs_eig_float, nullspace, signature_congruence,
                      signature_float)
 
 
@@ -34,7 +34,7 @@ def test_rref_identity_and_pivots():
 
 def test_nullspace_known_system():
     # x + y + z = 0 has a 2-dimensional kernel
-    basis = linalg.nullspace([[F(1), F(1), F(1)]])
+    basis = nullspace([[F(1), F(1), F(1)]])
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
@@ -44,7 +44,7 @@ def test_nullspace_members_satisfy_system():
     rng = random.Random(3)
     for _ in range(20):
         a = _random_matrix(rng, rng.randint(2, 5), rng.randint(2, 6))
-        for v in linalg.nullspace(a):
+        for v in nullspace(a):
             assert all(sum(row[j] * v[j] for j in range(len(v))) == 0 for row in a)
 
 
@@ -56,6 +56,25 @@ def test_bareiss_rank_agrees_with_rref_rank():
         if rng.random() < 0.4 and n > 1:  # force dependent rows sometimes
             a[n - 1] = [2 * x for x in a[0]]
         assert linalg.rank_bareiss(a) == len(linalg.rref(a)[1])
+
+
+def test_bareiss_echelon_rows_span_the_row_space_in_echelon_form():
+    # the eliminated column is zeroed below each pivot, so each row starts right of the one
+    # above; the rows are ints, as many as the RREF rank, and add nothing to the row space
+    rng = random.Random(23)
+    for _ in range(50):
+        n, m = rng.randint(1, 7), rng.randint(1, 6)
+        a = _random_matrix(rng, n, m)
+        if rng.random() < 0.4 and n > 1:
+            a[n - 1] = [3 * x for x in a[0]]
+        if rng.random() < 0.3:
+            a = [[F(0)] + row[1:] for row in a]
+        rows = linalg.echelon_bareiss(a)
+        leads = [next(j for j, x in enumerate(row) if x) for row in rows]
+        assert leads == sorted(set(leads))
+        assert all(type(x) is int for row in rows for x in row)
+        rank = len(linalg.rref(a)[1])
+        assert len(rows) == rank == len(linalg.rref(a + rows)[1])
 
 
 def test_bareiss_rank_of_empty_and_zero_matrices():
