@@ -183,7 +183,7 @@ def class_id(key: str, param=None) -> ClassId:
     param = Fraction(param)
     if not spec.param_check(param):
         raise DomainError(
-            f"class {key}: {spec.param_name}={format_rational(param)} violates {spec.param_doc}")
+            f"class {key}: {spec.param_name}={clip(format_rational(param))} violates {spec.param_doc}")
     return ClassId(key, param)
 
 
@@ -305,7 +305,7 @@ class CurveSpec(NamedTuple):
             g = self.oriented_matrix(param)
         except ZeroDivisionError:
             raise DomainError(f"curve {self.id}: the matrix has a pole at "
-                              f"{self.param_name}={format_rational(param)}") from None
+                              f"{self.param_name}={clip(format_rational(param))}") from None
         label = self.id if param is None else f"{self.id}:{self.param_name}={format_rational(param)}"
         return CurveInstance(label, self, src, tgt, g, make(src), make(tgt))
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, curvature, degeneration, invariants, tensor
-from .scalars import format_rational
+from .scalars import clip, format_rational
 
 DEFAULT_SEED = 20240801
 
@@ -103,21 +103,32 @@ def cmd_invariants(args) -> int:
     return 0 if summary["matches_expected"] else 1
 
 
+def _printed(cid, entry: str, q) -> str:
+    """format_rational(q), or a ValueError naming the class and the entry past int()'s limit."""
+    try:
+        return format_rational(q)
+    except ValueError:
+        raise ValueError(f"class {clip(str(cid))}: {entry} has too many digits to print") from None
+
+
 def cmd_ricci(args) -> int:
     cid = catalog.parse_class(args.cls)
     form = curvature.ricci_form(catalog.make(cid))
     c = curvature.einstein_constant(form)
     sig = form.signature()
-    scal = format_rational(form.trace())
+    matrix = [[_printed(cid, f"Ricci entry ({i},{j})", x) for j, x in enumerate(row, 1)]
+              for i, row in enumerate(form.m, 1)]
+    scal = _printed(cid, "the scalar curvature", form.trace())
+    einstein = _printed(cid, "the Einstein constant", c) if c is not None else None
     payload = {"class": str(cid),
-               "ricci_matrix": [[format_rational(x) for x in row] for row in form.m],
+               "ricci_matrix": matrix,
                "signature": list(sig),
                "scalar_curvature": scal,
-               "einstein": format_rational(c) if c is not None else None}
+               "einstein": einstein}
     lines = [f"{cid}  Ricci signature {sig}, scalar curvature {scal}"]
-    for row in form.m:
-        lines.append("  [" + ", ".join(format_rational(x) for x in row) + "]")
-    lines.append(f"  Einstein: {format_rational(c) if c is not None else 'no'}")
+    for row in matrix:
+        lines.append("  [" + ", ".join(row) + "]")
+    lines.append(f"  Einstein: {einstein or 'no'}")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -175,8 +186,8 @@ def cmd_theorem_a(args) -> int:
 
 def cmd_theorem_b(args) -> int:
     records = degeneration.theorem_b_search(seed=args.seed, samples=args.samples)
-    ok = all((r.status == "witness") or (r.status == "exceptional" and r.all_det_zero)
-             for r in records)
+    ok = all(r.status == "witness" or (r.status == "exceptional" and r.all_det_zero
+                                         and r.identity_holds) for r in records)
     payload = {"edges": [], "non_degenerations": [],
                "theorem_b": [r.to_json_dict() for r in
                              sorted(records, key=lambda r: r.class_id)]}
@@ -185,8 +196,10 @@ def cmd_theorem_b(args) -> int:
         if r.status == "witness":
             lines.append(f"{r.class_id:28s} witness at exp(t)=2**{r.k}: signature {r.signature}")
         elif r.status == "exceptional":
-            lines.append(f"{r.class_id:28s} degenerate Ricci on {r.samples} exact samples: "
-                         f"{'OK' if r.all_det_zero else 'FAIL'}")
+            proof = ("det Ric = 0 on the whole orbit: 4*Ric = 2 B C B^T, B 4x3, has rank <= 3 by"
+                     if r.identity_holds else "FAILED:") + f" {degeneration.RANK_ONE_IDENTITY} on "
+            lines.append(f"{r.class_id:28s} {proof}{r.identity_grid_points} grid points; "
+                         f"{r.samples} exact samples: {'OK' if r.all_det_zero else 'FAIL'}")
         elif r.status == "failed":
             lines.append(f"{r.class_id:28s} FAILED: {r.reason}")
         else:

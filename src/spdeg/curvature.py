@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Optional
 
 from . import linalg
@@ -48,13 +49,21 @@ def _ricci_matrix(mu: Bracket):
     Only + - * of the entries: int for int brackets, ExpPoly for ExpPoly ones.  Off the
     Lie variety it differs from the Levi-Civita contraction by a linear image of the Jacobiator."""
     _check_dim(mu)
-    c, r = bracket_to_table(mu), range(4)
+    return _ricci_table(bracket_to_table(mu))
+
+
+def _ricci_table(c):
+    """_ricci_matrix on the dense table c[i][k][l] = c_ik^l of a 4-dimensional bracket."""
+    r = range(4)
     h = [sum(c[m][k][k] for k in r) for m in r]
+    # per i: c_kl^i over k < l, c_ik^l and c_ik^l + c_il^k over all (k, l)
+    up = [[c[k][l][i] for k in r for l in range(k + 1, 4)] for i in r]
+    flat = [[x for row in c[i] for x in row] for i in r]
+    sym = [[c[i][k][l] + c[i][l][k] for k in r for l in r] for i in r]
     out = [[0] * 4 for _ in r]
     for i in r:
         for j in range(i, 4):
-            x = sum(c[k][l][i] * c[k][l][j] for k in r for l in range(k + 1, 4))
-            x -= sum(c[i][k][l] * (c[j][k][l] + c[j][l][k]) for k in r for l in r)
+            x = sum(map(mul, up[i], up[j])) - sum(map(mul, flat[i], sym[j]))
             x -= sum(h[m] * (c[m][i][j] + c[m][j][i]) for m in r)
             out[i][j] = out[j][i] = 2 * x
     return out
@@ -69,45 +78,41 @@ def _ginv_row(g, i):
     return (x1, x2, -x3, -x4) if i <= 2 else (-x1, -x2, x3, x4)
 
 
-def _moved_ricci_matrix(g, mu: Bracket):
-    """_ricci_matrix(act(g, mu, g^-1)) for a symplectic int g and a bracket with at most
-    one stored pair, with no Bracket or inverse built; ValueError for more pairs.
-
-    For the stored pair (i, j) of mu, x = [e_i, e_j] and the rows P, Q of g^-1,
-    g.mu takes (e_k, e_l) to A_kl w with A_kl = P_k Q_l - Q_k P_l and w = g x.
-    So g.mu = A (x) w has rank one, and Besse 7.38 collapses to
+def _rank_one_ricci(p, q, w):
+    """4*Ric of the bracket A (x) w, whose pair (k, l) is A_kl w for A = PQ^T - QP^T.
+    A (x) w has rank one, and Besse 7.38 collapses to
         4*Ric = 2(s ww^T - |w|^2 AA^T - uu^T + vw^T + wv^T),
     s = sum_{k<l} A_kl^2, u = Aw, v = Au.  As A = PQ^T - QP^T, s = |P|^2|Q|^2 - (P.Q)^2,
     AA^T = |Q|^2 PP^T + |P|^2 QQ^T - (P.Q)(PQ^T + QP^T), u = (Q.w)P - (P.w)Q and
     v = (Q.u)P - (P.u)Q, so 4*Ric = 2 B C B^T for B = (P Q w) and the symmetric 3x3
-    C of dot products below.  So Ric x = 0 for each x orthogonal to P, Q and w, and
-    det Ric = 0 on the whole orbit of a bracket with at most one stored pair.
+    C of dot products below.  So Ric x = 0 for each x orthogonal to P, Q and w:
+    B is 4x3, so det Ric = 0.  degeneration.rank_one_identity proves the formula.
     """
-    _check_dim(mu)
-    if len(mu.rules) > 1:
-        raise ValueError(f"the rank-one kernel takes at most one stored pair, not {len(mu.rules)}")
-    if not mu.rules:
-        return [[0] * 4 for _ in range(4)]
-    ((i, j), vec), = mu.rules.items()
-    (p1, p2, p3, p4), (q1, q2, q3, q4) = _ginv_row(g, i), _ginv_row(g, j)
-    w1, w2, w3, w4 = [sum(row[k - 1] * x for k, x in vec.items()) for row in g]
+    (p1, p2, p3, p4), (q1, q2, q3, q4), (w1, w2, w3, w4) = p, q, w
     pp, qq = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4, q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4
     pq, ww = p1 * q1 + p2 * q2 + p3 * q3 + p4 * q4, w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4
     pw, qw = p1 * w1 + p2 * w2 + p3 * w3 + p4 * w4, q1 * w1 + q2 * w2 + q3 * w3 + q4 * w4
     # C: PP^T, QQ^T, PQ^T + QP^T from AA^T and uu^T; Pw^T + wP^T, Qw^T + wQ^T from v; ww^T
     cpp, cqq, cpq = -ww * qq - qw * qw, -ww * pp - pw * pw, ww * pq + pw * qw
     cpw, cqw, cww = qw * pq - pw * qq, pw * pq - qw * pp, pp * qq - pq * pq
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3), (x4, y4, z4) = [  # the rows of 2 B C
-        (2 * (cpp * a + cpq * b + cpw * c), 2 * (cpq * a + cqq * b + cqw * c),
-         2 * (cpw * a + cqw * b + cww * c))
-        for a, b, c in ((p1, q1, w1), (p2, q2, w2), (p3, q3, w3), (p4, q4, w4))]
-    r11, r12 = x1 * p1 + y1 * q1 + z1 * w1, x1 * p2 + y1 * q2 + z1 * w2
-    r13, r14 = x1 * p3 + y1 * q3 + z1 * w3, x1 * p4 + y1 * q4 + z1 * w4
-    r22, r23 = x2 * p2 + y2 * q2 + z2 * w2, x2 * p3 + y2 * q3 + z2 * w3
-    r24, r33 = x2 * p4 + y2 * q4 + z2 * w4, x3 * p3 + y3 * q3 + z3 * w3
-    r34, r44 = x3 * p4 + y3 * q4 + z3 * w4, x4 * p4 + y4 * q4 + z4 * w4
-    return [[r11, r12, r13, r14], [r12, r22, r23, r24],
-            [r13, r23, r33, r34], [r14, r24, r34, r44]]
+    b = ((p1, q1, w1), (p2, q2, w2), (p3, q3, w3), (p4, q4, w4))  # the rows of B
+    bc = [(2 * (cpp * x + cpq * y + cpw * z), 2 * (cpq * x + cqq * y + cqw * z),
+           2 * (cpw * x + cqw * y + cww * z)) for x, y, z in b]  # the rows of 2 B C
+    return [[u * x + v * y + t * z for x, y, z in b] for u, v, t in bc]
+
+
+def _moved_ricci_matrix(g, mu: Bracket):
+    """_ricci_matrix(act(g, mu, g^-1)) for a symplectic int g and a bracket with at most one
+    stored pair, with no Bracket or inverse built; ValueError for more pairs.  For the pair
+    (i, j), x = [e_i, e_j] and the rows P, Q of g^-1, g.mu = A (x) w with w = g x."""
+    _check_dim(mu)
+    if len(mu.rules) > 1:
+        raise ValueError(f"the rank-one kernel takes at most one stored pair, not {len(mu.rules)}")
+    if not mu.rules:
+        return [[0] * 4 for _ in range(4)]
+    ((i, j), vec), = mu.rules.items()
+    return _rank_one_ricci(_ginv_row(g, i), _ginv_row(g, j),
+                           [sum(row[k - 1] * x for k, x in vec.items()) for row in g])
 
 
 class CurvatureTensors(NamedTuple):

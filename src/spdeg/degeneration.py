@@ -18,11 +18,12 @@ from typing import NamedTuple, Optional
 from . import linalg
 from .catalog import (CLASS_DEFS, CLASSES, CURVES, ClassId, CurveInstance, class_id,
                       rescale_time, scaling_transform, shear_transform, make)
-from .curvature import _moved_ricci_matrix, _ricci_matrix, ricci_form
+from .curvature import (_moved_ricci_matrix, _rank_one_ricci, _ricci_matrix, _ricci_table,
+                        ricci_form)
 from .invariants import (OBSTRUCTION_RULES, class_invariants, composition_trace_form, der_omega_dim,
                          derived_dim, equivariant_product, obstruction_report, second_trace)
 from .scalars import ExpPoly, format_rational
-from .tensor import Bracket, act, is_symplectic, jacobiator, symplectic_inverse
+from .tensor import Bracket, act, is_symplectic, jacobiator, symplectic_inverse, transvection
 
 # exp(t) := 2**k on the distance grid: t = k*log(2) is about 5, 10, 15, 20, 25
 K_STEPS = (7, 14, 22, 29, 36)
@@ -86,16 +87,13 @@ def verify_curve(inst: CurveInstance, dist_tol: float = 1e-8) -> CurveReport:
                        tuple(dists), decreasing, small)
 
 
-# -- B = A.N orbit parametrization ------------------------------------------------
+# -- random exact symplectic elements and B = A.N orbits ------------------------
 
 
-def borbit_element(scaled: tuple, a_params, n_params) -> tuple:
-    """(c, C), c > 0 and C = c*xi an int bracket, for xi = (g.h)^{-1} . mu, g = diag(t1,
-    t2, 1/t1, 1/t2) with t1, t2 > 0 and h = [[1, -a, 0, 0], [0, 1, 0, 0], [x, y, 1, 0],
-    [ax + y, ay + z, a, 1]].  scaled = (m, m*mu) is mu.integer_multiple(), taken once
-    per orbit by the caller.  In ints, from the parameters' numerators and denominators
-    (ints or Fractions): G = D*(g.h), symplectic_inverse(G) = D*(g.h)^{-1}, and act,
-    linear in all three, gives C = m*D^3*xi from m*mu."""
+def _borbit_matrix(a_params, n_params) -> tuple:
+    """(D, G), G = D*(g.h) an int matrix of B = A.N, for g = diag(t1, t2, 1/t1, 1/t2) with
+    t1, t2 > 0 and h = [[1, -a, 0, 0], [0, 1, 0, 0], [x, y, 1, 0], [ax + y, ay + z, a, 1]],
+    from the parameters' numerators and denominators (ints or Fractions)."""
     (p1, q1), (p2, q2) = ((t.numerator, t.denominator) for t in a_params)
     if p1 <= 0 or p2 <= 0:
         raise ValueError("diagonal parameters must be positive")
@@ -107,9 +105,58 @@ def borbit_element(scaled: tuple, a_params, n_params) -> tuple:
          [na * x + da * y, na * y + da * z, na * e, dh]]  # dh*h
     dg = math.lcm(p1, q1, p2, q2)
     g = (dg // q1 * p1, dg // q2 * p2, dg // p1 * q1, dg // p2 * q2)  # dg*g, g diagonal
-    big_g = [[gi * v for v in row] for gi, row in zip(g, h)]
+    return dg * dh, [[gi * v for v in row] for gi, row in zip(g, h)]
+
+
+def borbit_element(scaled: tuple, a_params, n_params) -> tuple:
+    """(c, C), c > 0 and C = c*xi an int bracket, for xi = (g.h)^{-1} . mu and (D, D*(g.h)) of
+    _borbit_matrix.  scaled = (m, m*mu) is mu.integer_multiple(), taken once per orbit by the
+    caller; act is linear in all three, so C = m*D^3*xi."""
+    d, big_g = _borbit_matrix(a_params, n_params)
     m, imu = scaled
-    return m * (dg * dh) ** 3, act(symplectic_inverse(big_g), imu, big_g)
+    return m * d ** 3, act(symplectic_inverse(big_g), imu, big_g)
+
+
+def _randint(bits, a, n, k):
+    """rng.randint(a, a + n - 1) bit for bit, for bits = rng.getrandbits and k = n.bit_length()."""
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return a + r
+
+
+# p/q with q > 0, unreduced: read by _borbit_matrix like a Fraction, made with no gcd
+_Ratio = NamedTuple("_Ratio", [("numerator", int), ("denominator", int)])
+
+
+def _borbit_params(rng: random.Random, n: int):
+    """n draws (a_params, n_params) of B = A.N: six p/q as Fraction(rng.randint(-3, 3),
+    rng.randint(1, 3)) would draw them, unreduced, with t = |p/q| + 1/3 = (3|p| + q)/3q."""
+    bits = rng.getrandbits
+    for _ in range(n):
+        pq = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(6)]
+        yield [_Ratio(3 * abs(p) + q, 3 * q) for p, q in pq[:2]], [_Ratio(*r) for r in pq[2:]]
+
+
+def _borbit_samples(rng: random.Random, mu: Bracket, n: int):
+    """n points (c, C) of the B-orbit of mu at random rational A- and N-parameters."""
+    scaled = mu.integer_multiple()
+    for a_params, n_params in _borbit_params(rng, n):
+        yield borbit_element(scaled, a_params, n_params)
+
+
+def random_symplectic(rng: random.Random) -> tuple:
+    """(d, d*g), d the least positive int making d*g integral, for g a product of 6 to 12 random
+    symplectic transvections of R^4 with entries Fraction(rng.randint(-3, 3), rng.randint(1, 3))."""
+    def draw():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    g = linalg.identity(4)
+    for _ in range(rng.randint(6, 12)):
+        u = [draw() for _ in range(4)]
+        while not any(u):
+            u = [draw() for _ in range(4)]
+        g = linalg.mat_mul(transvection(u, draw()), g)
+    return linalg.clear_denominators(g)
 
 
 class TrapError(ValueError):
@@ -179,101 +226,6 @@ def r2r2_trap_residual(sample, lam) -> Fraction:
     den = lam.denominator
     return Fraction(c * c * (b1 * b5 - b2 * b4) * den - lam.numerator * b3 * b4 * b6 * b6,
                     c ** 4 * den)
-
-
-# -- random exact symplectic elements ---------------------------------------------
-
-
-def _randint(bits, a, n, k):
-    """rng.randint(a, a + n - 1) bit for bit, for bits = rng.getrandbits and k = n.bit_length()."""
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return a + r
-
-
-def random_symplectic(rng: random.Random) -> tuple:
-    """(d, d*g) for g a product of 6 to 12 random symplectic transvections of R^4.
-
-    d is the least positive int that makes d*g integral.  It runs in ints,
-    drawing each p/q as Fraction(rng.randint(-3, 3), rng.randint(1, 3)) would,
-    unreduced: rng.randint(a, a + n - 1) is a + r for the first draw
-    r = rng.getrandbits(n.bit_length()) below n.  For u = U/e and c = p/q the
-    transvection v -> v + c*w(u,v)*u is T/s with s = q*e^2 and T = s*I + p*U*(J^T U)^T,
-    applied to the running product out, entry by entry, as the rank-one update
-    s*out + p*U*((J^T U)^T out).
-    """
-    bits = rng.getrandbits
-    m00, m01, m02, m03 = 1, 0, 0, 0
-    m10, m11, m12, m13 = 0, 1, 0, 0
-    m20, m21, m22, m23 = 0, 0, 1, 0
-    m30, m31, m32, m33 = 0, 0, 0, 1
-    den = 1
-    n = bits(3)
-    while n == 7:
-        n = bits(3)
-    for _ in range(n + 6):
-        # draws x in 0..6 and y in 0..2 make the entries (x - 3)/(y + 1) of u, drawn
-        # again until u is nonzero; then p in 0..6 and q in 0..2 make c = (p - 3)/(q + 1)
-        while True:
-            x0 = bits(3)
-            while x0 == 7:
-                x0 = bits(3)
-            y0 = bits(2)
-            while y0 == 3:
-                y0 = bits(2)
-            x1 = bits(3)
-            while x1 == 7:
-                x1 = bits(3)
-            y1 = bits(2)
-            while y1 == 3:
-                y1 = bits(2)
-            x2 = bits(3)
-            while x2 == 7:
-                x2 = bits(3)
-            y2 = bits(2)
-            while y2 == 3:
-                y2 = bits(2)
-            x3 = bits(3)
-            while x3 == 7:
-                x3 = bits(3)
-            y3 = bits(2)
-            while y3 == 3:
-                y3 = bits(2)
-            if x0 != 3 or x1 != 3 or x2 != 3 or x3 != 3:
-                break
-        p = bits(3)
-        while p == 7:
-            p = bits(3)
-        q = bits(2)
-        while q == 3:
-            q = bits(2)
-        y0, y1, y2, y3 = y0 + 1, y1 + 1, y2 + 1, y3 + 1
-        e = math.lcm(y0, y1, y2, y3)
-        u0, u1, u2 = (x0 - 3) * (e // y0), (x1 - 3) * (e // y1), (x2 - 3) * (e // y2)
-        u3 = (x3 - 3) * (e // y3)
-        s = (q + 1) * e * e
-        p -= 3
-        # w = (J^T U)^T out, J^T U = (-U2, -U3, U0, U1); then out <- s*out + p*U*w
-        w0 = u0 * m20 + u1 * m30 - u2 * m00 - u3 * m10
-        w1 = u0 * m21 + u1 * m31 - u2 * m01 - u3 * m11
-        w2 = u0 * m22 + u1 * m32 - u2 * m02 - u3 * m12
-        w3 = u0 * m23 + u1 * m33 - u2 * m03 - u3 * m13
-        v = p * u0
-        m00, m01, m02, m03 = s * m00 + v * w0, s * m01 + v * w1, s * m02 + v * w2, s * m03 + v * w3
-        v = p * u1
-        m10, m11, m12, m13 = s * m10 + v * w0, s * m11 + v * w1, s * m12 + v * w2, s * m13 + v * w3
-        v = p * u2
-        m20, m21, m22, m23 = s * m20 + v * w0, s * m21 + v * w1, s * m22 + v * w2, s * m23 + v * w3
-        v = p * u3
-        m30, m31, m32, m33 = s * m30 + v * w0, s * m31 + v * w1, s * m32 + v * w2, s * m33 + v * w3
-        den *= s
-    k = math.gcd(den, m00, m01, m02, m03, m10, m11, m12, m13,
-                 m20, m21, m22, m23, m30, m31, m32, m33)
-    return den // k, [[m00 // k, m01 // k, m02 // k, m03 // k],
-                      [m10 // k, m11 // k, m12 // k, m13 // k],
-                      [m20 // k, m21 // k, m22 // k, m23 // k],
-                      [m30 // k, m31 // k, m32 // k, m33 // k]]
 
 
 # -- the degeneration diagram ------------------------------------------------------
@@ -479,32 +431,19 @@ def _vanishes_on_kernel(rows, form) -> bool:
 
 
 def _quadratic_grid(nvars):
-    """The points 0, +-e_i and e_i + e_j (i < j): unisolvent for polynomials of
+    """The points 0, +-e_i and e_i + e_j (i < j) of Z^nvars: unisolvent for polynomials of
     degree <= 2, so they pin down any quadratic polynomial exactly."""
-    e = linalg.identity(nvars)
-    return ([[Fraction(0)] * nvars] + [[s * x for x in v] for v in e for s in (1, -1)]
+    e = [[int(i == j) for j in range(nvars)] for i in range(nvars)]
+    return ([[0] * nvars] + [[s * x for x in v] for v in e for s in (1, -1)]
             + [[x + y for x, y in zip(e[i], e[j])]
                for i in range(nvars) for j in range(i + 1, nvars)])
 
 
-def quadratics_agree(f, g, nvars) -> bool:
-    """Exact equality of two quadratic functions via the polarization grid."""
-    return all(f(p) == g(p) for p in _quadratic_grid(nvars))
-
-
-# p/q with q > 0, unreduced: read by borbit_element like a Fraction, made with no gcd
-_Ratio = NamedTuple("_Ratio", [("numerator", int), ("denominator", int)])
-
-
-def _borbit_samples(rng: random.Random, mu: Bracket, n: int):
-    """n points (c, C) of the B-orbit of mu at random rational A- and N-parameters."""
-    bits = rng.getrandbits
-    scaled = mu.integer_multiple()
-    for _ in range(n):
-        # six rationals p/q drawn as random_symplectic draws them; t = |p/q| + 1/3 = (3|p| + q)/3q
-        pq = [(_randint(bits, -3, 7, 3), _randint(bits, 1, 3, 2)) for _ in range(6)]
-        ts = [_Ratio(3 * abs(p) + q, 3 * q) for p, q in pq[:2]]
-        yield borbit_element(scaled, ts, [_Ratio(*r) for r in pq[2:]])
+def quadratics_agree(f, g, *nvars) -> bool:
+    """Exact equality of two functions of one point per block, of nvars[b] variables in
+    block b, that are polynomials of degree <= 2 in each block: on the product of the
+    blocks' grids, since one that vanishes there vanishes block by block."""
+    return all(f(*p) == g(*p) for p in itertools.product(*map(_quadratic_grid, nvars)))
 
 
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
@@ -548,17 +487,13 @@ def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
     jacobi_kills_b6 = locus_ok and quadratics_agree(jac_component, lambda c: -4 * c[3] ** 2, 4)
     # with b3 = b4 = b6 = 0 the only bracket values are [e1,e2] and [e2,e3],
     # whose dependence determinant equals the residual itself
-    def dependence_det(c):
-        b1, b2, b5 = c
-        xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
-        return xi.entry(1, 2, 3) * xi.entry(2, 3, 4) - xi.entry(1, 2, 4) * xi.entry(2, 3, 3)
+    def reduced(f):
+        return lambda c: f(R2R2_TRAP.embed([c[0], c[1], 0, 0, c[2], 0]))
 
-    def reduced_residual(c):
-        b1, b2, b5 = c
-        xi = R2R2_TRAP.embed([b1, b2, Fraction(0), Fraction(0), b5, Fraction(0)])
-        return r2r2_trap_residual((1, xi), Fraction(1))
-
-    det_is_residual = quadratics_agree(dependence_det, reduced_residual, 3)
+    det_is_residual = quadratics_agree(
+        reduced(lambda xi: xi.entry(1, 2, 3) * xi.entry(2, 3, 4)
+                - xi.entry(1, 2, 4) * xi.entry(2, 3, 3)),
+        reduced(lambda xi: r2r2_trap_residual((1, xi), Fraction(1))), 3)
     ok2 = (residual_ok and jacobi_kills_b6 and det_is_residual
            and derived_dim(mu7) == 2)
     checks.append(SuiteCheck("trap_residual_r2r2_to_n4", ok2,
@@ -660,6 +595,8 @@ class WitnessRecord(NamedTuple):
     samples: Optional[int] = None
     all_det_zero: Optional[bool] = None
     reason: Optional[str] = None   # the internal check a failed record broke
+    identity_grid_points: Optional[int] = None   # RANK_ONE_IDENTITY's proof grid
+    identity_holds: Optional[bool] = None
 
     def to_json_dict(self):
         d = {"class": self.class_id, "status": self.status}
@@ -669,7 +606,9 @@ class WitnessRecord(NamedTuple):
                       "char_poly": [format_rational(a) for a in self.char_poly],
                       "min_eig_lower_bound": format_rational(self.min_eig_lower_bound)})
         if self.status == "exceptional":
-            d.update({"samples": self.samples, "all_det_zero": self.all_det_zero})
+            d.update({"samples": self.samples, "all_det_zero": self.all_det_zero,
+                      "identity": RANK_ONE_IDENTITY, "identity_holds": self.identity_holds,
+                      "identity_grid_points": self.identity_grid_points})
         if self.status == "failed":
             d["reason"] = self.reason
         return d
@@ -718,26 +657,40 @@ def witness_for_class(cid: ClassId):
     return WitnessRecord(str(cid), "exhausted")
 
 
+RANK_ONE_IDENTITY = "rank_one_ricci_is_besse_7_38"
+
+
+def rank_one_identity() -> tuple:
+    """(grid points, holds) for _rank_one_ricci(P, Q, w) == 4*Ric(A (x) w), the Besse 7.38
+    kernel on the bracket whose pair (k, l) is A_kl w, A = PQ^T - QP^T, for all P, Q, w.
+    Both sides are quadratic forms in each of P, Q and w in R^4, and a form is fixed by
+    its values at (x, 1), of degree <= 2 in x in R^3: quadratics_agree on 3 blocks of 3."""
+    r = range(4)
+
+    def lift(f):
+        return lambda x, y, z: f(x + [1], y + [1], z + [1])
+
+    def besse(p, q, w):
+        return _ricci_table([[[(p[k] * q[l] - q[k] * p[l]) * x for x in w] for l in r] for k in r])
+    points = len(_quadratic_grid(3)) ** 3
+    return points, quadratics_agree(lift(_rank_one_ricci), lift(besse), 3, 3, 3)
+
+
 def theorem_b_search(seed: int = 20240801, samples: int = 500):
     """Witnesses for every class instance; exact degeneracy for the exceptions."""
     rng = random.Random(seed)
+    points, holds = rank_one_identity()  # class-free: once per search
     records = []
     for cid in DIAGRAM_CLASSES:
         if cid.key not in EXCEPTIONAL_KEYS:
             records.append(witness_for_class(cid))
             continue
-        # The samples run in ints.  act is linear in mu, g and g^{-1}, and
-        # Ric is quadratic: with m*mu, G = d*g and -J G^T J = d*g^{-1}, the
-        # moved bracket is m*d^3*(g.mu), and _moved_ricci_matrix takes its int
-        # (and symmetric) 4*m^2*d^6*Ric(g.mu) from G alone: each exceptional
-        # bracket has at most one stored pair.  det = 0 is unchanged.
+        # Samples of B = A.N suffice: U(2) = Sp(4,R) n O(4) acts by isometries fixing w, and
+        # Sp = U(2).A.N (Iwasawa).  With m*mu and G = D*g, _moved_ricci_matrix takes the int
+        # 4*m^2*D^6*Ric(g.mu) from G alone, as each exceptional bracket stores <= 1 pair.
         _, mu = make(cid).integer_multiple()
-        all_zero = True
-        for _ in range(samples):
-            _, g = random_symplectic(rng)
-            if linalg.det(_moved_ricci_matrix(g, mu)) != 0:
-                all_zero = False
-                break
-        records.append(WitnessRecord(str(cid), "exceptional",
-                                     samples=samples, all_det_zero=all_zero))
+        all_zero = all(linalg.det(_moved_ricci_matrix(_borbit_matrix(*params)[1], mu)) == 0
+                       for params in _borbit_params(rng, samples))  # to the first miss
+        records.append(WitnessRecord(str(cid), "exceptional", samples=samples, all_det_zero=all_zero,
+                                     identity_grid_points=points, identity_holds=holds))
     return records

@@ -1,9 +1,11 @@
 """Helpers shared by the test modules."""
 
 import importlib.util
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
+from spdeg import curvature
 from spdeg.catalog import CLASSES
 from spdeg.degeneration import borbit_element, random_symplectic
 
@@ -34,3 +36,14 @@ def bench_launch():
     launch = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(launch)
     return launch
+
+
+def rank_one_ricci_without_v_terms():
+    """curvature._rank_one_ricci with vw^T + wv^T dropped: the Pw^T + wP^T and
+    Qw^T + wQ^T coefficients of its matrix C set to 0."""
+    source = inspect.getsource(curvature._rank_one_ricci)
+    line = "cpw, cqw, cww = qw * pq - pw * qq, pw * pq - qw * pp, pp * qq - pq * pq"
+    assert source.count(line) == 1
+    namespace = dict(vars(curvature))
+    exec(source.replace(line, "cpw, cqw, cww = 0, 0, pp * qq - pq * pq"), namespace)
+    return namespace["_rank_one_ricci"]

@@ -45,21 +45,21 @@ def _count_calls(monkeypatch, calls, module, name, inner=None):
 
 
 def test_each_exact_sample_is_one_spanned_call(monkeypatch):
-    # degeneration.exact_samples counts the borbit_element and
-    # random_symplectic spans under the suites: one call per sample each;
-    # and each exceptional sample of theorem-b is one linalg.det span
+    # degeneration.exact_samples counts the borbit_element span under the suites:
+    # one call per sample; each B-orbit sample of theorem-a and each exceptional
+    # sample of theorem-b builds one B = A.N matrix, and the latter is one linalg.det span
     from spdeg import degeneration, linalg
 
     calls = Counter()
-    for name in ("borbit_element", "random_symplectic"):
+    for name in ("borbit_element", "_borbit_matrix", "random_symplectic"):
         _count_calls(monkeypatch, calls, degeneration, name)
     samples = 5
     assert all(c.passed for c in degeneration.non_degeneration_suite(samples=samples))
-    assert calls == {"borbit_element": 4 * samples}
+    assert calls == {"borbit_element": 4 * samples, "_borbit_matrix": 4 * samples}
     _count_calls(monkeypatch, calls, linalg, "det")
     records = degeneration.theorem_b_search(samples=samples)
     assert sum(r.status == "exceptional" for r in records) == 3
-    assert calls == {"borbit_element": 4 * samples, "random_symplectic": 3 * samples,
+    assert calls == {"borbit_element": 4 * samples, "_borbit_matrix": 7 * samples,
                      "det": 3 * samples}
 
 
@@ -76,14 +76,14 @@ def test_exceptional_samples_take_no_symplectic_inverse(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "spdeg" and getattr(module, "symplectic_inverse", None) is inner:
             _count_calls(monkeypatch, calls, module, "symplectic_inverse", inner)
-    _count_calls(monkeypatch, calls, degeneration, "random_symplectic")
+    _count_calls(monkeypatch, calls, degeneration, "_borbit_matrix")
     _count_calls(monkeypatch, calls, linalg, "det")
     exceptional = [c for c in degeneration.DIAGRAM_CLASSES
                    if c.key in degeneration.EXCEPTIONAL_KEYS]
     monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES", exceptional)
     records = degeneration.theorem_b_search(samples=5)
     assert [r.all_det_zero for r in records] == [True] * 3
-    assert calls == {"random_symplectic": 15, "det": 15}
+    assert calls == {"_borbit_matrix": 15, "det": 15}
     assert tensor.symplectic_inverse is not inner  # the count would have seen a call
 
 

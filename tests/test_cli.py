@@ -178,6 +178,21 @@ def test_id_number_past_the_digit_limit_names_its_segment(capsys, argv, named):
     assert (code, out) == (2, "") and named in err and "digits" in err and len(err) < 200
 
 
+@pytest.mark.parametrize("json_flag", [("--json",), ()], ids=["json", "text"])
+def test_printed_entry_past_the_digit_limit_names_class_and_entry(capsys, json_flag):
+    # lambda parses under the limit, but a Ricci entry quadratic in it prints past it
+    code, out, err = run(capsys, *json_flag, "ricci", "--class", f"r2r2:lambda={'1' * 3000}")
+    assert (code, out) == (2, "") and "class r2r2:lambda=111" in err
+    assert "Ricci entry (1,1)" in err and "digits" in err
+    assert len(err) < 200 and "set_int_max_str_digits" not in err
+
+
+def test_out_of_domain_value_is_clipped(capsys):
+    code, out, err = run(capsys, "catalog", "--class", f"r4_alpha:alpha=-{'3' * 2000}")
+    assert (code, out) == (2, "") and "r4_alpha" in err and "alpha=-333" in err
+    assert "violates" in err and len(err.encode("utf-8")) < 200
+
+
 def test_curve_matrix_pole_is_usage_error(capsys):
     for curve in ("appendix:d4lambda-n4:lambda=1/2", "appendix:r4m1beta-n4:beta=-1"):
         code, out, err = run(capsys, "degenerate", "--curve", curve)

@@ -13,9 +13,11 @@ from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, HASSE_EDGES, 
                                 _vanishes_on_kernel, _witness_route, TrapError, TrapPattern,
                                 borbit_element, classify_pairs, hasse, quadratics_agree,
                                 r2r2_trap_residual, verify_curve, witness_for_class)
+from spdeg.curvature import ricci_form
 from spdeg.invariants import derived_dim, obstruction_report
 from spdeg.scalars import ExpPoly
-from spdeg.tensor import Bracket, act, is_closed, is_lie, is_symplectic, symplectic_inverse
+from spdeg.tensor import (Bracket, act, canonical_form, is_closed, is_lie, is_symplectic,
+                          symplectic_inverse)
 
 from helpers import curve_instances, rational_borbit, rational_symplectic
 from oracles import (a_element, bracket_distance, min_abs_eig_float, n_element, nullspace,
@@ -646,6 +648,51 @@ def test_theorem_b_samples_see_a_nondegenerate_ricci(monkeypatch):
     records = degeneration.theorem_b_search(samples=20)
     assert [(r.class_id, r.status, r.all_det_zero) for r in records] == [
         ("n4", "exceptional", False), ("d4_1:w1", "exceptional", False)]
+
+
+def _u2_elements():
+    """Rational k in U(2) = Sp(4,R) n O(4): the rotations by (3/5, 4/5) of the (e1, e3)
+    and the (e2, e4) plane, the swap e1 <-> e2, e3 <-> e4, and their products."""
+    c, s = F(3, 5), F(4, 5)
+    pieces = [[[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0], [0, 0, 0, 1]],
+              [[1, 0, 0, 0], [0, c, 0, -s], [0, 0, 1, 0], [0, s, 0, c]],
+              [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]]
+    pairs = [linalg.mat_mul(a, b) for a in pieces for b in pieces]
+    return pieces + pairs + [linalg.mat_mul(p, pieces[0]) for p in pairs]
+
+
+def _ricci_is_pushed_forward(g, mu) -> bool:
+    """Ric(g.mu) == g Ric(mu) g^T, exactly."""
+    moved = ricci_form(act(g, mu, symplectic_inverse(g))).m
+    ric = ricci_form(mu).m
+    return moved == linalg.mat_mul(g, linalg.mat_mul(ric, linalg.transpose(g)))
+
+
+def test_unitary_elements_are_isometries_of_every_class():
+    # why theorem-b may sample B = A.N alone: Sp(4,R) = U(2).A.N, and k in U(2) fixes w
+    # and the metric, so Ric(k.mu) = k Ric(mu) k^T has the signature and det of Ric(mu)
+    brackets = [catalog.make(cid) for cid in DIAGRAM_CLASSES]
+    ks = _u2_elements()
+    assert len(ks) == 21
+    for k in ks:
+        assert is_symplectic(k)
+        assert linalg.mat_mul(k, linalg.transpose(k)) == linalg.identity(4)
+        assert all(_ricci_is_pushed_forward(k, mu) for mu in brackets)
+    # control: a symplectic shear is no isometry, and the equality breaks
+    shear = catalog.shear_transform(F(2))
+    assert is_symplectic(shear) and linalg.mat_mul(shear, linalg.transpose(shear)) != linalg.identity(4)
+    assert not all(_ricci_is_pushed_forward(shear, mu) for mu in brackets)
+
+
+def test_theorem_b_draws_are_symplectic_up_to_a_positive_scale():
+    # G = D*(g.h), so G^T J G = D^2 J
+    j = canonical_form(4)
+    draws = list(degeneration._borbit_params(random.Random(73), 1000))
+    for a_params, n_params in draws:
+        d, g = degeneration._borbit_matrix(a_params, n_params)
+        assert d > 0 and all(type(x) is int for row in g for x in row)
+        assert linalg.mat_mul(linalg.transpose(g), linalg.mat_mul(j, g)) == [
+            [d * d * x for x in row] for row in j]
 
 
 def test_reference_transforms_are_symplectic():

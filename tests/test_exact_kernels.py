@@ -3,8 +3,9 @@
 The oracles are the implementations that the integer kernels replaced:
 the Levi-Civita contraction with its 1/2 factor (tests/oracles.py), Gaussian
 elimination over Fraction for the determinant, -J g^T J as matrix products
-for the symplectic inverse, and the B-orbit element and the random
-symplectic element as Fraction matrix products.  All must agree exactly.
+for the symplectic inverse, and the B-orbit element as Fraction matrix
+products.  All must agree exactly.  random_symplectic is itself the Fraction
+transvection product now; its draw-stream test pins the stream it draws.
 The structure-constant Ricci formula differs from the contraction off the
 Lie variety; one polarization check proves that the difference is a fixed
 linear image of the Jacobiator, so the two agree on every Lie bracket.
@@ -25,9 +26,10 @@ from spdeg.scalars import ExpPoly
 from spdeg.tensor import (Bracket, act, canonical_form, is_lie, jacobiator,
                           symplectic_inverse, transvection)
 
-from helpers import bench_launch, curve_instances, rational_symplectic
-from oracles import (fraction_borbit_element, fraction_ricci_matrix, inverse, leibniz_det,
-                     random_rational, ricci_matrix_float)
+from helpers import (bench_launch, curve_instances, rank_one_ricci_without_v_terms,
+                     rational_symplectic)
+from oracles import (a_element, fraction_borbit_element, fraction_ricci_matrix, inverse,
+                     leibniz_det, n_element, random_rational, ricci_matrix_float)
 
 
 def fraction_det(m):
@@ -237,26 +239,20 @@ def test_rank_one_ricci_matches_the_besse4_path_and_the_contraction():
         assert any(any(row) for row in fused) == bool(mu.rules)
 
 
-def test_rank_one_mutant_without_the_v_terms_is_caught():
+def test_rank_one_mutant_without_the_v_terms_is_caught(monkeypatch):
     # the kernel with vw^T + wv^T dropped, that is the Pw^T + wP^T and Qw^T + wQ^T
     # coefficients of C set to 0, is refused by the comparison above wherever
     # those terms live: u = Aw is H, here (x_j P - x_i Q) up to scale, so it
     # vanishes exactly on the unimodular rh3 ([e1, e2] = e3) and never on
     # rr3_0 ([e1, e3] = e3) or a dense pair vector
-    import inspect
-
     from spdeg import curvature
-    source = inspect.getsource(curvature._moved_ricci_matrix)
-    line = "cpw, cqw, cww = qw * pq - pw * qq, pw * pq - qw * pp, pp * qq - pq * pq"
-    assert source.count(line) == 1
-    namespace = dict(vars(curvature))
-    exec(source.replace(line, "cpw, cqw, cww = 0, 0, pp * qq - pq * pq"), namespace)
-    mutant = namespace["_moved_ricci_matrix"]
+    monkeypatch.setattr(curvature, "_rank_one_ricci", rank_one_ricci_without_v_terms())
     caught = []
     for g, mu in _single_pair_samples():
         if mu.rules:
             ((i, j), x), = mu.rules.items()
-            wrong = mutant(g, mu) != _ricci_matrix(act(g, mu, symplectic_inverse(g)))
+            wrong = curvature._moved_ricci_matrix(g, mu) != _ricci_matrix(
+                act(g, mu, symplectic_inverse(g)))
             assert wrong == bool(x.get(i) or x.get(j)), repr(mu)
             caught.append(wrong)
     assert sum(caught) == 260 and len(caught) == 280
@@ -357,6 +353,24 @@ def test_borbit_samples_keep_their_draw_stream(key):
     got = [big.map_scalars(lambda x: F(x, c)) for c, big in samples]
     assert got == old_borbit_samples(old, mu, 30)
     assert new.getstate() == old.getstate()
+
+
+def test_theorem_b_samples_are_the_borbit_draws(monkeypatch):
+    # each exceptional sample is the B = A.N matrix D*(g.h) of one draw of the stream of
+    # _borbit_samples: the oracle's g.h over Fraction, draw for draw
+    seen = []
+    inner = degeneration._borbit_matrix
+    monkeypatch.setattr(degeneration, "_borbit_matrix", lambda a, n: seen.append(inner(a, n))
+                        or seen[-1])
+    monkeypatch.setattr(degeneration, "DIAGRAM_CLASSES",
+                        [cid for cid in DIAGRAM_CLASSES if cid.key in EXCEPTIONAL_KEYS])
+    degeneration.theorem_b_search(seed=71, samples=20)
+    assert len(seen) == 60
+    old = random.Random(71)
+    for d, g in seen:
+        t1, t2 = (abs(random_rational(old)) + F(1, 3) for _ in range(2))
+        gh = linalg.mat_mul(a_element(t1, t2), n_element(*[random_rational(old) for _ in range(4)]))
+        assert [[F(x, d) for x in row] for row in g] == gh
 
 
 def test_integer_conjugate_scales_ricci_by_d6():

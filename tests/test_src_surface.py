@@ -68,7 +68,7 @@ def test_span_only_functions_are_listed():
     library = set(re.findall(r"\w+", library_block()))
     span_only = {label for label, (name, in_src) in _src_callers().items()
                  if name in _span_names() and name not in library and not in_src}
-    assert span_only == {"curvature.levi_civita", "linalg.rref", "tensor.transvection"}
+    assert span_only == {"curvature.levi_civita", "degeneration.random_symplectic", "linalg.rref"}
 
 
 def _fresh_stdout(code):
