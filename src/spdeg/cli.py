@@ -198,7 +198,7 @@ def cmd_theorem_b(args) -> int:
         elif r.status == "exceptional":
             proof = ("det Ric = 0 on the whole orbit: 4*Ric = 2 B C B^T, B 4x3, has rank <= 3 by"
                      if r.identity_holds else "FAILED:") + f" {degeneration.RANK_ONE_IDENTITY} on "
-            lines.append(f"{r.class_id:28s} {proof}{r.identity_grid_points} grid points; "
+            lines.append(f"{r.class_id:28s} {proof}{r.identity_terms} terms; "
                          f"{r.samples} exact samples: {'OK' if r.all_det_zero else 'FAIL'}")
         elif r.status == "failed":
             lines.append(f"{r.class_id:28s} FAILED: {r.reason}")

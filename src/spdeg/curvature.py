@@ -86,7 +86,7 @@ def _rank_one_ricci(p, q, w):
     AA^T = |Q|^2 PP^T + |P|^2 QQ^T - (P.Q)(PQ^T + QP^T), u = (Q.w)P - (P.w)Q and
     v = (Q.u)P - (P.u)Q, so 4*Ric = 2 B C B^T for B = (P Q w) and the symmetric 3x3
     C of dot products below.  So Ric x = 0 for each x orthogonal to P, Q and w:
-    B is 4x3, so det Ric = 0.  degeneration.rank_one_identity proves the formula.
+    B is 4x3, so det Ric = 0.  degeneration.rank_one_identity expands both sides once.
     """
     (p1, p2, p3, p4), (q1, q2, q3, q4), (w1, w2, w3, w4) = p, q, w
     pp, qq = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4, q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4

@@ -439,11 +439,9 @@ def _quadratic_grid(nvars):
                for i in range(nvars) for j in range(i + 1, nvars)])
 
 
-def quadratics_agree(f, g, *nvars) -> bool:
-    """Exact equality of two functions of one point per block, of nvars[b] variables in
-    block b, that are polynomials of degree <= 2 in each block: on the product of the
-    blocks' grids, since one that vanishes there vanishes block by block."""
-    return all(f(*p) == g(*p) for p in itertools.product(*map(_quadratic_grid, nvars)))
+def quadratics_agree(f, g, nvars) -> bool:
+    """Exact equality of two polynomials of degree <= 2 in nvars variables, on the grid."""
+    return all(f(p) == g(p) for p in _quadratic_grid(nvars))
 
 
 def non_degeneration_suite(seed: int = 20240801, samples: int = 1000):
@@ -595,7 +593,7 @@ class WitnessRecord(NamedTuple):
     samples: Optional[int] = None
     all_det_zero: Optional[bool] = None
     reason: Optional[str] = None   # the internal check a failed record broke
-    identity_grid_points: Optional[int] = None   # RANK_ONE_IDENTITY's proof grid
+    identity_terms: Optional[int] = None   # monomials of RANK_ONE_IDENTITY's expansion
     identity_holds: Optional[bool] = None
 
     def to_json_dict(self):
@@ -608,7 +606,7 @@ class WitnessRecord(NamedTuple):
         if self.status == "exceptional":
             d.update({"samples": self.samples, "all_det_zero": self.all_det_zero,
                       "identity": RANK_ONE_IDENTITY, "identity_holds": self.identity_holds,
-                      "identity_grid_points": self.identity_grid_points})
+                      "identity_terms": self.identity_terms})
         if self.status == "failed":
             d["reason"] = self.reason
         return d
@@ -661,25 +659,25 @@ RANK_ONE_IDENTITY = "rank_one_ricci_is_besse_7_38"
 
 
 def rank_one_identity() -> tuple:
-    """(grid points, holds) for _rank_one_ricci(P, Q, w) == 4*Ric(A (x) w), the Besse 7.38
-    kernel on the bracket whose pair (k, l) is A_kl w, A = PQ^T - QP^T, for all P, Q, w.
-    Both sides are quadratic forms in each of P, Q and w in R^4, and a form is fixed by
-    its values at (x, 1), of degree <= 2 in x in R^3: quadratics_agree on 3 blocks of 3."""
-    r = range(4)
-
-    def lift(f):
-        return lambda x, y, z: f(x + [1], y + [1], z + [1])
-
-    def besse(p, q, w):
-        return _ricci_table([[[(p[k] * q[l] - q[k] * p[l]) * x for x in w] for l in r] for k in r])
-    points = len(_quadratic_grid(3)) ** 3
-    return points, quadratics_agree(lift(_rank_one_ricci), lift(besse), 3, 3, 3)
+    """(terms, holds) for _rank_one_ricci(P, Q, w) == 4*Ric(A (x) w), the Besse 7.38
+    kernel on the bracket whose pair (k, l) is A_kl w, A = PQ^T - QP^T, for all P, Q, w;
+    terms counts the monomials of the expanded 4*Ric over its 16 entries (1008).
+    A proof by Kronecker's substitution (1882): x_n -> exp(7^n t) on the 12 coordinates
+    of P, Q, w is a ring map into ExpPoly, x^e -> exp((sum_n e_n 7^n) t).  Both sides use
+    only + - * with int constants, and each value on them is a polynomial of total degree
+    <= 6 (table entries and h 3, dot products 2, C 4, products and outputs 6).  So each
+    e_n <= 6 < 7: e -> sum_n e_n 7^n reads e as base-7 digits with no carry, injective on
+    these monomials, and equal images mean equal polynomials."""
+    x = [ExpPoly.exp(7 ** n) for n in range(12)]
+    p, q, w, r = x[:4], x[4:8], x[8:], range(4)
+    besse = _ricci_table([[[(p[k] * q[l] - q[k] * p[l]) * y for y in w] for l in r] for k in r])
+    return sum(len(e.terms) for row in besse for e in row), _rank_one_ricci(p, q, w) == besse
 
 
 def theorem_b_search(seed: int = 20240801, samples: int = 500):
     """Witnesses for every class instance; exact degeneracy for the exceptions."""
     rng = random.Random(seed)
-    points, holds = rank_one_identity()  # class-free: once per search
+    terms, holds = rank_one_identity()  # class-free: once per search
     records = []
     for cid in DIAGRAM_CLASSES:
         if cid.key not in EXCEPTIONAL_KEYS:
@@ -692,5 +690,5 @@ def theorem_b_search(seed: int = 20240801, samples: int = 500):
         all_zero = all(linalg.det(_moved_ricci_matrix(_borbit_matrix(*params)[1], mu)) == 0
                        for params in _borbit_params(rng, samples))  # to the first miss
         records.append(WitnessRecord(str(cid), "exceptional", samples=samples, all_det_zero=all_zero,
-                                     identity_grid_points=points, identity_holds=holds))
+                                     identity_terms=terms, identity_holds=holds))
     return records

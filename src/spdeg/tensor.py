@@ -237,9 +237,8 @@ def _unique_keys(pairs) -> dict:
 # -- validation ----------------------------------------------------------------
 
 
-def jacobiator(mu: Bracket) -> dict:
-    """Jac(mu)(e_a, e_b, e_c) for all a < b < c, as 0-based coordinate lists."""
-    out = {}
+def _jacobi_components(mu: Bracket):
+    """((a, b, c), Jac(mu)(e_a, e_b, e_c)) for a < b < c in order, one at a time."""
     for a, b, c in itertools.combinations(range(1, mu.dim + 1), 3):
         basis = (a, b, c)
         total = [0] * mu.dim
@@ -249,17 +248,21 @@ def jacobiator(mu: Bracket) -> dict:
             ec[basis[perm[2]] - 1] = 1
             w = mu.apply(v, ec)
             total = [x + sign * y for x, y in zip(total, w)]
-        out[(a, b, c)] = total
-    return out
+        yield (a, b, c), total
+
+
+def jacobiator(mu: Bracket) -> dict:
+    """Jac(mu)(e_a, e_b, e_c) for all a < b < c, as 0-based coordinate lists."""
+    return dict(_jacobi_components(mu))
 
 
 def is_lie(mu: Bracket) -> bool:
-    return not any(x for v in jacobiator(mu).values() for x in v)
+    """Jac(mu) = 0, read to the first nonzero component."""
+    return not any(any(v) for _, v in _jacobi_components(mu))
 
 
-def d_omega(mu: Bracket) -> dict:
-    """(d_mu w)(e_a, e_b, e_c) over all a < b < c (the signed sum over S3)."""
-    out = {}
+def _d_omega_components(mu: Bracket):
+    """((a, b, c), (d_mu w)(e_a, e_b, e_c)) for a < b < c in order (the signed sum over S3)."""
     unit = [0] * mu.dim
     for a, b, c in itertools.combinations(range(1, mu.dim + 1), 3):
         basis = (a, b, c)
@@ -269,12 +272,17 @@ def d_omega(mu: Bracket) -> dict:
             ec = list(unit)
             ec[basis[perm[2]] - 1] = 1
             total = total + sign * omega(v, ec)
-        out[(a, b, c)] = total
-    return out
+        yield (a, b, c), total
+
+
+def d_omega(mu: Bracket) -> dict:
+    """(d_mu w)(e_a, e_b, e_c) over all a < b < c (the signed sum over S3)."""
+    return dict(_d_omega_components(mu))
 
 
 def is_closed(mu: Bracket) -> bool:
-    return not any(d_omega(mu).values())
+    """d_mu w = 0, read to the first nonzero component."""
+    return not any(v for _, v in _d_omega_components(mu))
 
 
 def validate_symplectic(mu: Bracket) -> bool:

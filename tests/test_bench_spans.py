@@ -63,6 +63,28 @@ def test_each_exact_sample_is_one_spanned_call(monkeypatch):
                      "det": 3 * samples}
 
 
+def test_rank_one_identity_is_one_kernel_call(monkeypatch):
+    # the identity is one exact expansion, not a grid: theorem_b_search(samples=s)
+    # calls the rank-one kernel once for it and once per sample of rh3 and rr3_0 (a4
+    # stores no pair), and builds no quadratic grid; counted in every spdeg namespace
+    # that holds the kernel
+    import sys
+
+    from spdeg import curvature, degeneration
+
+    calls = Counter()
+    inner = curvature._rank_one_ricci
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spdeg" and getattr(module, "_rank_one_ricci", None) is inner:
+            _count_calls(monkeypatch, calls, module, "_rank_one_ricci", inner)
+    _count_calls(monkeypatch, calls, degeneration, "_quadratic_grid")
+    for samples in (1, 4):
+        calls.clear()
+        records = degeneration.theorem_b_search(samples=samples)
+        assert sum(r.status == "exceptional" and r.identity_holds for r in records) == 3
+        assert calls == {"_rank_one_ricci": 1 + 2 * samples}
+
+
 def test_exceptional_samples_take_no_symplectic_inverse(monkeypatch):
     # the samples read the rows of g^-1 off g: with only the exceptional classes,
     # theorem-b makes no symplectic_inverse call, counted in every spdeg

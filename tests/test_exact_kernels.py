@@ -18,7 +18,8 @@ from fractions import Fraction as F
 import pytest
 
 from spdeg import catalog, degeneration, linalg
-from spdeg.curvature import _moved_ricci_matrix, _ricci_matrix, ricci_form
+from spdeg.curvature import (_moved_ricci_matrix, _rank_one_ricci, _ricci_matrix, _ricci_table,
+                             ricci_form)
 from spdeg.degeneration import (DIAGRAM_CLASSES, EXCEPTIONAL_KEYS, _borbit_samples,
                                 _quadratic_grid, borbit_element, quadratics_agree,
                                 random_symplectic)
@@ -276,6 +277,53 @@ def test_single_pair_ricci_kills_the_normal_of_p_q_w():
                  for k in range(4)]
             assert any(x) and all(sum(a * b for a, b in zip(r, x)) == 0 for r in rows)
             assert linalg.mat_vec(_moved_ricci_matrix(g, mu), x) == [0] * 4
+
+
+def _rank_one_sides(x):
+    """Both sides of degeneration.rank_one_identity at the 12 coordinates x of P, Q and
+    w: the rank-one kernel and Besse 7.38 on the table of A (x) w, 16 entries each."""
+    p, q, w, r = x[:4], x[4:8], x[8:], range(4)
+    table = [[[(p[k] * q[l] - q[k] * p[l]) * y for y in w] for l in r] for k in r]
+    return ([e for row in _rank_one_ricci(p, q, w) for e in row],
+            [e for row in _ricci_table(table) for e in row])
+
+
+def _kronecker_sides(base):
+    """_rank_one_sides under x_n -> exp(base^n t)."""
+    return _rank_one_sides([ExpPoly.exp(base ** n) for n in range(12)])
+
+
+def _digit_sums(base, sides):
+    """The base-digit sums of every exponent on both sides."""
+    out = set()
+    for e in (e for side in sides for entry in side for e in entry.terms):
+        s = 0
+        while e:
+            e, d = divmod(e, base)
+            s += d
+        out.add(s)
+    return out
+
+
+def test_rank_one_identity_has_no_carry_in_base_7():
+    # the premise of the expansion proof: both sides are homogeneous of degree 6
+    # in the 12 coordinates, so with no carry every exponent sum_n e_n 7^n has
+    # base-7 digit sum 6; base 2 carries (2 = 10 in base 2), and the check sees it
+    lhs, rhs = _kronecker_sides(7)
+    assert lhs == rhs and sum(len(e.terms) for e in rhs) == 1008
+    assert _digit_sums(7, (lhs, rhs)) == {6}
+    assert _digit_sums(2, _kronecker_sides(2)) != {6}
+    assert degeneration.rank_one_identity() == (1008, True)
+
+
+def test_rank_one_identity_matches_a_sympy_expansion():
+    # the oracle: both sides expanded as polynomials in 12 symbols agree, and the
+    # number of monomials over the 16 entries is the record's identity_terms
+    sympy = pytest.importorskip("sympy")
+    lhs, rhs = (list(map(sympy.expand, side)) for side in _rank_one_sides(sympy.symbols("x0:12")))
+    assert all(sympy.expand(a - b) == 0 for a, b in zip(lhs, rhs))
+    terms = sum(len(sympy.Add.make_args(e)) for e in rhs if e != 0)
+    assert terms == degeneration.rank_one_identity()[0] == 1008
 
 
 def test_det_matches_fraction_elimination(brackets):

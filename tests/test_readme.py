@@ -25,7 +25,7 @@ def test_readme_library_block_results():
             continue
         assert repr(eval(code, namespace)) == expected.strip(), line
         checked += 1
-    assert checked == 6
+    assert checked == 7
 
 
 def _cli_table():

@@ -2,8 +2,8 @@
 turns the verb's exit code to 1 and names the failing record.
 
 theorem-b's exceptional records rest on the rank-one Ricci identity, which the
-verb proves on its grid.  Their samples alone cannot fail: 4*Ric = 2 B C B^T with
-B of size 4x3 has det 0 whatever the 3x3 matrix C is.
+verb proves by one exact expansion of both sides.  Their samples alone cannot
+fail: 4*Ric = 2 B C B^T with B of size 4x3 has det 0 whatever the 3x3 matrix C is.
 """
 
 import json
@@ -39,11 +39,11 @@ def test_theorem_b_fails_on_a_broken_rank_one_kernel(monkeypatch, capsys, make_c
     assert sorted(r["class"] for r in exceptional) == sorted(EXCEPTIONAL_KEYS)
     for r in exceptional:
         assert r["identity"] == RANK_ONE_IDENTITY and r["identity_holds"] is False, r
-        assert r["identity_grid_points"] == 1000
+        assert r["identity_terms"] == 1008
         assert r["all_det_zero"] is True  # the samples do not see the defect
     assert cli.main(["--seed", "7", "theorem-b", "--samples", "5"]) == 1
     out = capsys.readouterr().out
     for key in EXCEPTIONAL_KEYS:
         line, = [s for s in out.splitlines() if s.split()[0] == key]
-        assert f"FAILED: {RANK_ONE_IDENTITY} on 1000 grid points" in line
+        assert f"FAILED: {RANK_ONE_IDENTITY} on 1008 terms" in line
     assert out.splitlines()[-1] == "theorem-b: FAIL"
